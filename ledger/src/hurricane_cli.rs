@@ -6,8 +6,8 @@
 //!
 //! Each op is one invocation on a seeded Hurricane Medium Uf01 field
 //! (50×250×250 f32, 12.5 MB): `compress --rel 1e-4 --chunks 16`,
-//! `decompress`, and `extract --region` over 5 of the 50 levels (op `read`),
-//! all with `--threads <host.cpus>`.
+//! `decompress`, and `extract --region` over 5 of the 50 levels (op `read`,
+//! several per cycle), all with `--threads <host.cpus>`.
 
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -30,6 +30,9 @@ const FIELDS: usize = 2;
 const CHUNKS: usize = 16;
 /// Levels per region read: 10% of the field.
 const READ_LEVELS: usize = 5;
+/// Region reads per cycle, each over the next region in turn: reads are
+/// short, so a cycle takes several for a steady tail.
+const READS_PER_CYCLE: usize = 8;
 const SETUP_REPS: usize = 5;
 /// Enough cycles for a tail at or above the median.
 const MIN_CYCLES: usize = 20;
@@ -169,10 +172,9 @@ pub fn run(opts: &Opts, host: &Host) -> Result<Outcome, String> {
     };
     let (mut bytes_moved, mut busy_ms) = (0.0, 0.0);
     let start = Instant::now();
-    let mut cycle = 0;
+    let (mut cycle, mut reads) = (0, 0);
     while cycle < MIN_CYCLES || start.elapsed().as_secs_f64() < opts.seconds {
         let on = opts.trace && cycle % 2 == 1;
-        let (a, b) = regions[cycle % regions.len()];
         let input = &mut inputs[cycle % FIELDS];
         cycle += 1;
         let kinds = if on { &mut traced } else { &mut plain };
@@ -234,30 +236,34 @@ pub fn run(opts: &Opts, host: &Host) -> Result<Outcome, String> {
         }
 
         // `extract` has no telemetry: every read counts as untraced.
-        let a_read = args(&[
-            &"extract",
-            &"--input",
-            &input.archive,
-            &"--region",
-            &format!("{a}:{b}"),
-            &"--output",
-            &roi,
-            &"--threads",
-            &threads.to_string(),
-        ]);
-        let out = szr(opts, &a_read).and_then(|(ms, _)| {
-            let got = std::fs::read(&roi).map_err(|e| e.to_string())?;
-            let full = input
-                .full
-                .as_ref()
-                .ok_or("no verified full decode to compare with")?;
-            check_equal("region", &got, &full[a * plane * 4..b * plane * 4])?;
-            Ok(ms)
-        });
-        if let Some(ms) = tally.record("read", out) {
-            plain.read.push(ms);
-            bytes_moved += ((b - a) * plane * 4) as f64;
-            busy_ms += ms;
+        for _ in 0..READS_PER_CYCLE {
+            let (a, b) = regions[reads % regions.len()];
+            reads += 1;
+            let a_read = args(&[
+                &"extract",
+                &"--input",
+                &input.archive,
+                &"--region",
+                &format!("{a}:{b}"),
+                &"--output",
+                &roi,
+                &"--threads",
+                &threads.to_string(),
+            ]);
+            let out = szr(opts, &a_read).and_then(|(ms, _)| {
+                let got = std::fs::read(&roi).map_err(|e| e.to_string())?;
+                let full = input
+                    .full
+                    .as_ref()
+                    .ok_or("no verified full decode to compare with")?;
+                check_equal("region", &got, &full[a * plane * 4..b * plane * 4])?;
+                Ok(ms)
+            });
+            if let Some(ms) = tally.record("read", out) {
+                plain.read.push(ms);
+                bytes_moved += ((b - a) * plane * 4) as f64;
+                busy_ms += ms;
+            }
         }
     }
 

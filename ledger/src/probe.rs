@@ -240,8 +240,8 @@ impl Kinds {
         for (samples, (p50, tail)) in self.each().into_iter().zip(names) {
             let t = samples.tail();
             notes.push(format!(
-                "{tail} = p{:.1} of {} samples ({} beyond)",
-                t.percentile, t.samples, t.beyond
+                "{tail} = median over {} window(s) of p{:.1} of {} samples ({} beyond)",
+                t.windows, t.percentile, t.samples, t.beyond
             ));
             out.push(Metric {
                 name: p50,

@@ -3,6 +3,9 @@
 
 /// Samples beyond the reported tail percentile (see [`Samples::tail`]).
 const TAIL_BEYOND: usize = 10;
+/// Samples per time window of [`Samples::tail`]: a set of at least twice
+/// this many is split into consecutive windows.
+const TAIL_WINDOW: usize = 100;
 
 /// End-to-end metrics (`--trace 0`): every workload reports every one.
 pub const END_TO_END: [(&str, &str); 11] = [
@@ -68,17 +71,20 @@ pub const PER_LAYER: [(&str, &str); 40] = [
 #[derive(Debug, Default, Clone)]
 pub struct Samples(Vec<f64>);
 
-/// The highest percentile with at least [`TAIL_BEYOND`] samples beyond it.
+/// The highest percentile with at least [`TAIL_BEYOND`] samples beyond it,
+/// taken per time window; the value is the median over windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tail {
-    /// The sample at that percentile.
+    /// The median over windows of the sample at that percentile.
     pub value: f64,
-    /// The percentile, 0–100.
+    /// The percentile in the smallest window, 0–100.
     pub percentile: f64,
-    /// Samples in the set.
+    /// Samples in the smallest window.
     pub samples: usize,
-    /// Samples above the reported one.
+    /// Samples above the reported one in the smallest window.
     pub beyond: usize,
+    /// Consecutive windows the samples were split into, in arrival order.
+    pub windows: usize,
 }
 
 impl Samples {
@@ -90,34 +96,49 @@ impl Samples {
         self.0.len()
     }
 
-    fn sorted(&self) -> Vec<f64> {
-        let mut v = self.0.clone();
-        v.sort_by(f64::total_cmp);
-        v
-    }
-
     /// The median (mean of the middle pair for an even count; 0 when empty).
     pub fn p50(&self) -> f64 {
         median(&self.0)
     }
 
-    /// The tail: the `k`-th smallest of `n` samples for the largest `k`
-    /// leaving [`TAIL_BEYOND`] samples above it. With too few samples for
-    /// that, the maximum, with fewer samples beyond.
+    /// The tail. The samples, in arrival order, are split into
+    /// `n / TAIL_WINDOW` consecutive windows (at least one). In each window
+    /// the tail is the `k`-th smallest for the largest `k`
+    /// leaving [`TAIL_BEYOND`] samples above it (with too few samples for
+    /// that, the maximum). The value is the median of the window tails, so
+    /// a burst of host load in one window does not move it.
     pub fn tail(&self) -> Tail {
-        let v = self.sorted();
-        let n = v.len();
-        let k = if n > TAIL_BEYOND { n - TAIL_BEYOND } else { n };
+        let n = self.0.len();
+        let windows = (n / TAIL_WINDOW).max(1);
+        let per: Vec<Tail> = (0..windows)
+            .map(|w| window_tail(&self.0[w * n / windows..(w + 1) * n / windows]))
+            .collect();
+        let values: Vec<f64> = per.iter().map(|t| t.value).collect();
+        let smallest = per.iter().min_by_key(|t| t.samples).copied();
         Tail {
-            value: if n == 0 { 0.0 } else { v[k - 1] },
-            percentile: if n == 0 {
-                0.0
-            } else {
-                100.0 * k as f64 / n as f64
-            },
-            samples: n,
-            beyond: n - k,
+            value: median(&values),
+            windows,
+            ..smallest.expect("at least one window")
         }
+    }
+}
+
+/// The tail of one window (see [`Samples::tail`]).
+fn window_tail(window: &[f64]) -> Tail {
+    let mut v = window.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let k = if n > TAIL_BEYOND { n - TAIL_BEYOND } else { n };
+    Tail {
+        value: if n == 0 { 0.0 } else { v[k - 1] },
+        percentile: if n == 0 {
+            0.0
+        } else {
+            100.0 * k as f64 / n as f64
+        },
+        samples: n,
+        beyond: n - k,
+        windows: 1,
     }
 }
 
@@ -247,6 +268,24 @@ mod tests {
         );
         let t = Samples::default().tail();
         assert_eq!((t.value, t.samples, t.beyond), (0.0, 0, 0));
+    }
+
+    #[test]
+    fn tail_is_the_median_over_windows() {
+        // 300 samples arrive as 300, 299, …, 1: three windows of 100 whose
+        // tails are 290, 190 and 90.
+        let t = samples(300).tail();
+        assert_eq!((t.value, t.percentile), (190.0, 90.0));
+        assert_eq!((t.samples, t.beyond, t.windows), (100, 10, 3));
+
+        // 250 samples: two windows of 125; tails 240 and 115.
+        let t = samples(250).tail();
+        assert_eq!((t.value, t.percentile), (177.5, 92.0));
+        assert_eq!((t.samples, t.beyond, t.windows), (125, 10, 2));
+
+        // Under two windows' worth, one window: the whole set.
+        let t = samples(199).tail();
+        assert_eq!((t.value, t.samples, t.windows), (189.0, 199, 1));
     }
 
     #[test]
