@@ -101,7 +101,9 @@ pub struct Config {
     /// Apply a DEFLATE pass to the payload sections (SZ's "best
     /// compression" mode, which the paper's evaluation ran). Costs some
     /// speed; wins big on low-entropy code streams (e.g. sparse fields,
-    /// where Huffman's 1-bit-per-symbol floor binds).
+    /// where Huffman's 1-bit-per-symbol floor binds). Payloads of 64 KiB
+    /// or more are sampled first, and one predicted to shrink by under
+    /// 0.5% is stored raw without running the pass.
     pub lossless_pass: bool,
     /// Error-decorrelation mode (the paper's §VIII future work): quantize
     /// on half-width intervals and add a deterministic dither of up to

@@ -1272,8 +1272,8 @@ mod escape_lz_tests {
     /// Keyed-hash noise across sign, exponent spread and mantissa: escape
     /// records share no byte-level structure, so DEFLATE can recover at
     /// most a fraction of a percent from residual bit bias — below the
-    /// block overhead on a small stream and below the sample gate's 0.98
-    /// ratio on a large one. Either way the trial loses.
+    /// block overhead on a small stream and below the sampled trial's 0.5%
+    /// on a large one. Either way the trial loses.
     fn incompressible(rows: usize) -> Tensor<f32> {
         Tensor::from_fn([rows, rows], |ix| {
             let h = ((ix[0] * rows + ix[1]) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1319,9 +1319,9 @@ mod escape_lz_tests {
 
     #[test]
     fn sample_gate_skips_large_incompressible_streams() {
-        // ~85 KiB of escape bytes: the 16 KiB prefix sample deflates to
-        // ≥ 0.98 of its size, so the whole-stream trial is skipped and the
-        // archive stays v3 byte-identical.
+        // ~85 KiB of escape bytes: the sampled chunks predict a saving
+        // under 0.5%, so the whole-stream trial is skipped and the archive
+        // stays v3 byte-identical.
         let data = incompressible(160);
         let base = Config::new(ErrorBound::Absolute(1e-3));
         let plain = compress(&data, &base).unwrap();

@@ -98,6 +98,12 @@
 //! the fused path's 1-allocation steady state is preserved. v1/v2 archives
 //! remain fully decodable — they simply carry nothing to verify.
 //!
+//! The DEFLATE post-pass over a band payload (Huffman block plus escape
+//! section) is itself sampled first when the payload is 64 KiB or larger:
+//! a payload the trial predicts to shrink by under 0.5% is stored raw,
+//! exactly as with [`Config::lossless_pass`] off, and DEFLATE never runs
+//! over it.
+//!
 //! Under [`Config::escape_lz`] the encoder additionally runs a sampled
 //! DEFLATE trial over the band's escape (binary-representation) stream.
 //! When the trial *wins* — the deflated escape section is strictly smaller

@@ -449,3 +449,38 @@ proptest! {
         }
     }
 }
+
+/// Strategy: 2-D grids large enough for the DEFLATE post-pass trial to
+/// sample (payloads from a few KiB to a few hundred), from smooth to
+/// noise-dominated.
+fn arb_trial_grid() -> impl Strategy<Value = Tensor<f32>> {
+    (32usize..256, 0.0f32..1.0, any::<u32>()).prop_map(|(rows, noise, seed)| {
+        Tensor::from_fn([rows, 256], move |ix| {
+            let h =
+                ((ix[0] * 256 + ix[1]) as u64 ^ seed as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let smooth = ((ix[0] + ix[1]) as f32 * 0.02).sin() * 10.0;
+            smooth + noise * ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 1e3
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The post-pass never grows an archive: a payload it deflates comes
+    /// out smaller, and one it skips or loses on is stored byte for byte as
+    /// with the pass off. Either way the decode is the same.
+    #[test]
+    fn post_pass_never_grows_the_archive(grid in arb_trial_grid(), eb in 1e-5f64..1e-1) {
+        let config = Config::new(ErrorBound::Absolute(eb));
+        let with = compress(&grid, &config).unwrap();
+        let without = compress(&grid, &config.without_lossless_pass()).unwrap();
+        prop_assert!(with.len() <= without.len());
+        if with.len() == without.len() {
+            prop_assert_eq!(&with, &without);
+        }
+        let a: Tensor<f32> = decompress(&with).unwrap();
+        let b: Tensor<f32> = decompress(&without).unwrap();
+        prop_assert_eq!(a.as_slice(), b.as_slice());
+    }
+}

@@ -44,7 +44,7 @@
 
 use crate::compress::{
     encode_parts, encode_quantized_sink, escape_lz_trial, quantize_into, quantize_validated_impl,
-    report_deflate, resolve_band_params, resolve_range_eb, write_band_header, BandMeta,
+    resolve_band_params, resolve_range_eb, write_band_header, write_post_passed, BandMeta,
     CompressionStats, EncodeExtra, EntropyScratch, HuffmanTable, QuantBufs, QuantizedBand,
     VERSION_ESCLZ, VERSION_SHARED_ESCLZ, VERSION_SHARED_V3, VERSION_V3,
 };
@@ -552,7 +552,7 @@ impl<T: ScalarFloat> CodecSession<T> {
         };
         let code_bytes = self.code_bits.finish();
         let unpred_bytes = self.bufs.unpred.finish();
-        let ((bytes, stats), write_nanos) = {
+        let ((bytes, stats, deflate_nanos), write_nanos) = {
             let payload = &mut self.payload;
             let entropy = &mut self.entropy;
             let sink_ref = sink.as_deref();
@@ -579,7 +579,7 @@ impl<T: ScalarFloat> CodecSession<T> {
             );
             sink.span(
                 Stage::EntropyEncode,
-                write_nanos,
+                write_nanos.saturating_sub(deflate_nanos),
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
@@ -660,7 +660,7 @@ impl<T: ScalarFloat> CodecSession<T> {
         };
         let code_bytes = self.code_bits.finish();
         let unpred_bytes = self.bufs.unpred.finish();
-        let ((bytes, stats), write_nanos) = {
+        let ((bytes, stats, deflate_nanos), write_nanos) = {
             let payload = &mut self.payload;
             let entropy = &mut self.entropy;
             let sink_ref = sink.as_deref();
@@ -687,7 +687,7 @@ impl<T: ScalarFloat> CodecSession<T> {
             );
             sink.span(
                 Stage::EntropyEncode,
-                write_nanos,
+                write_nanos.saturating_sub(deflate_nanos),
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
@@ -987,6 +987,9 @@ impl<T: ScalarFloat> RowVisitor<T> for FusedRowQuantizer<'_, T> {
 /// so nothing is staged unless the DEFLATE pass needs a contiguous payload.
 /// `meta.escape_lz` arms the same sampled escape trial as the staged
 /// writer; the trailer's payload CRC stays over the raw escape bytes.
+/// Besides the archive and its stats, returns the nanoseconds spent in
+/// DEFLATE (0 without a sink): the writer records them as `deflate` spans,
+/// so the caller's `entropy_encode` span leaves them out.
 #[allow(clippy::too_many_arguments)]
 fn write_fused_archive(
     meta: &BandMeta,
@@ -999,8 +1002,10 @@ fn write_fused_archive(
     payload_scratch: &mut ByteWriter,
     entropy: &mut EntropyScratch,
     sink: Option<&dyn TelemetrySink>,
-) -> (Vec<u8>, CompressionStats) {
-    let esc_commit = meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink);
+) -> (Vec<u8>, CompressionStats, u64) {
+    let (esc_commit, mut deflate_nanos) = timed(sink.is_some(), || {
+        meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink)
+    });
     let version = match (shared, esc_commit) {
         (false, false) => VERSION_V3,
         (false, true) => VERSION_ESCLZ,
@@ -1038,17 +1043,7 @@ fn write_fused_archive(
     let (table_crc, payload_crc) = if meta.lossless_pass {
         payload_scratch.clear();
         let crcs = write_payload(payload_scratch);
-        let deflated = deflater.compress(payload_scratch.as_bytes());
-        if deflated.len() < payload_scratch.len() {
-            out.write_u8(1);
-            out.write_len_prefixed(deflated);
-        } else {
-            out.write_u8(0);
-            out.write_bytes(payload_scratch.as_bytes());
-        }
-        if let Some(sink) = sink {
-            report_deflate(sink, deflater.stats());
-        }
+        deflate_nanos += write_post_passed(&mut out, payload_scratch.as_bytes(), deflater, sink);
         crcs
     } else {
         out.write_u8(0);
@@ -1069,7 +1064,7 @@ fn write_fused_archive(
         huffman_bytes: block_len,
         unpredictable_bytes: unpred_bytes.len(),
     };
-    (bytes, stats)
+    (bytes, stats, deflate_nanos)
 }
 
 #[cfg(test)]

@@ -130,11 +130,14 @@ pub enum Counter {
     DeflateLiteralTokens,
     /// Bands whose escape-LZ trial won (escape section stored deflated).
     EscapeLzBands,
+    /// Sampled DEFLATE trials that predicted a saving under 0.5%, so the
+    /// full pass (payload post-pass or escape-LZ trial) was skipped.
+    DeflateTrialSkips,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 17] = [
         Counter::KernelCacheHit,
         Counter::KernelCacheMiss,
         Counter::CodecTableCacheHit,
@@ -151,6 +154,7 @@ impl Counter {
         Counter::DeflateMatchTokens,
         Counter::DeflateLiteralTokens,
         Counter::EscapeLzBands,
+        Counter::DeflateTrialSkips,
     ];
     /// Number of counters (accumulator array size).
     pub const COUNT: usize = Self::ALL.len();
@@ -174,6 +178,7 @@ impl Counter {
             Counter::DeflateMatchTokens => "deflate_match_tokens",
             Counter::DeflateLiteralTokens => "deflate_literal_tokens",
             Counter::EscapeLzBands => "escape_lz_bands",
+            Counter::DeflateTrialSkips => "deflate_trial_skips",
         }
     }
 

@@ -168,6 +168,16 @@
 //! divergence-priced boundaries with merge-back), guaranteed never to
 //! price worse than the fixed segmentation it replaces.
 //!
+//! A payload of 64 KiB or more first goes through a sampled trial: its
+//! 16 KiB head chunk plus the middle chunk of up to four strata of the rest
+//! are deflated, each chunk's saving is scaled to the bytes it stands for,
+//! and the full pass runs only when the estimate reaches 0.5% of the
+//! payload. A skipped payload is stored exactly as with the pass off, and
+//! counted as `deflate_trial_skips`. On ATM FREQSH (a 2.6 MB code stream
+//! the full pass shrinks by 0.15%) this cuts the field's compress time by
+//! more than half; every other ATM, APS and Hurricane medium field keeps
+//! its bytes.
+//!
 //! The same machinery can attack the *escape stream* — the raw binary
 //! encodings of unpredictable values, whose spatially-correlated runs the
 //! per-symbol Huffman stage cannot see. [`Config::with_escape_lz`]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use szr::telemetry::{Counter, RecordingSink, TelemetrySink};
+use szr::telemetry::{Counter, RecordingSink, Stage, TelemetrySink};
 use szr::{compress_with_stats, quantization_histogram, CodecSession, Config, ErrorBound, Tensor};
 
 /// Strategy: random small 1-D/2-D/3-D grids of mixed smooth/noisy content.
@@ -171,6 +171,63 @@ fn cache_counters_track_session_reuse() {
     assert_eq!(sink.report().counter(Counter::CodecTableCacheMiss), 1);
     session.decompress(&archive).unwrap();
     assert_eq!(sink.report().counter(Counter::CodecTableCacheHit), 1);
+}
+
+/// The sampled DEFLATE trial is visible: a payload it skips counts one
+/// `deflate_trial_skips` and still records its `deflate` span (the trial's
+/// time), while a compressible payload runs the pass and counts none.
+#[test]
+fn deflate_trial_skips_are_counted() {
+    // Uniform noise at a bound far below its spread: a near-uniform,
+    // incompressible ~330 KB code stream.
+    let noise = Tensor::from_fn([512, 512], |ix| {
+        let mut z = ((ix[0] * 512 + ix[1]) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z >> 40) as f32 / (1u64 << 24) as f32
+    });
+    let smooth = Tensor::from_fn([400, 400], |ix| ((ix[0] + ix[1]) as f32 * 0.01).sin());
+    let config = Config::new(ErrorBound::Absolute(1e-3));
+    let (mut session, sink) = recording_session(config);
+
+    session.compress(&noise).unwrap();
+    let report = sink.report();
+    assert_eq!(report.counter(Counter::DeflateTrialSkips), 1);
+    assert_eq!(
+        report.counter(Counter::DeflateBlocks),
+        0,
+        "no full pass ran"
+    );
+    assert_eq!(report.span(Stage::Deflate).map(|s| s.calls), Some(1));
+
+    sink.clear();
+    session.compress(&smooth).unwrap();
+    let report = sink.report();
+    assert_eq!(report.counter(Counter::DeflateTrialSkips), 0);
+    assert!(report.counter(Counter::DeflateBlocks) > 0);
+}
+
+/// The fused writer's DEFLATE post-pass reports its own `deflate` span
+/// instead of hiding inside `entropy_encode`.
+#[test]
+fn fused_compress_reports_a_deflate_span() {
+    let data = Tensor::from_fn([96, 128], |ix| {
+        ((ix[0] as f32) * 0.05).sin() * 30.0 + ((ix[1] as f32) * 0.11).cos() * 4.0
+    });
+    let config = Config::new(ErrorBound::Absolute(1e-3)).with_interval_bits(8);
+    let (mut session, sink) = recording_session(config);
+    session.set_table_reuse(true);
+    session.compress(&data).unwrap(); // staged: seeds the reuse table
+    sink.clear();
+    session.compress(&data).unwrap(); // fused
+    let report = sink.report();
+    assert_eq!(
+        report.counter(Counter::FusedTableReseeds),
+        0,
+        "band ran fused"
+    );
+    assert_eq!(report.span(Stage::Deflate).map(|s| s.calls), Some(1));
+    assert!(report.counter(Counter::DeflateBlocks) > 0);
 }
 
 /// The chunked drivers give each worker a private sink and merge them into
