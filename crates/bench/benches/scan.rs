@@ -3,9 +3,9 @@
 //!
 //! Two layers of comparison on interior-dominated grids (512² and 64³):
 //!
-//! * `row_scan/*` — raw traversal cost: [`ScanKernel::scan_rows`] (partial
-//!   sums batched per row, carry folded in a scalar tail) vs the point
-//!   visitor `ScanKernel::scan`, prediction only.
+//! * `row_scan/*` — raw traversal cost: [`ScanKernel::scan_rows`] (rows
+//!   walked in wavefront groups) vs the point visitor `ScanKernel::scan`,
+//!   prediction only.
 //! * `quantize/*` — the full first half of the pipeline:
 //!   `quantize_slice_with_kernel` (row path, batched hit test and code
 //!   emission) vs `quantize_slice_with_kernel_oracle` (point visitor).
@@ -15,8 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szr_core::{
-    quantize_slice_with_kernel, quantize_slice_with_kernel_oracle, Carry, Config, ErrorBound,
-    RowVisitor, ScanKernel,
+    quantize_slice_with_kernel, quantize_slice_with_kernel_oracle, Config, ErrorBound, RowVisitor,
+    ScanKernel,
 };
 use szr_tensor::{Shape, Tensor};
 
@@ -46,29 +46,9 @@ struct PredSink<'a> {
 
 impl RowVisitor<f32> for PredSink<'_> {
     type Error = std::convert::Infallible;
-    fn point(&mut self, flat: usize, pred: f64) -> Result<f32, Self::Error> {
+    fn point(&mut self, flat: usize, pred: f64) -> f32 {
         self.acc ^= pred.to_bits();
-        Ok(self.values[flat])
-    }
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: Carry,
-        row: &mut [f32],
-        prev: [f32; 2],
-    ) -> Result<(), Self::Error> {
-        let mut p1 = prev[0] as f64;
-        let mut p2 = prev[1] as f64;
-        for i in 0..row.len() {
-            let pred = carry.pred(partials[i], p1, p2);
-            self.acc ^= pred.to_bits();
-            let r = self.values[flat + i];
-            row[i] = r;
-            p2 = p1;
-            p1 = r as f64;
-        }
-        Ok(())
+        self.values[flat]
     }
 }
 

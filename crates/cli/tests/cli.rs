@@ -253,3 +253,61 @@ fn pointwise_rel_mode_works_end_to_end() {
     );
     assert!(std::fs::metadata(&packed).unwrap().len() < 10_000);
 }
+
+#[test]
+fn relative_bound_over_infinities_compresses() {
+    // A 64×64 f32 field with every 211th value +Inf: the relative bound
+    // must resolve against the finite values' range instead of panicking.
+    let raw = tmp("inf.bin");
+    let packed = tmp("inf.szr");
+    let restored = tmp("inf_out.bin");
+    let values: Vec<f32> = (0..64 * 64)
+        .map(|f| {
+            if f % 211 == 0 {
+                f32::INFINITY
+            } else {
+                (f as f32 * 0.05).sin() * 30.0
+            }
+        })
+        .collect();
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(&raw, bytes).unwrap();
+    let comp = szr()
+        .args(["compress", "--input", raw.to_str().unwrap()])
+        .args(["--dims", "64x64", "--rel", "1e-4"])
+        .args(["--output", packed.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        comp.status.success(),
+        "{}",
+        String::from_utf8_lossy(&comp.stderr)
+    );
+    let dec = szr()
+        .args(["decompress", "--input", packed.to_str().unwrap()])
+        .args(["--output", restored.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        dec.status.success(),
+        "{}",
+        String::from_utf8_lossy(&dec.stderr)
+    );
+    let back: Vec<f32> = std::fs::read(&restored)
+        .unwrap()
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let finite = values.iter().filter(|v| v.is_finite());
+    let range = finite.clone().cloned().fold(f32::NEG_INFINITY, f32::max)
+        - finite.cloned().fold(f32::INFINITY, f32::min);
+    let eb = 1e-4 * range as f64;
+    assert_eq!(back.len(), values.len());
+    for (x, y) in values.iter().zip(&back) {
+        if x.is_finite() {
+            assert!((*x as f64 - *y as f64).abs() <= eb);
+        } else {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+}

@@ -261,21 +261,19 @@ pub(crate) struct BandMeta {
     pub predictable: usize,
 }
 
-/// Reusable destination buffers for the quantize stage: the code stream,
-/// the per-row escape-index scratch, and the escape bit stream. A session
-/// owns one and recycles it across bands; the owned-band entry points build
-/// a throwaway one per call.
+/// Reusable destination buffers for the quantize stage: the code stream
+/// (the fused path's per-group code scratch) and the escape bit stream. A
+/// session owns one and recycles it across bands; the owned-band entry
+/// points build a throwaway one per call.
 #[derive(Default)]
 pub(crate) struct QuantBufs {
     pub codes: Vec<u32>,
-    pub misses: Vec<u32>,
     pub unpred: BitWriter,
 }
 
 impl QuantBufs {
     pub fn reset(&mut self) {
         self.codes.clear();
-        self.misses.clear();
         self.unpred.clear();
     }
 }
@@ -284,9 +282,9 @@ impl QuantBufs {
 /// of [`compress_slice_with_kernel`], exposed for drivers that entropy-code
 /// several bands together.
 ///
-/// Runs the row-granular fast path ([`ScanKernel::scan_rows`] +
-/// [`Quantizer::quantize_row`]) except in decorrelation mode, which carries
-/// per-index dither state and stays on the point visitor.
+/// Runs the wavefront fast path ([`ScanKernel::scan_rows`]) except in
+/// decorrelation mode, which carries per-index dither state and stays on the
+/// point visitor.
 ///
 /// # Errors
 /// Same conditions as [`compress_slice_with_kernel`].
@@ -325,10 +323,11 @@ fn quantize_validated<T: ScalarFloat>(
     quantize_validated_impl(values, shape, config, kernel, false, None)
 }
 
-/// The row-path quantization visitor: interior rows run through
-/// [`Quantizer::quantize_row`] with escape bits serialized from the
-/// collected miss list after each row; border points replicate the point
-/// oracle inline.
+/// The wavefront quantization visitor: each point's code is written at its
+/// flat index, an escape's reconstruction is returned at once (it feeds
+/// later predictions), and at `end_group` the group's escape bits are
+/// serialized in row-major order — the order the decoder reads them. Hits
+/// are counted per group too, so the per-point path carries no counter.
 struct RowQuantizer<'a, T: ScalarFloat> {
     values: &'a [T],
     quantizer: Quantizer,
@@ -341,59 +340,54 @@ struct RowQuantizer<'a, T: ScalarFloat> {
 impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowQuantizer<'_, T> {
     type Error = std::convert::Infallible;
 
-    fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, Self::Error> {
-        let value = self.values[flat];
-        let v64 = value.to_f64();
-        let quantized = self.quantizer.quantize(v64, pred).and_then(|(code, r64)| {
-            let r = T::from_f64(r64);
-            if (v64 - r.to_f64()).abs() <= self.eb {
-                Some((code, r))
-            } else {
-                None
-            }
-        });
-        Ok(match quantized {
-            Some((code, r)) => {
-                self.bufs.codes.push(code);
-                self.predictable += 1;
-                r
-            }
-            None => {
-                self.bufs.codes.push(0);
-                self.unpred.encode(value, &mut self.bufs.unpred)
-            }
-        })
-    }
-
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: crate::kernel::Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> std::result::Result<(), Self::Error> {
-        self.predictable += self.quantizer.quantize_row(
-            &self.values[flat..flat + row.len()],
-            partials,
-            carry,
-            prev,
-            self.eb,
-            &self.unpred,
-            &mut self.bufs.codes,
-            row,
-            &mut self.bufs.misses,
-        );
-        // Escape bits for this row's misses, in scan order (border points of
-        // the same row were already serialized by `point` above, and the
-        // next row's come after).
-        for &i in &self.bufs.misses {
-            self.unpred
-                .encode(self.values[flat + i as usize], &mut self.bufs.unpred);
-        }
-        self.bufs.misses.clear();
+    fn begin_group(&mut self, start: usize, len: usize) -> std::result::Result<(), Self::Error> {
+        debug_assert_eq!(self.bufs.codes.len(), start);
+        self.bufs.codes.resize(start + len, 0);
         Ok(())
     }
+
+    #[inline(always)]
+    fn point(&mut self, flat: usize, pred: f64) -> T {
+        let value = self.values[flat];
+        match self.quantizer.quantize_narrowed(value, pred, self.eb) {
+            Some((code, r)) => {
+                self.bufs.codes[flat] = code;
+                r
+            }
+            // The code stays 0 from `begin_group`.
+            None => self.unpred.reconstruction(value),
+        }
+    }
+
+    fn end_group(&mut self, start: usize, len: usize) -> std::result::Result<(), Self::Error> {
+        let range = start..start + len;
+        self.predictable += encode_group_escapes(
+            &self.bufs.codes[range.clone()],
+            &self.values[range],
+            &self.unpred,
+            &mut self.bufs.unpred,
+        );
+        Ok(())
+    }
+}
+
+/// Writes the escape bits of one scan group — the values whose code is 0,
+/// in row-major order — and returns the group's hit count.
+pub(crate) fn encode_group_escapes<T: ScalarFloat>(
+    codes: &[u32],
+    values: &[T],
+    unpred: &UnpredictableCodec,
+    out: &mut BitWriter,
+) -> usize {
+    let escapes = crate::simd::count_zeros(codes);
+    if escapes > 0 {
+        for (&code, &value) in codes.iter().zip(values) {
+            if code == 0 {
+                unpred.encode(value, out);
+            }
+        }
+    }
+    codes.len() - escapes
 }
 
 /// Checks `values`/`shape`/`kernel` agreement and resolves the effective
@@ -416,14 +410,42 @@ pub(crate) fn resolve_range_eb<T: ScalarFloat>(
     }
 
     // Resolve the relative bound against the actual value range (Metric 1).
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        let x = v.to_f64();
-        min = min.min(x);
-        max = max.max(x);
-    }
-    let range = if min > max { 0.0 } else { max - min };
+    let range = value_range(values);
     Ok((range, config.bound.effective(range)))
+}
+
+/// The value range `max − min` a relative bound scales (Metric 1), taken
+/// over the finite values only: an infinite extreme would make a relative
+/// bound infinite. NaN is skipped too, a slice without finite values has
+/// range 0, and a range beyond `f64::MAX` saturates there.
+pub fn value_range<T: ScalarFloat>(values: &[T]) -> f64 {
+    // Independent lanes, so the compares vectorize instead of forming one
+    // serial min chain and one max chain.
+    const LANES: usize = 8;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut fold = |lane: usize, v: T| {
+        let x = v.to_f64();
+        let finite = x.is_finite();
+        lo[lane] = if finite && x < lo[lane] { x } else { lo[lane] };
+        hi[lane] = if finite && x > hi[lane] { x } else { hi[lane] };
+    };
+    let chunks = values.chunks_exact(LANES);
+    for (lane, &v) in chunks.remainder().iter().enumerate() {
+        fold(lane, v);
+    }
+    for chunk in chunks {
+        for (lane, &v) in chunk.iter().enumerate() {
+            fold(lane, v);
+        }
+    }
+    let min = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let max = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    if min > max {
+        0.0
+    } else {
+        (max - min).min(f64::MAX)
+    }
 }
 
 /// [`resolve_range_eb`] plus the interval-bits choice (running the §IV-B

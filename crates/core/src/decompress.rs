@@ -450,19 +450,19 @@ pub fn inspect_layout(bytes: &[u8]) -> Result<BandLayout> {
 }
 
 /// Reusable decode-side buffers: the staged path's symbol vector, the fused
-/// path's per-row scratch, and a per-band Huffman codec cache keyed on the
+/// path's per-group scratch, and a per-band Huffman codec cache keyed on the
 /// raw serialized table span. Owned by [`crate::CodecSession`] (and by
 /// `szr-parallel`'s per-worker sessions through it) so steady-state fused
 /// decompression allocates nothing but the output tensor.
 pub(crate) struct DecodeScratch<T: ScalarFloat> {
     /// Staged-path symbol buffer (the whole stream, materialized).
     codes: Vec<u32>,
-    /// Fused-path scratch: one interior row of symbols…
-    row_codes: Vec<u32>,
+    /// Fused-path scratch: one scan group of symbols…
+    group_codes: Vec<u32>,
     /// …their reconstruction offsets…
-    row_offsets: Vec<f64>,
-    /// …and the row's decoded escape values.
-    row_escapes: Vec<T>,
+    group_offsets: Vec<f64>,
+    /// …and the group's decoded escape values, by position (both paths).
+    group_escapes: Vec<T>,
     /// Escape-LZ staging: v5/v6 escape sections inflate here before the
     /// bit-level escape decode (capacity persists across bands).
     escape: Vec<u8>,
@@ -478,9 +478,9 @@ impl<T: ScalarFloat> Default for DecodeScratch<T> {
     fn default() -> Self {
         Self {
             codes: Vec::new(),
-            row_codes: Vec::new(),
-            row_offsets: Vec::new(),
-            row_escapes: Vec::new(),
+            group_codes: Vec::new(),
+            group_offsets: Vec::new(),
+            group_escapes: Vec::new(),
             escape: Vec::new(),
             table_key: Vec::new(),
             cached_codec: None,
@@ -710,7 +710,7 @@ pub fn decompress_shared_with_kernel<T: ScalarFloat>(
 ///
 /// With `staged` false (the production path) Huffman symbols are pulled
 /// straight into row reconstruction through a [`SymbolDecoder`] — the
-/// intermediate symbol vector is never materialized, and the per-row
+/// intermediate symbol vector is never materialized, and the per-group
 /// offset/escape work runs through the SIMD batch kernels. With `staged`
 /// true (the oracle path, and always in decorrelation mode) the whole
 /// stream decodes into `scratch.codes` first.
@@ -733,9 +733,9 @@ fn decompress_parsed<T: ScalarFloat>(
     // handed to the decoders — disjoint fields, one borrow each.
     let DecodeScratch {
         codes,
-        row_codes,
-        row_offsets,
-        row_escapes,
+        group_codes,
+        group_offsets,
+        group_escapes,
         escape,
         table_key,
         cached_codec,
@@ -893,12 +893,14 @@ fn decompress_parsed<T: ScalarFloat>(
             quantizer,
             unpred,
             bits: unpred_bits,
-            row_codes,
-            row_offsets,
-            row_escapes,
+            group_codes,
+            group_offsets,
+            group_escapes,
+            start: 0,
             tele,
             decode_nanos: 0,
             recon_nanos: 0,
+            recon_clock: None,
         };
         kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
         if let Some(sink) = sink {
@@ -970,15 +972,17 @@ fn decompress_parsed<T: ScalarFloat>(
             return Err(e);
         }
     } else {
-        // The hot path: row-granular reconstruction through the fallible
-        // row scan, which aborts at the first corrupt symbol instead of
-        // decoding the full grid.
+        // The staged oracle: wavefront reconstruction from the decoded code
+        // vector, aborting at the first corrupt group instead of decoding
+        // the full grid.
         let mut visitor = RowDecoder {
             codes,
             alphabet,
             quantizer,
             unpred,
             bits: unpred_bits,
+            escapes: group_escapes,
+            start: 0,
         };
         kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
     }
@@ -986,154 +990,147 @@ fn decompress_parsed<T: ScalarFloat>(
     Ok(Tensor::from_vec(header.shape, recon))
 }
 
-/// Row-path decode visitor: interior rows reconstruct in a tight
-/// carry-folding loop; the first bad symbol aborts the whole scan.
-struct RowDecoder<'a> {
+/// Rejects a scan group holding a code outside the alphabet, naming the
+/// first such code in scan order.
+fn check_alphabet(codes: &[u32], alphabet: u32) -> Result<()> {
+    if crate::simd::codes_max(codes) >= alphabet {
+        let bad = codes
+            .iter()
+            .find(|&&c| c >= alphabet)
+            .expect("max exceeded the alphabet");
+        return Err(SzError::Corrupt(format!("code {bad} outside alphabet")));
+    }
+    Ok(())
+}
+
+/// Decodes the escapes of one scan group, in the row-major order the
+/// encoder wrote them, into `out` at their positions: `out[p]` for every
+/// `codes[p] == 0`. Other slots keep stale values the visitors never read.
+fn decode_group_escapes<T: ScalarFloat>(
+    codes: &[u32],
+    unpred: &UnpredictableCodec,
+    bits: &mut BitReader<'_>,
+    out: &mut Vec<T>,
+) -> Result<()> {
+    if out.len() < codes.len() {
+        out.resize(codes.len(), T::from_f64(0.0));
+    }
+    if crate::simd::count_zeros(codes) > 0 {
+        for (slot, &code) in out.iter_mut().zip(codes) {
+            if code == 0 {
+                *slot = unpred.decode(bits)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Staged decode visitor over a materialized code stream: each group's
+/// codes are validated and its escapes decoded at `begin_group`, so the
+/// wavefront itself cannot fail; a corrupt group aborts the scan.
+struct RowDecoder<'a, 's, T: ScalarFloat> {
     codes: &'a [u32],
     alphabet: u32,
     quantizer: Quantizer,
     unpred: UnpredictableCodec,
     bits: BitReader<'a>,
+    /// The open group's escapes, indexed from `start`.
+    escapes: &'s mut Vec<T>,
+    start: usize,
 }
 
-impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowDecoder<'_> {
+impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowDecoder<'_, '_, T> {
     type Error = SzError;
 
-    fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, SzError> {
-        let code = self.codes[flat];
-        if code >= self.alphabet {
-            return Err(SzError::Corrupt(format!("code {code} outside alphabet")));
-        }
-        if code == 0 {
-            Ok(self.unpred.decode(&mut self.bits)?)
-        } else {
-            Ok(T::from_f64(self.quantizer.reconstruct(code, pred)))
-        }
+    fn begin_group(&mut self, start: usize, len: usize) -> Result<()> {
+        let codes = &self.codes[start..start + len];
+        check_alphabet(codes, self.alphabet)?;
+        decode_group_escapes(codes, &self.unpred, &mut self.bits, self.escapes)?;
+        self.start = start;
+        Ok(())
     }
 
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: crate::kernel::Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> std::result::Result<(), SzError> {
-        let codes = &self.codes[flat..flat + row.len()];
-        carry.fold(partials, prev, row, |i, pred| {
-            let code = codes[i];
-            if code == 0 {
-                Ok(self.unpred.decode::<T>(&mut self.bits)?)
-            } else if code < self.alphabet {
-                Ok(T::from_f64(self.quantizer.reconstruct(code, pred)))
-            } else {
-                Err(SzError::Corrupt(format!("code {code} outside alphabet")))
-            }
-        })
+    #[inline(always)]
+    fn point(&mut self, flat: usize, pred: f64) -> T {
+        let code = self.codes[flat];
+        if code == 0 {
+            self.escapes[flat - self.start]
+        } else {
+            T::from_f64(self.quantizer.reconstruct(code, pred))
+        }
     }
 }
 
-/// The fused decode visitor: a pull-based [`SymbolDecoder`] feeds row
-/// reconstruction directly, so no symbol vector ever exists. Border points
-/// pull one symbol at a time; each interior row segment pulls its whole
-/// symbol run into a row-sized scratch, batch-validates it
-/// ([`crate::simd::codes_max`]), precomputes reconstruction offsets
-/// ([`Quantizer::recon_offsets`], bit-identical to the staged per-point
-/// [`Quantizer::reconstruct`]), batch-decodes the row's escapes, and folds.
-/// The first bad symbol (or out-of-alphabet code) aborts the whole scan —
-/// corrupt archives never decode the full grid.
+/// The fused decode visitor: a pull-based [`SymbolDecoder`] feeds
+/// reconstruction directly, so no band-sized symbol vector ever exists.
+/// Each group pulls its symbol run into a group-sized scratch at
+/// `begin_group`, batch-validates it ([`crate::simd::codes_max`]),
+/// precomputes reconstruction offsets ([`Quantizer::recon_offsets`],
+/// bit-identical to the staged per-point [`Quantizer::reconstruct`]) and
+/// decodes its escapes; the wavefront then only adds offsets. The first bad
+/// symbol (or out-of-alphabet code) aborts the whole scan — corrupt
+/// archives never decode the full grid.
 struct FusedRowDecoder<'c, 'b, 's, T: ScalarFloat> {
     decoder: SymbolDecoder<'c, 'b>,
     alphabet: u32,
     quantizer: Quantizer,
     unpred: UnpredictableCodec,
     bits: BitReader<'b>,
-    row_codes: &'s mut Vec<u32>,
-    row_offsets: &'s mut Vec<f64>,
-    row_escapes: &'s mut Vec<T>,
+    /// The open group's symbols, offsets and escapes, indexed from `start`.
+    group_codes: &'s mut Vec<u32>,
+    group_offsets: &'s mut Vec<f64>,
+    group_escapes: &'s mut Vec<T>,
+    start: usize,
     /// Telemetry recording active: accumulate the symbol-pull and
-    /// row-reconstruction nanos below (both stay zero — and the clock is
-    /// never read — when disabled).
+    /// reconstruction nanos below (both stay zero — and the clock is never
+    /// read — when disabled).
     tele: bool,
     decode_nanos: u64,
     recon_nanos: u64,
+    /// Start of the open group's reconstruction (telemetry only).
+    recon_clock: Option<std::time::Instant>,
 }
 
 impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for FusedRowDecoder<'_, '_, '_, T> {
     type Error = SzError;
 
-    fn point(&mut self, _flat: usize, pred: f64) -> std::result::Result<T, SzError> {
-        let (code, nanos) = timed(self.tele, || self.decoder.decode_one());
-        self.decode_nanos += nanos;
-        let code = code?;
-        if code >= self.alphabet {
-            return Err(SzError::Corrupt(format!("code {code} outside alphabet")));
-        }
-        if code == 0 {
-            Ok(self.unpred.decode(&mut self.bits)?)
-        } else {
-            Ok(T::from_f64(self.quantizer.reconstruct(code, pred)))
-        }
-    }
-
-    fn row(
-        &mut self,
-        _flat: usize,
-        partials: &[f64],
-        carry: crate::kernel::Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> std::result::Result<(), SzError> {
-        let n = row.len();
-        if self.row_codes.len() < n {
-            self.row_codes.resize(n, 0);
-            self.row_offsets.resize(n, 0.0);
+    fn begin_group(&mut self, start: usize, len: usize) -> Result<()> {
+        if self.group_codes.len() < len {
+            self.group_codes.resize(len, 0);
+            self.group_offsets.resize(len, 0.0);
         }
         let (pulled, nanos) = {
             let decoder = &mut self.decoder;
-            let row_codes = &mut *self.row_codes;
-            timed(self.tele, || decoder.decode_into(&mut row_codes[..n]))
+            let codes = &mut self.group_codes[..len];
+            timed(self.tele, || decoder.decode_into(codes))
         };
         self.decode_nanos += nanos;
         pulled?;
-        let (folded, nanos) = {
-            let codes: &[u32] = &self.row_codes[..n];
-            let alphabet = self.alphabet;
-            let quantizer = &self.quantizer;
-            let unpred = &self.unpred;
-            let bits = &mut self.bits;
-            let row_offsets = &mut *self.row_offsets;
-            let row_escapes = &mut *self.row_escapes;
-            timed(self.tele, || {
-                // Batched alphabet check; only on failure walk back for the
-                // first offending code so the message matches the staged
-                // path's.
-                if crate::simd::codes_max(codes) >= alphabet {
-                    let bad = codes
-                        .iter()
-                        .find(|&&c| c >= alphabet)
-                        .expect("max exceeded the alphabet");
-                    return Err(SzError::Corrupt(format!("code {bad} outside alphabet")));
-                }
-                quantizer.recon_offsets(codes, &mut row_offsets[..n]);
-                let escapes_here = crate::simd::count_zeros(codes);
-                unpred.decode_run(bits, escapes_here, row_escapes)?;
-                let offsets: &[f64] = &row_offsets[..n];
-                let escapes: &[T] = row_escapes;
-                let mut e = 0usize;
-                carry.fold(partials, prev, row, |i, pred| {
-                    if codes[i] == 0 {
-                        let v = escapes[e];
-                        e += 1;
-                        Ok(v)
-                    } else {
-                        Ok(T::from_f64(pred + offsets[i]))
-                    }
-                })
-            })
-        };
-        self.recon_nanos += nanos;
-        folded
+        self.recon_clock = self.tele.then(std::time::Instant::now);
+        let codes = &self.group_codes[..len];
+        check_alphabet(codes, self.alphabet)?;
+        self.quantizer
+            .recon_offsets(codes, &mut self.group_offsets[..len]);
+        decode_group_escapes(codes, &self.unpred, &mut self.bits, self.group_escapes)?;
+        self.start = start;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn point(&mut self, flat: usize, pred: f64) -> T {
+        let p = flat - self.start;
+        if self.group_codes[p] == 0 {
+            self.group_escapes[p]
+        } else {
+            T::from_f64(pred + self.group_offsets[p])
+        }
+    }
+
+    fn end_group(&mut self, _start: usize, _len: usize) -> Result<()> {
+        if let Some(clock) = self.recon_clock.take() {
+            self.recon_nanos += clock.elapsed().as_nanos() as u64;
+        }
+        Ok(())
     }
 }
 

@@ -49,37 +49,6 @@ pub trait ScalarFloat: Copy + PartialOrd + 'static {
         }
     }
 
-    /// `dst[i] = a[i] − b[i]` (widened).
-    #[doc(hidden)]
-    fn simd_diff_set(dst: &mut [f64], a: &[Self], b: &[Self]) {
-        for i in 0..dst.len() {
-            dst[i] = a[i].to_f64() - b[i].to_f64();
-        }
-    }
-
-    /// `dst[i] = ca·a[i] + cb·b[i]` (widened).
-    #[doc(hidden)]
-    fn simd_terms2_set(dst: &mut [f64], a: &[Self], ca: f64, b: &[Self], cb: f64) {
-        for i in 0..dst.len() {
-            dst[i] = ca * a[i].to_f64() + cb * b[i].to_f64();
-        }
-    }
-
-    /// Six-term fused accumulation, left-associated like the scalar
-    /// expression in the row engine's 6-term stencil arm.
-    #[doc(hidden)]
-    fn simd_terms6_set(dst: &mut [f64], srcs: [&[Self]; 6], cs: [f64; 6]) {
-        let [s0, s1, s2, s3, s4, s5] = srcs;
-        for i in 0..dst.len() {
-            dst[i] = cs[0] * s0[i].to_f64()
-                + cs[1] * s1[i].to_f64()
-                + cs[2] * s2[i].to_f64()
-                + cs[3] * s3[i].to_f64()
-                + cs[4] * s4[i].to_f64()
-                + cs[5] * s5[i].to_f64();
-        }
-    }
-
     /// `ks[i] = |round((vals[i] − preds[i]) / two_eb)|` — the sampler's
     /// hit-test interval magnitude.
     #[doc(hidden)]
@@ -121,15 +90,6 @@ impl ScalarFloat for f32 {
     fn simd_term_add(dst: &mut [f64], src: &[Self], c: f64) {
         <f32 as crate::simd::FloatSimd>::term_add(dst, src, c);
     }
-    fn simd_diff_set(dst: &mut [f64], a: &[Self], b: &[Self]) {
-        <f32 as crate::simd::FloatSimd>::diff_set(dst, a, b);
-    }
-    fn simd_terms2_set(dst: &mut [f64], a: &[Self], ca: f64, b: &[Self], cb: f64) {
-        <f32 as crate::simd::FloatSimd>::terms2_set(dst, a, ca, b, cb);
-    }
-    fn simd_terms6_set(dst: &mut [f64], srcs: [&[Self]; 6], cs: [f64; 6]) {
-        <f32 as crate::simd::FloatSimd>::terms6_set(dst, srcs, cs);
-    }
     fn simd_k_pass(ks: &mut [f64], vals: &[Self], preds: &[f64], two_eb: f64) {
         <f32 as crate::simd::FloatSimd>::k_pass(ks, vals, preds, two_eb);
     }
@@ -165,15 +125,6 @@ impl ScalarFloat for f64 {
     }
     fn simd_term_add(dst: &mut [f64], src: &[Self], c: f64) {
         <f64 as crate::simd::FloatSimd>::term_add(dst, src, c);
-    }
-    fn simd_diff_set(dst: &mut [f64], a: &[Self], b: &[Self]) {
-        <f64 as crate::simd::FloatSimd>::diff_set(dst, a, b);
-    }
-    fn simd_terms2_set(dst: &mut [f64], a: &[Self], ca: f64, b: &[Self], cb: f64) {
-        <f64 as crate::simd::FloatSimd>::terms2_set(dst, a, ca, b, cb);
-    }
-    fn simd_terms6_set(dst: &mut [f64], srcs: [&[Self]; 6], cs: [f64; 6]) {
-        <f64 as crate::simd::FloatSimd>::terms6_set(dst, srcs, cs);
     }
     fn simd_k_pass(ks: &mut [f64], vals: &[Self], preds: &[f64], two_eb: f64) {
         <f64 as crate::simd::FloatSimd>::k_pass(ks, vals, preds, two_eb);

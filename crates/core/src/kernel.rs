@@ -2,9 +2,9 @@
 //!
 //! Every stage of the codec — compression, decompression, the adaptive
 //! interval sampler, and the hit-rate estimators — performs the same
-//! traversal: walk the grid in row-major order and predict each point from
-//! already-visited neighbors with the §III Eq. 11 multilayer predictor.
-//! [`ScanKernel`] owns that traversal exactly once.
+//! traversal: predict each point from already-visited neighbors with the
+//! §III Eq. 11 multilayer predictor. [`ScanKernel`] owns that traversal
+//! exactly once.
 //!
 //! A kernel is instantiated per *(layer count, stride family)*, not per
 //! point. For the dominant configurations — 1-D/2-D/3-D grids with `n = 1`
@@ -19,137 +19,104 @@
 //! parallel worker compresses: [`ScanKernel::scan`] takes the band's
 //! [`Shape`] per call and only the stride family is baked in.
 //!
-//! ## Row-granular traversal
+//! ## Wavefront row groups
 //!
-//! [`ScanKernel::scan`] drives a per-point visitor — the slow-path *oracle*
-//! the property tests pin everything against. The hot paths run through
-//! [`ScanKernel::scan_rows`] instead, which exploits the structure of a
-//! row-major Eq. 11 scan: for an interior row, every stencil term except the
-//! pure last-axis (loop-carried) neighbors reads an *already-finished* row,
-//! so the bulk of the prediction is row-invariant. `scan_rows` precomputes
-//! that prefix into a reusable partial-sum scratch row with tight,
-//! autovectorizable slice loops, then hands the whole row segment to a
-//! [`RowVisitor`] that only has to fold in the [`Carry`] tail (one or two
-//! previous reconstructions) per point. [`Stencil`]'s canonical term order —
-//! finished-row terms first, in-row terms last — makes the split
-//! *bit-identical* to per-point evaluation, so row and point traversals
-//! produce byte-identical archives.
+//! [`ScanKernel::scan`] drives a per-point visitor in row-major order — the
+//! slow-path *oracle* the property tests pin everything against. The hot
+//! paths run through [`ScanKernel::scan_rows`] instead. With write-back
+//! feedback (§III: every prediction reads *decompressed* neighbors), a
+//! row-major scan is one serial chain per row: predict → quantize →
+//! reconstruct → narrow → widen → the next point's prediction. That chain's
+//! latency, not its arithmetic, sets the cost of a point.
 //!
-//! The read-only sibling [`ScanKernel::readonly_rows`] goes further: with no
-//! write-back feedback, even the in-row terms are batchable, so interior
-//! rows arrive as fully materialized prediction slices.
+//! `scan_rows` therefore walks consecutive rows of one row class (same
+//! clamped leading coordinates) in groups of up to four, as a
+//! one-column-skewed wavefront: in step `t`, row `q` of the group visits
+//! column `t − q`. Every stencil the kernel serves reads only columns `≤ j`
+//! of earlier rows, so the neighbors row `q` needs at column `j` were
+//! finished a step earlier, and the CPU overlaps the group's independent
+//! chains. Rows below the layer count (each its own row class) form groups
+//! of one, and the last group of a plane is simply shorter. So do the 3-D
+//! two-layer rows, whose 24-term prior is batched ahead of the row instead
+//! (see [`LONGEST_WAVE_PRIOR`]).
 //!
-//! The specialized paths evaluate terms in the same order as
-//! [`predict_at`] over a built [`Stencil`], so specialized, generic, row,
-//! and point traversals all produce identical codes and therefore
-//! byte-identical archives — pinned down by the property tests at the
-//! bottom of this file.
+//! Each point keeps its exact `f64` expression tree: the finished-row
+//! stencil terms are summed left to right in [`Stencil`]'s canonical order,
+//! then the loop-carried last-axis terms are added (`+ prev` for one layer,
+//! `+ 2·prev1 − prev2` for two). That is the order [`predict_at`] uses, so
+//! wavefront, point, specialized and generic traversals produce identical
+//! codes and byte-identical archives — pinned down by the property tests at
+//! the bottom of this file and in `tests/wavefront_groups.rs`.
+//!
+//! The archive's streams stay in row-major scan order: within a group the
+//! points arrive out of that order, so visitors write codes by index and
+//! emit a group's escape bits at its end, walking it row by row; decoders
+//! pull and check a group's symbols and decode its escapes by position
+//! before its first point (see [`RowVisitor`]).
+//!
+//! The read-only sibling [`ScanKernel::readonly_rows`] has no write-back
+//! feedback, so even the in-row terms are batchable: interior rows arrive
+//! as fully materialized prediction slices.
 
 use crate::float::ScalarFloat;
 use crate::predict::{predict_at, Stencil, StencilSet};
 use szr_tensor::Shape;
 
-/// The loop-carried tail of an interior-row prediction: the pure last-axis
-/// stencil terms that read the current row's just-written reconstructions
-/// and therefore cannot be batched ahead of time.
+/// Rows per wavefront group: enough independent chains to keep the
+/// out-of-order core busy. Eight rows measured no faster than four.
+const GROUP_ROWS: usize = 4;
+
+/// Row classes whose finished-row prior has more terms than this (only the
+/// 3-D two-layer classes, up to 24 terms) scan one row per group, with the
+/// prior batched ahead by SIMD term passes. Their terms from a group's own
+/// earlier rows come first in the left-to-right sum, so in a wavefront the
+/// whole sum lies on the row-to-row chain, and evaluated inline it costs
+/// four times the instructions of the batched passes: on the Hurricane
+/// fields either made two-layer decoding three times slower.
+const LONGEST_WAVE_PRIOR: usize = 6;
+
+/// A group-granular visitor driven by [`ScanKernel::scan_rows`].
 ///
-/// The coefficients are Eq. 11's last-axis binomial row: `+1` for one layer,
-/// `+2, −1` for two. [`Carry::pred`] folds them onto a precomputed
-/// row-invariant partial in exactly the floating-point order
-/// [`predict_at`] would use, which is what keeps row-path archives
-/// byte-identical to the point-visitor oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Carry {
-    /// One-layer tail: `pred = partial + prev1`.
-    One,
-    /// Two-layer tail: `pred = (partial + 2·prev1) − prev2`.
-    Two,
-}
-
-impl Carry {
-    /// Completes a prediction from its row-invariant `partial` and the one
-    /// or two preceding reconstructions.
-    #[inline(always)]
-    pub fn pred(self, partial: f64, prev1: f64, prev2: f64) -> f64 {
-        match self {
-            Carry::One => partial + prev1,
-            Carry::Two => (partial + 2.0 * prev1) - prev2,
-        }
-    }
-
-    /// Number of loop-carried neighbors (1 or 2).
-    pub fn width(self) -> usize {
-        match self {
-            Carry::One => 1,
-            Carry::Two => 2,
-        }
-    }
-
-    /// Runs the canonical scalar tail over one row segment: for each point,
-    /// completes the prediction from `partials[i]` and the running
-    /// reconstructions, calls `f(i, pred)` for the value to store, writes it
-    /// to `row[i]`, and shifts the carry. The one place the
-    /// bit-identity-critical fold order lives — every row visitor
-    /// (quantize, decode, the stats measurers) drives its loop through
-    /// here. The first error aborts the fold.
-    #[inline]
-    pub fn fold<T, E, F>(
-        self,
-        partials: &[f64],
-        prev: [T; 2],
-        row: &mut [T],
-        mut f: F,
-    ) -> std::result::Result<(), E>
-    where
-        T: ScalarFloat,
-        F: FnMut(usize, f64) -> std::result::Result<T, E>,
-    {
-        let mut p1 = prev[0].to_f64();
-        let mut p2 = prev[1].to_f64();
-        for i in 0..row.len() {
-            let r = f(i, self.pred(partials[i], p1, p2))?;
-            row[i] = r;
-            p2 = p1;
-            p1 = r.to_f64();
-        }
-        Ok(())
-    }
-}
-
-/// A row-granular visitor driven by [`ScanKernel::scan_rows`].
+/// The scan cuts the grid into *groups*: runs of whole consecutive rows
+/// (last-axis lines), each a contiguous flat range. For each group it calls
+/// [`RowVisitor::begin_group`], then [`RowVisitor::point`] once per point
+/// of the group, then [`RowVisitor::end_group`]. Groups arrive in flat
+/// order.
 ///
-/// Grid borders (where the stencil shrinks per point) arrive one point at a
-/// time through [`RowVisitor::point`]; interior row segments arrive whole
-/// through [`RowVisitor::row`] with their row-invariant partial sums already
-/// materialized. Both methods are fallible: the first error aborts the scan
-/// immediately — this is the `try_scan` early-exit path corrupt-archive
-/// decoding rides. Infallible visitors (compression) use
+/// Inside a group the points arrive in *wavefront* order, not row-major
+/// order: row `q` of the group visits column `t − q` in step `t`. A visitor
+/// must therefore write per-point results by index rather than push them,
+/// and anything that must be serialized in scan order (escape bits, code
+/// streams) is emitted at `end_group`, walking the group's range in
+/// row-major order. Decoders do the reverse: `begin_group` pulls and
+/// validates the group's symbols and decodes its escapes into a
+/// position-indexed buffer before any point is visited.
+///
+/// Only the group hooks are fallible: the first error aborts the scan
+/// immediately — the `try_scan` early-exit path corrupt-archive decoding
+/// rides. Infallible visitors (compression) use
 /// `Error = std::convert::Infallible`, which compiles the checks away.
 pub trait RowVisitor<T: ScalarFloat> {
     /// Error type propagated out of [`ScanKernel::scan_rows`].
     type Error;
 
-    /// Visits one border point. `pred` is the full Eq. 11 prediction; the
-    /// returned value is stored at `flat` and feeds later predictions.
-    fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, Self::Error>;
+    /// Opens the group of points `start..start + len` (whole rows).
+    fn begin_group(&mut self, start: usize, len: usize) -> std::result::Result<(), Self::Error> {
+        let _ = (start, len);
+        Ok(())
+    }
 
-    /// Visits one interior row segment starting at `flat`.
-    ///
-    /// `partials[i]` is the row-invariant prediction prefix for point
-    /// `flat + i`; the full prediction is `carry.pred(partials[i], p1, p2)`
-    /// where `p1`/`p2` are the reconstructions at `flat + i − 1` /
-    /// `flat + i − 2` — seeded from `prev` (`prev[0]` = value at `flat − 1`,
-    /// `prev[1]` = value at `flat − 2`, meaningful only for [`Carry::Two`])
-    /// and thereafter the visitor's own writes. The visitor must fill
-    /// `row[i]` for every `i`, in order.
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> std::result::Result<(), Self::Error>;
+    /// Visits one point of the open group. `pred` is the full Eq. 11
+    /// prediction; the returned value is stored at `flat` and feeds later
+    /// predictions.
+    fn point(&mut self, flat: usize, pred: f64) -> T;
+
+    /// Closes the group opened by the matching [`RowVisitor::begin_group`];
+    /// every point of `start..start + len` has been visited.
+    fn end_group(&mut self, start: usize, len: usize) -> std::result::Result<(), Self::Error> {
+        let _ = (start, len);
+        Ok(())
+    }
 }
 
 /// Which traversal implementation a [`ScanKernel`] dispatches to.
@@ -181,8 +148,8 @@ pub struct ScanKernel {
     /// Interior stencil terms for the 3-D two-layer fast path (26 terms:
     /// looped over a dense slice instead of hand-unrolled).
     interior_terms: Vec<(usize, f64)>,
-    /// Per-row-class plans for the row-granular traversals, indexed by the
-    /// clamped leading coordinates (empty for generic kernels).
+    /// Per-row-class plans for the wavefront and row traversals, indexed by
+    /// the clamped leading coordinates (empty for generic kernels).
     row_plans: Vec<RowPlan>,
     /// Reusable partial-sum scratch row, grown to the longest row seen.
     /// Lives in the kernel so chunked workers, the streaming compressor, and
@@ -378,21 +345,24 @@ impl ScanKernel {
         }
     }
 
-    /// Drives a [`RowVisitor`] over every point of `shape` in row-major
-    /// order — the row-granular sibling of [`ScanKernel::scan`] and the
-    /// traversal behind the compression/decompression hot paths.
+    /// Drives a [`RowVisitor`] over every point of `shape` — the
+    /// group-granular sibling of [`ScanKernel::scan`] and the traversal
+    /// behind the compression/decompression hot paths.
     ///
-    /// Border points (where the Eq. 11 stencil shrinks per point) are
-    /// delivered one at a time through [`RowVisitor::point`]; each interior
-    /// row segment is delivered whole through [`RowVisitor::row`] with its
-    /// row-invariant partial sums precomputed into the kernel's reusable
-    /// scratch row by tight slice loops. Generic kernels (rank > 3 or
-    /// layers > 2) fall back to per-point delivery; results are identical.
+    /// Specialized kernels cut every plane of rows into wavefront groups
+    /// (see the module docs): groups of up to four rows of one row class,
+    /// or of one row for the border rows and the 3-D two-layer rows.
+    /// Within a group, row `q` visits column `t − q` in step `t`. Border
+    /// columns (`j < layers`) take the shrunk per-point stencil; interior
+    /// columns sum the row class's finished-row terms and add the
+    /// loop-carried tail. Generic kernels (rank > 3 or
+    /// layers > 2) visit in row-major order, one group per row. Either way
+    /// every prediction equals the point oracle's bit for bit.
     ///
-    /// The scan aborts at the visitor's first error — the `try_scan` path:
-    /// decompression stops scanning a corrupt archive at the first bad
-    /// symbol instead of decoding the full grid. Infallible visitors use
-    /// `Error = std::convert::Infallible`.
+    /// The scan aborts at the visitor's first error, which only the group
+    /// hooks raise — the `try_scan` path: decompression stops at the first
+    /// corrupt group instead of decoding the full grid. Infallible visitors
+    /// use `Error = std::convert::Infallible`.
     ///
     /// # Panics
     /// Panics if `shape` is outside this kernel's grid family or `buf` is
@@ -413,90 +383,50 @@ impl ScanKernel {
             self.strides
         );
         assert_eq!(buf.len(), shape.len(), "buffer length does not match shape");
-        match self.kind {
-            KernelKind::Specialized { .. } => self.scan_rows_specialized(shape, buf, visitor),
-            KernelKind::Generic => {
-                let mut index = vec![0usize; shape.ndim()];
-                for flat in 0..buf.len() {
-                    let stencil = self.stencils.for_index(&index);
-                    let pred = predict_at(buf, flat, stencil);
-                    buf[flat] = visitor.point(flat, pred)?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        let dims = shape.dims();
+        let len = dims[dims.len() - 1];
+        if self.kind == KernelKind::Generic {
+            let mut index = vec![0usize; shape.ndim()];
+            for start in (0..buf.len()).step_by(len) {
+                visitor.begin_group(start, len)?;
+                for flat in start..start + len {
+                    let pred = predict_at(buf, flat, self.stencils.for_index(&index));
+                    buf[flat] = visitor.point(flat, pred);
                     shape.advance(&mut index);
+                }
+                visitor.end_group(start, len)?;
+            }
+            return Ok(());
+        }
+        match dims.len() {
+            1 => self.group_pass(&[], 1, 0, len, buf, visitor),
+            2 => self.plane_groups(&[], dims[0], 0, len, buf, visitor),
+            _ => {
+                for i in 0..dims[0] {
+                    let base = i * self.strides[0];
+                    self.plane_groups(&[i], dims[1], base, len, buf, visitor)?;
                 }
                 Ok(())
             }
         }
     }
 
-    fn scan_rows_specialized<T, V>(
-        &mut self,
-        shape: &Shape,
-        buf: &mut [T],
-        visitor: &mut V,
-    ) -> std::result::Result<(), V::Error>
-    where
-        T: ScalarFloat,
-        V: RowVisitor<T>,
-    {
-        let dims = shape.dims();
-        let d = dims.len();
-        let d_last = dims[d - 1];
-        let carry = if self.layers == 1 {
-            Carry::One
-        } else {
-            Carry::Two
-        };
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        if scratch.len() < d_last {
-            scratch.resize(d_last, 0.0);
-        }
-        let mut result = Ok(());
-        match d {
-            1 => result = self.row_pass(&[], 0, d_last, carry, &mut scratch, buf, visitor),
-            2 => {
-                let s0 = self.strides[0];
-                for i in 0..dims[0] {
-                    result = self.row_pass(&[i], i * s0, d_last, carry, &mut scratch, buf, visitor);
-                    if result.is_err() {
-                        break;
-                    }
-                }
-            }
-            _ => {
-                let (s0, s1) = (self.strides[0], self.strides[1]);
-                'rows: for i in 0..dims[0] {
-                    for j in 0..dims[1] {
-                        result = self.row_pass(
-                            &[i, j],
-                            i * s0 + j * s1,
-                            d_last,
-                            carry,
-                            &mut scratch,
-                            buf,
-                            visitor,
-                        );
-                        if result.is_err() {
-                            break 'rows;
-                        }
-                    }
-                }
-            }
-        }
-        self.row_scratch = scratch;
-        result
-    }
-
-    /// One row of the row-granular scan: border columns through the
-    /// per-point slow path, then the interior segment through the visitor
-    /// with partials precomputed from this row's class plan.
+    /// Cuts the `count` rows of one plane (rows `base + r·len`, whose
+    /// leading coordinates are `outer` followed by `r`) into wavefront
+    /// groups. Rows `r < layers` each have their own row class and go
+    /// alone; the rest share one class and go in runs of [`GROUP_ROWS`],
+    /// the last run shorter — or alone too when the class's prior is longer
+    /// than [`LONGEST_WAVE_PRIOR`].
     #[allow(clippy::too_many_arguments)]
-    fn row_pass<T, V>(
+    fn plane_groups<T, V>(
         &mut self,
-        lead: &[usize],
+        outer: &[usize],
+        count: usize,
         base: usize,
-        d_last: usize,
-        carry: Carry,
-        scratch: &mut [f64],
+        len: usize,
         buf: &mut [T],
         visitor: &mut V,
     ) -> std::result::Result<(), V::Error>
@@ -504,33 +434,91 @@ impl ScanKernel {
         T: ScalarFloat,
         V: RowVisitor<T>,
     {
-        let n = self.layers;
-        let mut idx = [0usize; 3];
-        idx[..lead.len()].copy_from_slice(lead);
-        for j in 0..d_last.min(n) {
-            idx[lead.len()] = j;
-            let f = base + j;
-            let pred = self.slow_pred(&idx[..=lead.len()], buf, f);
-            buf[f] = visitor.point(f, pred)?;
-        }
-        if d_last > n {
-            let seg = base + n;
-            let len = d_last - n;
-            let plan = &self.row_plans[plan_index(self.layers, lead)];
-            fill_partials(&plan.terms[..plan.prior_len], buf, seg, &mut scratch[..len]);
-            let prev2 = if n == 2 {
-                buf[seg - 2]
+        let mut lead = [0usize; 2];
+        lead[..outer.len()].copy_from_slice(outer);
+        let axis = outer.len();
+        let mut r = 0;
+        while r < count {
+            lead[axis] = r;
+            let plan = &self.row_plans[plan_index(self.layers, &lead[..=axis])];
+            let rows = if r < self.layers || plan.prior_len > LONGEST_WAVE_PRIOR {
+                1
             } else {
-                T::from_f64(0.0)
+                GROUP_ROWS.min(count - r)
             };
-            let prev = [buf[seg - 1], prev2];
-            let (_, rest) = buf.split_at_mut(seg);
-            visitor.row(seg, &scratch[..len], carry, &mut rest[..len], prev)?;
+            self.group_pass(&lead[..=axis], rows, base + r * len, len, buf, visitor)?;
+            r += rows;
         }
         Ok(())
     }
 
-    /// Read-only row-granular traversal: like [`ScanKernel::scan_rows`] but
+    /// One wavefront group: `rows` consecutive rows of one row class, the
+    /// first at `start` with leading coordinates `lead`, each `len` long.
+    fn group_pass<T, V>(
+        &mut self,
+        lead: &[usize],
+        rows: usize,
+        start: usize,
+        len: usize,
+        buf: &mut [T],
+        visitor: &mut V,
+    ) -> std::result::Result<(), V::Error>
+    where
+        T: ScalarFloat,
+        V: RowVisitor<T>,
+    {
+        visitor.begin_group(start, rows * len)?;
+        let Self {
+            layers,
+            stencils,
+            row_plans,
+            row_scratch,
+            ..
+        } = self;
+        let plan = &row_plans[plan_index(*layers, lead)];
+        let mut index = [0usize; 3];
+        index[..lead.len()].copy_from_slice(lead);
+        let group = Group {
+            index,
+            axis: lead.len(),
+            rows,
+            start,
+            len,
+            layers: *layers,
+        };
+        // The dominant interior classes get a fixed-shape prior the
+        // compiler unrolls; the expression tree is the same in every arm.
+        match plan.terms[..plan.prior_len] {
+            [(o0, c0), (o1, c1)] if c0 == 1.0 && c1 == -1.0 => {
+                group.wave(DiffPrior(o0, o1), stencils, buf, visitor)
+            }
+            [t0, t1, t2, t3, t4, t5] => {
+                group.wave(SixPrior([t0, t1, t2, t3, t4, t5]), stencils, buf, visitor)
+            }
+            ref terms if terms.len() > LONGEST_WAVE_PRIOR => {
+                // A one-row group (see `plane_groups`): its prior reads only
+                // finished rows, so the SIMD term passes batch it up front.
+                debug_assert_eq!(rows, 1);
+                let seg = start + *layers;
+                let n = len.saturating_sub(*layers);
+                if row_scratch.len() < n {
+                    row_scratch.resize(n, 0.0);
+                }
+                if n > 0 {
+                    fill_partials(terms, buf, seg, &mut row_scratch[..n]);
+                }
+                let prior = RowPrior {
+                    partials: &row_scratch[..n],
+                    seg,
+                };
+                group.wave(prior, stencils, buf, visitor)
+            }
+            ref terms => group.wave(TermsPrior(terms), stencils, buf, visitor),
+        }
+        visitor.end_group(start, rows * len)
+    }
+
+    /// Read-only row traversal: like [`ScanKernel::scan_rows`] but
     /// predicting every point from `data` in place, nothing written back.
     ///
     /// With no write-back feedback even the in-row terms are row-invariant,
@@ -776,11 +764,8 @@ impl ScanKernel {
         let mut per_row = |base: usize, scratch: &mut [f64]| {
             let seg = base + n;
             fill_partials(&plan.terms, data, seg, &mut scratch[..len]);
-            for (i, &pred) in scratch[..len].iter().enumerate() {
-                let f = seg + i;
-                if f.is_multiple_of(stride) {
-                    visit(f, pred);
-                }
+            for f in strided(seg, seg + len, stride) {
+                visit(f, scratch[f - seg]);
             }
         };
         match d {
@@ -868,10 +853,8 @@ impl ScanKernel {
                 &scratch[..len],
                 two_eb,
             );
-            for (i, &k) in ks[..len].iter().enumerate() {
-                if (seg + i).is_multiple_of(stride_eff) {
-                    visit(k);
-                }
+            for f in strided(seg, seg + len, stride_eff) {
+                visit(ks[f - seg]);
             }
         };
         match d {
@@ -1071,15 +1054,13 @@ impl ScanKernel {
         F: FnMut(usize, f64),
     {
         let n = self.layers;
-        for f in n..d0 {
-            if f.is_multiple_of(stride) {
-                let pred = if n == 1 {
-                    lorenzo_1d(data, f)
-                } else {
-                    two_layer_1d(data, f)
-                };
-                visit(f, pred);
-            }
+        for f in strided(n, d0, stride) {
+            let pred = if n == 1 {
+                lorenzo_1d(data, f)
+            } else {
+                two_layer_1d(data, f)
+            };
+            visit(f, pred);
         }
     }
 
@@ -1093,16 +1074,13 @@ impl ScanKernel {
         let s0 = self.strides[0];
         for i in n..d0 {
             let row = i * s0;
-            for j in n..d1 {
-                let f = row + j;
-                if f.is_multiple_of(stride) {
-                    let pred = if n == 1 {
-                        lorenzo_2d(data, f, s0)
-                    } else {
-                        two_layer_2d(data, f, s0)
-                    };
-                    visit(f, pred);
-                }
+            for f in strided(row + n, row + d1, stride) {
+                let pred = if n == 1 {
+                    lorenzo_2d(data, f, s0)
+                } else {
+                    two_layer_2d(data, f, s0)
+                };
+                visit(f, pred);
             }
         }
     }
@@ -1119,20 +1097,17 @@ impl ScanKernel {
         for i in n..d0 {
             for j in n..d1 {
                 let base = i * s0 + j * s1;
-                for k in n..d2 {
-                    let f = base + k;
-                    if f.is_multiple_of(stride) {
-                        let pred = if n == 1 {
-                            lorenzo_3d(data, f, s0, s1)
-                        } else {
-                            let mut acc = 0.0f64;
-                            for &(off, coeff) in terms {
-                                acc += coeff * data[f - off].to_f64();
-                            }
-                            acc
-                        };
-                        visit(f, pred);
-                    }
+                for f in strided(base + n, base + d2, stride) {
+                    let pred = if n == 1 {
+                        lorenzo_3d(data, f, s0, s1)
+                    } else {
+                        let mut acc = 0.0f64;
+                        for &(off, coeff) in terms {
+                            acc += coeff * data[f - off].to_f64();
+                        }
+                        acc
+                    };
+                    visit(f, pred);
                 }
             }
         }
@@ -1154,16 +1129,280 @@ fn plan_index(layers: usize, lead: &[usize]) -> usize {
     idx
 }
 
-/// Accumulates `terms` into `out` for the row segment starting at
-/// `seg_start`: `out[i] = Σ_t coeff_t · buf[seg_start + i − off_t]`.
+/// The multiples of `stride` in `lo..hi`, ascending: the sampled flat
+/// indices of one row, stepped to directly instead of testing every point.
+#[inline]
+fn strided(lo: usize, hi: usize, stride: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+    (lo.next_multiple_of(stride)..hi).step_by(stride)
+}
+
+/// The finished-row part of a row class's stencil, evaluated at one point:
+/// `Σ_t coeff_t · buf[f − off_t]`, summed left to right in canonical term
+/// order (an empty prior is `0.0`). Every implementation computes that same
+/// expression tree; they differ only in how much the compiler can unroll.
 ///
-/// The per-point accumulation order (terms in canonical order) matches
-/// [`predict_at`] up to the sign of zero, which keeps the batched
-/// predictions numerically identical to the per-point oracle. The dominant
-/// small stencils (2-term Lorenzo-2D prior, 6-term Lorenzo-3D and
-/// two-layer-2D priors) run as single fused passes; larger ones (e.g. the
-/// 24-term 3-D two-layer prior) go term-major, one tight slice pass per
-/// term. Each pass dispatches through the runtime-detected SIMD kernels
+/// The reads are unchecked: the wavefront evaluates these once per point,
+/// and six bounds checks per point (with the 24 row pointers they kept
+/// live) made reconstruction of the 3-D Hurricane fields about 15% slower.
+/// [`Group::wave`] proves the bounds once per group instead.
+trait Prior: Copy {
+    /// The largest term offset.
+    fn reach(self) -> usize;
+
+    /// # Safety
+    /// `f < buf.len()` and `f >= self.reach()`, so every `f − off` indexes
+    /// `buf`.
+    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64;
+}
+
+/// Reads `buf[f − off]`, widened.
+///
+/// # Safety
+/// `off <= f < buf.len()`.
+#[inline(always)]
+unsafe fn back<T: ScalarFloat>(buf: &[T], f: usize, off: usize) -> f64 {
+    debug_assert!(off <= f && f < buf.len());
+    // SAFETY: the caller guarantees `off <= f < buf.len()`.
+    unsafe { buf.get_unchecked(f - off) }.to_f64()
+}
+
+/// The 2-D Lorenzo prior `buf[f − o0] − buf[f − o1]`: coefficients `+1, −1`,
+/// whose multiplies are exact no-ops.
+#[derive(Clone, Copy)]
+struct DiffPrior(usize, usize);
+
+impl Prior for DiffPrior {
+    fn reach(self) -> usize {
+        self.0.max(self.1)
+    }
+
+    #[inline(always)]
+    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64 {
+        // SAFETY: both offsets are at most `reach() <= f < buf.len()`.
+        unsafe { back(buf, f, self.0) - back(buf, f, self.1) }
+    }
+}
+
+/// The six-term priors of 3-D Lorenzo and 2-D two-layer prediction.
+#[derive(Clone, Copy)]
+struct SixPrior([(usize, f64); 6]);
+
+impl Prior for SixPrior {
+    fn reach(self) -> usize {
+        self.0.iter().map(|&(off, _)| off).max().unwrap_or(0)
+    }
+
+    #[inline(always)]
+    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64 {
+        let [(o0, c0), (o1, c1), (o2, c2), (o3, c3), (o4, c4), (o5, c5)] = self.0;
+        // SAFETY: every offset is at most `reach() <= f < buf.len()`.
+        unsafe {
+            c0 * back(buf, f, o0)
+                + c1 * back(buf, f, o1)
+                + c2 * back(buf, f, o2)
+                + c3 * back(buf, f, o3)
+                + c4 * back(buf, f, o4)
+                + c5 * back(buf, f, o5)
+        }
+    }
+}
+
+/// Any other prior: border row classes and the 24-term 3-D two-layer one.
+#[derive(Clone, Copy)]
+struct TermsPrior<'a>(&'a [(usize, f64)]);
+
+impl Prior for TermsPrior<'_> {
+    fn reach(self) -> usize {
+        self.0.iter().map(|&(off, _)| off).max().unwrap_or(0)
+    }
+
+    #[inline(always)]
+    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64 {
+        match self.0.split_first() {
+            None => 0.0,
+            // SAFETY: every offset is at most `reach() <= f < buf.len()`.
+            Some((&(o0, c0), rest)) => unsafe {
+                let mut acc = c0 * back(buf, f, o0);
+                for &(off, coeff) in rest {
+                    acc += coeff * back(buf, f, off);
+                }
+                acc
+            },
+        }
+    }
+}
+
+/// A long prior batched ahead of a one-row group: `partials[f − seg]`,
+/// filled by [`fill_partials`] with the same left-to-right sum.
+#[derive(Clone, Copy)]
+struct RowPrior<'a> {
+    partials: &'a [f64],
+    seg: usize,
+}
+
+impl Prior for RowPrior<'_> {
+    fn reach(self) -> usize {
+        0 // reads no `buf`
+    }
+
+    #[inline(always)]
+    unsafe fn partial<T: ScalarFloat>(self, _buf: &[T], f: usize) -> f64 {
+        self.partials[f - self.seg]
+    }
+}
+
+/// One wavefront group of [`ScanKernel::scan_rows`]: `rows` consecutive
+/// rows of one row class, `len` points each, starting at flat `start`.
+/// Row `q`'s leading coordinates are `index[..axis]` with `q` added to the
+/// last of them.
+struct Group {
+    index: [usize; 3],
+    axis: usize,
+    rows: usize,
+    start: usize,
+    len: usize,
+    layers: usize,
+}
+
+impl Group {
+    /// Visits the group in wavefront order: in step `t`, row `q` takes
+    /// column `t − q`. Row `q`'s stencil reads rows `q − 1` and `q − 2` of
+    /// the group only at columns `≤ j`, which those rows finished in earlier
+    /// steps, so each step's points are independent of one another and the
+    /// CPU overlaps their predict→quantize→reconstruct chains.
+    ///
+    /// The steps where a full group sits entirely on interior columns run
+    /// through [`Group::steady`]; the ramps at both ends (and a short
+    /// group's every step) take [`Group::step`].
+    #[inline(always)]
+    fn wave<T, V, P>(&self, prior: P, stencils: &mut StencilSet, buf: &mut [T], visitor: &mut V)
+    where
+        T: ScalarFloat,
+        V: RowVisitor<T>,
+        P: Prior,
+    {
+        // The bounds proof behind the prior's unchecked reads: every point
+        // it is evaluated at is an interior point of the group, so
+        // `start + layers <= f < start + rows·len`.
+        assert!(
+            prior.reach() <= self.start + self.layers
+                && self.start + self.rows * self.len <= buf.len(),
+            "wavefront group outside the grid"
+        );
+        // Per row, the widened reconstructions at columns j − 1 and j − 2.
+        let mut carry = [[0.0f64; 2]; GROUP_ROWS];
+        let steps = self.len + self.rows - 1;
+        let steady = if self.rows == GROUP_ROWS {
+            (self.rows - 1 + self.layers).min(self.len)..self.len
+        } else {
+            steps..steps
+        };
+        for t in 0..steady.start {
+            self.step(t, prior, &mut carry, stencils, buf, visitor);
+        }
+        if !steady.is_empty() {
+            if self.layers == 1 {
+                self.steady::<1, _, _, _>(steady.clone(), prior, &mut carry, buf, visitor);
+            } else {
+                self.steady::<2, _, _, _>(steady.clone(), prior, &mut carry, buf, visitor);
+            }
+        }
+        for t in steady.end.max(steady.start)..steps {
+            self.step(t, prior, &mut carry, stencils, buf, visitor);
+        }
+    }
+
+    /// One wavefront step of any group: the rows whose column `t − q` lies
+    /// in the grid, border columns included.
+    #[inline(always)]
+    fn step<T, V, P>(
+        &self,
+        t: usize,
+        prior: P,
+        carry: &mut [[f64; 2]; GROUP_ROWS],
+        stencils: &mut StencilSet,
+        buf: &mut [T],
+        visitor: &mut V,
+    ) where
+        T: ScalarFloat,
+        V: RowVisitor<T>,
+        P: Prior,
+    {
+        let mut index = self.index;
+        let first = if t < self.len { 0 } else { t - self.len + 1 };
+        let rows = carry.iter_mut().enumerate().take(self.rows.min(t + 1));
+        for (q, row) in rows.skip(first) {
+            let j = t - q;
+            let f = self.start + q * self.len + j;
+            let [p1, p2] = *row;
+            let pred = if j < self.layers {
+                // Border column: the per-point shrunk stencil.
+                if self.axis > 0 {
+                    index[self.axis - 1] = self.index[self.axis - 1] + q;
+                }
+                index[self.axis] = j;
+                predict_at(buf, f, stencils.for_index(&index[..=self.axis]))
+            } else {
+                // SAFETY: `f` is an interior point of the group, which
+                // `wave` checked against the prior's reach and `buf`.
+                let partial = unsafe { prior.partial(buf, f) };
+                if self.layers == 1 {
+                    partial + p1
+                } else {
+                    (partial + 2.0 * p1) - p2
+                }
+            };
+            let r = visitor.point(f, pred);
+            buf[f] = r;
+            *row = [r.to_f64(), p1];
+        }
+    }
+
+    /// The wavefront steps `steps` of a full group where every row sits on
+    /// an interior column: no border test, no row-range arithmetic, and
+    /// the carries held in a local copy the compiler can keep in registers.
+    #[inline(always)]
+    fn steady<const N: usize, T, V, P>(
+        &self,
+        steps: std::ops::Range<usize>,
+        prior: P,
+        carry: &mut [[f64; 2]; GROUP_ROWS],
+        buf: &mut [T],
+        visitor: &mut V,
+    ) where
+        T: ScalarFloat,
+        V: RowVisitor<T>,
+        P: Prior,
+    {
+        let mut c = *carry;
+        for t in steps {
+            // Row q's point sits `len − 1` after row q − 1's.
+            let mut f = self.start + t;
+            for row in c.iter_mut() {
+                let [p1, p2] = *row;
+                // SAFETY: `f` is an interior point of the group, which
+                // `wave` checked against the prior's reach and `buf`.
+                let partial = unsafe { prior.partial(buf, f) };
+                let pred = if N == 1 {
+                    partial + p1
+                } else {
+                    (partial + 2.0 * p1) - p2
+                };
+                let r = visitor.point(f, pred);
+                buf[f] = r;
+                *row = [r.to_f64(), p1];
+                f += self.len - 1;
+            }
+        }
+        *carry = c;
+    }
+}
+
+/// Accumulates `terms` into `out` for the row segment starting at
+/// `seg_start`: `out[i] = Σ_t coeff_t · buf[seg_start + i − off_t]`, summed
+/// in canonical term order — the read-only row pass and the dense
+/// sampler's predictions. Term-major, one tight slice pass per term; each
+/// pass dispatches through the runtime-detected SIMD kernels
 /// (`crate::simd`), which are pinned bit-identical to the scalar loops.
 fn fill_partials<T: ScalarFloat>(
     terms: &[(usize, f64)],
@@ -1173,23 +1412,9 @@ fn fill_partials<T: ScalarFloat>(
 ) {
     let n = out.len();
     let src = |off: usize| &buf[seg_start - off..seg_start - off + n];
-    match terms {
-        [] => out.fill(0.0),
-        [(o0, c0)] => T::simd_term_set(out, src(*o0), *c0),
-        [(o0, c0), (o1, c1)] if *c0 == 1.0 && *c1 == -1.0 => {
-            // The Lorenzo-2D prior (and friends): ±1 coefficients make the
-            // multiplies exact no-ops, so skip them.
-            T::simd_diff_set(out, src(*o0), src(*o1));
-        }
-        [(o0, c0), (o1, c1)] => T::simd_terms2_set(out, src(*o0), *c0, src(*o1), *c1),
-        [(o0, c0), (o1, c1), (o2, c2), (o3, c3), (o4, c4), (o5, c5)] => T::simd_terms6_set(
-            out,
-            [src(*o0), src(*o1), src(*o2), src(*o3), src(*o4), src(*o5)],
-            [*c0, *c1, *c2, *c3, *c4, *c5],
-        ),
-        _ => {
-            let (first, rest) = terms.split_first().unwrap();
-            let (o0, c0) = *first;
+    match terms.split_first() {
+        None => out.fill(0.0),
+        Some((&(o0, c0), rest)) => {
             T::simd_term_set(out, src(o0), c0);
             for &(off, coeff) in rest {
                 T::simd_term_add(out, src(off), coeff);
@@ -1610,32 +1835,45 @@ mod tests {
         }
     }
 
-    /// `scan_rows` must visit every point exactly once in flat order,
-    /// split between border `point`s and interior `row` segments.
+    /// `scan_rows` must cut the grid into contiguous groups in flat order,
+    /// visit every point exactly once inside its own group, and reach each
+    /// point only after its left and upper neighbors — the wavefront's
+    /// dependency contract.
     #[test]
     fn scan_rows_covers_the_grid_in_order() {
         struct Recorder {
-            seen: Vec<usize>,
+            row_len: usize,
+            seen: Vec<bool>,
+            group: std::ops::Range<usize>,
+            next_start: usize,
         }
         impl<T: ScalarFloat> RowVisitor<T> for Recorder {
             type Error = std::convert::Infallible;
-            fn point(&mut self, flat: usize, _pred: f64) -> Result<T, Self::Error> {
-                self.seen.push(flat);
-                Ok(T::from_f64(1.0))
+            fn begin_group(&mut self, start: usize, len: usize) -> Result<(), Self::Error> {
+                assert_eq!(start, self.next_start, "groups out of flat order");
+                assert!(len > 0 && len.is_multiple_of(self.row_len), "partial rows");
+                self.group = start..start + len;
+                Ok(())
             }
-            fn row(
-                &mut self,
-                flat: usize,
-                partials: &[f64],
-                _carry: Carry,
-                row: &mut [T],
-                _prev: [T; 2],
-            ) -> Result<(), Self::Error> {
-                assert_eq!(partials.len(), row.len());
-                for (i, r) in row.iter_mut().enumerate() {
-                    self.seen.push(flat + i);
-                    *r = T::from_f64(1.0);
+            fn point(&mut self, flat: usize, _pred: f64) -> T {
+                assert!(self.group.contains(&flat), "{flat} outside its group");
+                assert!(!self.seen[flat], "{flat} visited twice");
+                if !flat.is_multiple_of(self.row_len) {
+                    assert!(self.seen[flat - 1], "{flat} before its left neighbor");
                 }
+                if flat >= self.row_len {
+                    assert!(
+                        self.seen[flat - self.row_len],
+                        "{flat} before the row above"
+                    );
+                }
+                self.seen[flat] = true;
+                T::from_f64(1.0)
+            }
+            fn end_group(&mut self, start: usize, len: usize) -> Result<(), Self::Error> {
+                assert_eq!(start..start + len, self.group);
+                assert!(self.seen[self.group.clone()].iter().all(|&s| s));
+                self.next_start = start + len;
                 Ok(())
             }
         }
@@ -1645,27 +1883,33 @@ mod tests {
             vec![5, 7],
             vec![1, 9],
             vec![9, 1],
+            vec![11, 3],
             vec![3, 4, 5],
             vec![2, 2, 9],
             vec![1, 1, 2],
+            vec![2, 7, 3],
             vec![4, 3, 2, 2], // generic fallback
         ] {
             for layers in 1..=2usize {
                 let shape = Shape::new(&dims);
                 let mut kernel = ScanKernel::for_shape(layers, &shape);
                 let mut buf = vec![0.0f32; shape.len()];
-                let mut rec = Recorder { seen: Vec::new() };
+                let mut rec = Recorder {
+                    row_len: dims[dims.len() - 1],
+                    seen: vec![false; shape.len()],
+                    group: 0..0,
+                    next_start: 0,
+                };
                 match kernel.scan_rows(&shape, &mut buf, &mut rec) {
                     Ok(()) => {}
                     Err(e) => match e {},
                 }
-                let expect: Vec<usize> = (0..shape.len()).collect();
-                assert_eq!(rec.seen, expect, "dims {dims:?} layers {layers}");
+                assert_eq!(rec.next_start, shape.len(), "dims {dims:?} layers {layers}");
             }
         }
     }
 
-    /// Row-path predictions and stored values must match the point-visitor
+    /// Wavefront predictions and stored values must match the point-visitor
     /// oracle bit for bit — the invariant row-path archives rest on.
     #[test]
     fn scan_rows_matches_point_oracle() {
@@ -1673,35 +1917,11 @@ mod tests {
             data: &'a [f32],
             preds: Vec<f64>,
         }
-        impl Mimic<'_> {
-            fn store(&mut self, flat: usize, pred: f64) -> f32 {
-                self.preds.push(pred);
-                (pred + (self.data[flat] as f64 - pred) * 0.5) as f32
-            }
-        }
         impl RowVisitor<f32> for Mimic<'_> {
             type Error = std::convert::Infallible;
-            fn point(&mut self, flat: usize, pred: f64) -> Result<f32, Self::Error> {
-                Ok(self.store(flat, pred))
-            }
-            fn row(
-                &mut self,
-                flat: usize,
-                partials: &[f64],
-                carry: Carry,
-                row: &mut [f32],
-                prev: [f32; 2],
-            ) -> Result<(), Self::Error> {
-                let mut p1 = prev[0] as f64;
-                let mut p2 = prev[1] as f64;
-                for i in 0..row.len() {
-                    let pred = carry.pred(partials[i], p1, p2);
-                    let r = self.store(flat + i, pred);
-                    row[i] = r;
-                    p2 = p1;
-                    p1 = r as f64;
-                }
-                Ok(())
+            fn point(&mut self, flat: usize, pred: f64) -> f32 {
+                self.preds[flat] = pred;
+                (pred + (self.data[flat] as f64 - pred) * 0.5) as f32
             }
         }
         for dims in [
@@ -1712,7 +1932,7 @@ mod tests {
             vec![2, 2, 17],
             vec![1, 1, 13],
             vec![6, 5, 4],
-            vec![3, 4, 5, 2], // generic fallback: every point via `point`
+            vec![3, 4, 5, 2], // generic fallback: row-major groups of one row
         ] {
             for layers in 1..=2usize {
                 let shape = Shape::new(&dims);
@@ -1729,7 +1949,7 @@ mod tests {
                 let mut row_buf = vec![0.0f32; shape.len()];
                 let mut mimic = Mimic {
                     data: &data,
-                    preds: Vec::new(),
+                    preds: vec![f64::NAN; shape.len()],
                 };
                 match kernel.scan_rows(&shape, &mut row_buf, &mut mimic) {
                     Ok(()) => {}
@@ -1792,50 +2012,64 @@ mod tests {
 
     /// A failing visitor aborts the scan at the first error instead of
     /// walking the rest of the grid — the `try_scan` early-exit contract
-    /// corrupt-archive decoding relies on.
+    /// corrupt-archive decoding relies on. Errors surface at group
+    /// boundaries: failing in `begin_group` visits nothing of that group,
+    /// failing in `end_group` nothing after it.
     #[test]
     fn scan_rows_aborts_on_first_error() {
         struct FailAt {
             fail_flat: usize,
+            at_end: bool,
             visited: usize,
+            failed_group: Option<(usize, usize)>,
         }
-        impl RowVisitor<f32> for FailAt {
-            type Error = ();
-            fn point(&mut self, flat: usize, _pred: f64) -> Result<f32, ()> {
-                if flat >= self.fail_flat {
+        impl FailAt {
+            fn check(&mut self, start: usize, len: usize) -> Result<(), ()> {
+                if (start..start + len).contains(&self.fail_flat) {
+                    self.failed_group = Some((start, len));
                     return Err(());
-                }
-                self.visited += 1;
-                Ok(0.0)
-            }
-            fn row(
-                &mut self,
-                flat: usize,
-                _partials: &[f64],
-                _carry: Carry,
-                row: &mut [f32],
-                _prev: [f32; 2],
-            ) -> Result<(), ()> {
-                for i in 0..row.len() {
-                    if flat + i >= self.fail_flat {
-                        return Err(());
-                    }
-                    self.visited += 1;
                 }
                 Ok(())
             }
         }
+        impl RowVisitor<f32> for FailAt {
+            type Error = ();
+            fn begin_group(&mut self, start: usize, len: usize) -> Result<(), ()> {
+                if self.at_end {
+                    Ok(())
+                } else {
+                    self.check(start, len)
+                }
+            }
+            fn point(&mut self, _flat: usize, _pred: f64) -> f32 {
+                self.visited += 1;
+                0.0
+            }
+            fn end_group(&mut self, start: usize, len: usize) -> Result<(), ()> {
+                if self.at_end {
+                    self.check(start, len)
+                } else {
+                    Ok(())
+                }
+            }
+        }
         for dims in [vec![64usize], vec![12, 12], vec![4, 5, 6]] {
-            let shape = Shape::new(&dims);
-            let fail_flat = shape.len() / 2;
-            let mut kernel = ScanKernel::for_shape(1, &shape);
-            let mut buf = vec![0.0f32; shape.len()];
-            let mut visitor = FailAt {
-                fail_flat,
-                visited: 0,
-            };
-            assert!(kernel.scan_rows(&shape, &mut buf, &mut visitor).is_err());
-            assert_eq!(visitor.visited, fail_flat, "dims {dims:?}");
+            for at_end in [false, true] {
+                let shape = Shape::new(&dims);
+                let fail_flat = shape.len() / 2;
+                let mut kernel = ScanKernel::for_shape(1, &shape);
+                let mut buf = vec![0.0f32; shape.len()];
+                let mut visitor = FailAt {
+                    fail_flat,
+                    at_end,
+                    visited: 0,
+                    failed_group: None,
+                };
+                assert!(kernel.scan_rows(&shape, &mut buf, &mut visitor).is_err());
+                let (start, len) = visitor.failed_group.expect("no group failed");
+                let expect = if at_end { start + len } else { start };
+                assert_eq!(visitor.visited, expect, "dims {dims:?} at_end {at_end}");
+            }
         }
     }
 
@@ -1859,6 +2093,52 @@ mod tests {
                     spec.sample_interior(&shape, &data, stride, |f, p| a.push((f, p)));
                     generic.sample_interior(&shape, &data, stride, |f, p| b.push((f, p)));
                     assert_eq!(a, b, "dims {dims:?} layers {layers} stride {stride}");
+                }
+            }
+        }
+    }
+
+    /// The sampler steps from each row's first multiple of the stride
+    /// instead of testing every point: it must visit exactly the points,
+    /// and yield exactly the interval magnitudes, of a brute-force walk
+    /// over every flat index with a modulo test — on odd shapes, every
+    /// stride from dense to sparse, both layer counts.
+    #[test]
+    fn stepped_sampler_matches_modulo_reference() {
+        for dims in [
+            vec![7usize, 13],
+            vec![11, 5],
+            vec![3, 29],
+            vec![5, 7, 9],
+            vec![3, 4, 11],
+            vec![6, 2, 13],
+        ] {
+            for layers in 1..=2usize {
+                let shape = Shape::new(&dims);
+                let data = wavy(&dims);
+                let mut kernel = ScanKernel::for_shape(layers, &shape);
+                let mut set = StencilSet::new(layers, shape.strides());
+                for stride in 1..=7usize {
+                    let mut want = Vec::new();
+                    let mut index = vec![0usize; dims.len()];
+                    for flat in 0..shape.len() {
+                        if flat % stride == 0 && index.iter().all(|&x| x >= layers) {
+                            want.push((flat, predict_at(&data, flat, set.for_index(&index))));
+                        }
+                        shape.advance(&mut index);
+                    }
+                    let mut got = Vec::new();
+                    kernel.sample_interior(&shape, &data, stride, |f, p| got.push((f, p)));
+                    assert_eq!(got, want, "dims {dims:?} layers {layers} stride {stride}");
+
+                    let two_eb = 0.037;
+                    let mut ks = Vec::new();
+                    kernel.sample_interior_ks(&shape, &data, stride, two_eb, |k| ks.push(k));
+                    let want_ks: Vec<f64> = want
+                        .iter()
+                        .map(|&(f, p)| ((data[f] as f64 - p) / two_eb).round().abs())
+                        .collect();
+                    assert_eq!(ks, want_ks, "dims {dims:?} layers {layers} stride {stride}");
                 }
             }
         }

@@ -69,17 +69,19 @@
 //!
 //! Decompression is *fused*: a pull-based Huffman symbol decoder
 //! (`szr_huffman::SymbolDecoder`) feeds quantization codes straight into
-//! the [`ScanKernel`] row reconstruction as each row is predicted — no
-//! intermediate symbol vector is ever materialized, escapes are decoded in
-//! per-row batches, and a warm session's only steady-state allocation is
-//! the output tensor itself. The staged decode-all-then-reconstruct path
+//! the [`ScanKernel`] reconstruction one wavefront group of rows at a
+//! time — no band-sized symbol vector is ever materialized, each group's
+//! symbols are validated and its escapes decoded before its points are
+//! visited, and a warm session's only steady-state allocation is the output
+//! tensor itself. The staged decode-all-then-reconstruct path
 //! is retained behind [`decompress_staged`] /
 //! [`decompress_staged_shared_with_kernel`] as the property-test oracle:
 //! the fused path is pinned bit-identical to it, including which damaged
 //! archives are rejected.
 //!
-//! The row passes under both scan directions — partial-sum prefixes, the
-//! quantizer hit test, code→offset reconstruction — dispatch at runtime to
+//! The batched passes — code→offset reconstruction, the decoder's alphabet
+//! and escape counts, the sampler's predictions and hit test, the batched
+//! prior of the 3-D two-layer rows — dispatch at runtime to
 //! explicit SSE2/AVX2 kernels on x86-64 and to scalar reference loops
 //! elsewhere. Every SIMD kernel is bit-identical to its scalar reference
 //! (no FMA contraction, fixed association order, round-half-away-from-zero
@@ -154,7 +156,7 @@ mod unpred;
 pub use compress::{
     compress, compress_slice_with_kernel, compress_slice_with_stats, compress_with_stats,
     encode_quantized, escape_lz_trial_ratio, quantize_slice_with_kernel,
-    quantize_slice_with_kernel_oracle, CompressionStats, HuffmanTable, QuantizedBand,
+    quantize_slice_with_kernel_oracle, value_range, CompressionStats, HuffmanTable, QuantizedBand,
 };
 pub use config::{Config, ErrorBound, IntervalMode};
 pub use decompress::{
@@ -163,7 +165,7 @@ pub use decompress::{
     inspect_layout, ArchiveInfo, BandDamage, BandLayout, DecodePolicy, SalvageReport,
 };
 pub use float::ScalarFloat;
-pub use kernel::{Carry, KernelKind, RowVisitor, ScanKernel};
+pub use kernel::{KernelKind, RowVisitor, ScanKernel};
 pub use predict::{layer_coefficients, predict_at, Stencil, StencilSet};
 pub use pwrel::{compress_pointwise_rel, decompress_pointwise_rel, verify_pointwise_rel};
 pub use quant::{choose_interval_bits, choose_interval_bits_with_kernel, Quantizer};

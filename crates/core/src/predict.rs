@@ -68,10 +68,11 @@ pub fn layer_coefficients(n_eff: &[usize], ks: &[usize]) -> f64 {
 /// offset along a non-last axis) come first, in lexicographic Eq. 11 offset
 /// order; the in-row terms (pure last-axis offsets, the loop-carried
 /// neighbors of a row-major scan) come last, also lexicographic. Putting the
-/// row-invariant prefix first is what lets the row-granular scan engine
-/// precompute it into a partial-sum row with *bit-identical* floating-point
-/// results: every evaluator — [`predict_at`], the closed-form kernels, and
-/// the batched row passes — accumulates the same terms in the same order.
+/// in-row terms last is what lets the scan engine sum the finished-row
+/// prefix on its own and add the loop-carried tail afterwards with
+/// *bit-identical* floating-point results: every evaluator — [`predict_at`],
+/// the closed-form kernels, the wavefront scan and the batched row passes —
+/// accumulates the same terms in the same order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stencil {
     terms: Vec<(usize, f64)>,

@@ -2,8 +2,7 @@
 //! (§IV-B).
 
 use crate::float::ScalarFloat;
-use crate::kernel::{Carry, ScanKernel};
-use crate::unpred::UnpredictableCodec;
+use crate::kernel::ScanKernel;
 use szr_tensor::Shape;
 
 /// The linear-scaling quantizer of Figure 2.
@@ -17,12 +16,17 @@ use szr_tensor::Shape;
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
     eb: f64,
+    /// `2·eb`, the interval width.
+    two_eb: f64,
     /// Precomputed `1 / (2·eb)`: the interval search multiplies instead of
     /// dividing, keeping an ~10-cycle divide off the loop-carried
     /// prediction→reconstruction chain the scan serializes on. Zero when
     /// the reciprocal is not usable (subnormal/infinite — degenerate
     /// bounds), which routes [`Quantizer::quantize`] back to the divide.
     inv_two_eb: f64,
+    /// `half − ½`: an offset ratio `y` rounds into an interval,
+    /// `|round(y)| < half`, exactly when `|y| < limit`.
+    limit: f64,
     /// 2^{m−1}: the code of the zero-offset interval.
     half: i64,
     bits: u32,
@@ -39,8 +43,10 @@ impl Quantizer {
         assert!((2..=30).contains(&bits), "interval bits must be in 2..=30");
         assert!(eb.is_finite() && eb > 0.0, "error bound must be positive");
         let inv = 1.0 / (2.0 * eb);
+        let half = 1i64 << (bits - 1);
         Self {
             eb,
+            two_eb: 2.0 * eb,
             // A subnormal reciprocal would quantize a zero offset to NaN
             // (0 · ∞) or lose precision; those degenerate bounds keep the
             // exact divide.
@@ -49,20 +55,20 @@ impl Quantizer {
             } else {
                 0.0
             },
-            half: 1i64 << (bits - 1),
+            limit: half as f64 - 0.5,
+            half,
             bits,
         }
     }
 
-    /// The interval index for offset `diff = value − pred` before range
-    /// checking: `round(diff / (2·eb))`, computed by reciprocal multiply on
-    /// the fast path.
+    /// The offset ratio `diff / (2·eb)` whose rounding is the interval
+    /// index, computed by reciprocal multiply on the fast path.
     #[inline(always)]
-    fn interval(&self, diff: f64) -> f64 {
+    fn ratio(&self, diff: f64) -> f64 {
         if self.inv_two_eb != 0.0 {
-            (diff * self.inv_two_eb).round()
+            diff * self.inv_two_eb
         } else {
-            (diff / (2.0 * self.eb)).round()
+            diff / self.two_eb
         }
     }
 
@@ -92,23 +98,36 @@ impl Quantizer {
     /// value falls outside every interval. The caller must still verify the
     /// bound after narrowing the reconstruction to the stored float type —
     /// narrow rounding can push a borderline value past `eb`.
-    #[inline]
+    ///
+    /// The interval index is `k = round(y)` (ties away from zero) for
+    /// `y = (value − pred) / (2·eb)`. Once `|y| < half − ½` is known, `k` is
+    /// `trunc(y ± (½ − 2⁻⁵⁴))`, which one integer conversion computes and
+    /// which yields the code directly: `f64::round` would be a libm call in
+    /// the middle of the scan's loop-carried chain on targets without
+    /// SSE4.1. A zero index reconstructs through `+0.0`, as the decoder's
+    /// [`Quantizer::reconstruct`] does.
+    #[inline(always)]
     pub fn quantize(&self, value: f64, pred: f64) -> Option<(u32, f64)> {
-        let k = self.interval(value - pred);
-        if k.is_nan() || k.abs() >= self.half as f64 {
-            // NaN (from a non-finite value or prediction) falls back to
-            // unpredictable storage alongside out-of-range offsets.
-            return None;
+        /// ½ − 2⁻⁵⁴, the largest double below ½: adding it rounds ties up
+        /// without pushing `n + ½ − ulp` past `n + 1`.
+        const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+        let y = self.ratio(value - pred);
+        if y.abs() < self.limit {
+            // In range: |y ± ½| < 2^29, so the conversion is exact truncation.
+            let k = (y + BELOW_HALF.copysign(y)) as i64;
+            Some(((self.half + k) as u32, pred + self.two_eb * k as f64))
+        } else {
+            // Out of range, or NaN from a non-finite value or prediction:
+            // unpredictable storage.
+            None
         }
-        let recon = pred + 2.0 * self.eb * k;
-        Some(((self.half + k as i64) as u32, recon))
     }
 
     /// Reconstructs the value encoded by `code` (which must be non-zero).
     #[inline]
     pub fn reconstruct(&self, code: u32, pred: f64) -> f64 {
         debug_assert!(code != 0 && (code as i64) < 2 * self.half);
-        pred + 2.0 * self.eb * (code as i64 - self.half) as f64
+        pred + self.two_eb * (code as i64 - self.half) as f64
     }
 
     /// Batched reconstruction offsets: `out[i] = 2·eb · (codes[i] − half)`,
@@ -118,114 +137,27 @@ impl Quantizer {
     /// decoder never reads. Runs through the runtime-detected SIMD kernels.
     #[inline]
     pub(crate) fn recon_offsets(&self, codes: &[u32], out: &mut [f64]) {
-        crate::simd::codes_to_offsets(codes, out, 2.0 * self.eb, self.half);
+        crate::simd::codes_to_offsets(codes, out, self.two_eb, self.half);
     }
 
-    /// Quantizes one interior row segment — the batched form of
-    /// [`Quantizer::quantize`] driven by [`ScanKernel`]'s row path.
-    ///
-    /// `partials[i]` is the row-invariant prediction prefix for `values[i]`;
-    /// the full prediction folds in `carry` over the running reconstructions
-    /// (seeded from `prev`, then this call's own outputs). For every point
-    /// the code is appended to `codes` and the reconstruction written to
-    /// `recon[i]`; a point that misses every interval (or whose narrowed
-    /// reconstruction breaks `narrow_eb`) gets code 0, reconstructs through
-    /// `escape`, and has its segment-local index pushed onto `misses` so the
-    /// caller can serialize the escape bits afterwards instead of branching
-    /// into a bit writer mid-loop. Returns the number of hits.
-    ///
-    /// Bit-for-bit equivalent to running [`Quantizer::quantize`] plus the
-    /// narrowing check point by point — the row-vs-oracle property tests pin
-    /// this down.
-    #[allow(clippy::too_many_arguments)]
-    pub fn quantize_row<T: ScalarFloat>(
+    /// Quantizes `value` against `pred` and narrows the reconstruction to
+    /// the stored type: the code and stored reconstruction of a hit, or
+    /// `None` when the value misses every interval or its narrowed
+    /// reconstruction breaks `narrow_eb` (narrow rounding can push a
+    /// borderline value past the bound). Non-finite values miss. The
+    /// per-point step of every quantizing scan visitor; a miss is stored
+    /// through the escape codec.
+    #[inline(always)]
+    pub(crate) fn quantize_narrowed<T: ScalarFloat>(
         &self,
-        values: &[T],
-        partials: &[f64],
-        carry: Carry,
-        prev: [T; 2],
+        value: T,
+        pred: f64,
         narrow_eb: f64,
-        escape: &UnpredictableCodec,
-        codes: &mut Vec<u32>,
-        recon: &mut [T],
-        misses: &mut Vec<u32>,
-    ) -> usize {
-        codes.reserve(values.len());
-        let result: std::result::Result<usize, std::convert::Infallible> = self.quantize_row_emit(
-            values,
-            partials,
-            carry,
-            prev,
-            narrow_eb,
-            escape,
-            &mut |code| {
-                codes.push(code);
-                Ok(true)
-            },
-            recon,
-            misses,
-        );
-        match result {
-            Ok(hits) => hits,
-            Err(e) => match e {},
-        }
-    }
-
-    /// [`Quantizer::quantize_row`] generalized over the code destination —
-    /// the hook behind the fused quantize→encode path, which streams each
-    /// code straight into a Huffman bit writer.
-    ///
-    /// `emit` receives every point's code in scan order (0 for escapes) and
-    /// answers three ways:
-    ///
-    /// * `Ok(true)` — code accepted (a `Vec` sink always answers this;
-    ///   [`Quantizer::quantize_row`] is exactly that instantiation);
-    /// * `Ok(false)` — the sink has no codeword for this (non-zero) code:
-    ///   the point is **demoted to an escape** — `emit(0)` is called, the
-    ///   point joins `misses`, and its reconstruction is the escape codec's,
-    ///   all of which the decoder replays consistently. The sink must
-    ///   accept code 0 (guaranteed by the session's table construction and
-    ///   debug-asserted here);
-    /// * `Err(e)` — abort the scan (a fused sink gives up when demotions
-    ///   pass its cap and the caller re-runs the band staged; partial
-    ///   `recon`/`misses` state is discarded with it).
-    #[allow(clippy::too_many_arguments)]
-    pub fn quantize_row_emit<T: ScalarFloat, E>(
-        &self,
-        values: &[T],
-        partials: &[f64],
-        carry: Carry,
-        prev: [T; 2],
-        narrow_eb: f64,
-        escape: &UnpredictableCodec,
-        emit: &mut impl FnMut(u32) -> std::result::Result<bool, E>,
-        recon: &mut [T],
-        misses: &mut Vec<u32>,
-    ) -> std::result::Result<usize, E> {
-        debug_assert_eq!(values.len(), partials.len());
-        debug_assert_eq!(values.len(), recon.len());
-        let two_eb = 2.0 * self.eb;
-        let half_f = self.half as f64;
-        let mut hits = 0usize;
-        carry.fold(partials, prev, recon, |i, pred| {
-            let v = values[i].to_f64();
-            let k = self.interval(v - pred);
-            // `NaN < half_f` is false, so non-finite values fall through
-            // to the escape path like the point oracle's NaN check.
-            let in_range = k.abs() < half_f;
-            let r = T::from_f64(pred + two_eb * k);
-            let hit = in_range && (v - r.to_f64()).abs() <= narrow_eb;
-            if hit && emit((self.half + k as i64) as u32)? {
-                hits += 1;
-                Ok(r)
-            } else {
-                let escaped = emit(0)?;
-                debug_assert!(escaped, "sinks must always accept the escape code");
-                misses.push(i as u32);
-                Ok(escape.reconstruction(values[i]))
-            }
-        })?;
-        Ok(hits)
+    ) -> Option<(u32, T)> {
+        let v = value.to_f64();
+        let (code, r64) = self.quantize(v, pred)?;
+        let r = T::from_f64(r64);
+        ((v - r.to_f64()).abs() <= narrow_eb).then_some((code, r))
     }
 }
 
@@ -310,11 +242,7 @@ pub(crate) fn choose_interval_bits_counted<T: ScalarFloat>(
     // branchy, order-independent, and off the critical path.
     kernel.sample_interior_ks(shape, data, stride, 2.0 * eb, |k| {
         samples += 1;
-        let mut b = 2u32;
-        while b <= max_bits && k >= (1i64 << (b - 1)) as f64 {
-            b += 1;
-        }
-        need[b.min(max_bits + 1) as usize] += 1;
+        need[bits_needed(k).min(max_bits + 1) as usize] += 1;
     });
     if samples == 0 {
         return (8, 0); // degenerate grid (all border): the paper's 255 intervals
@@ -329,6 +257,19 @@ pub(crate) fn choose_interval_bits_counted<T: ScalarFloat>(
         }
     }
     (max_bits, iterations)
+}
+
+/// The smallest `b ≥ 2` whose `2^b − 1` intervals cover interval index
+/// `±k` (`k < 2^(b−1)`), for an integral `k ≥ 0`: read off `k`'s exponent
+/// instead of testing one width after another. A NaN needs 2, like every
+/// failed comparison; an infinite `k` needs more than any width.
+#[inline]
+fn bits_needed(k: f64) -> u32 {
+    if k.is_nan() || k < 1.0 {
+        return 2;
+    }
+    // floor(log2 k) + 2; the biased exponent of k ≥ 1 is at least 1023.
+    ((k.to_bits() >> 52) as u32 & 0x7FF) - 1023 + 2
 }
 
 #[cfg(test)]
@@ -374,6 +315,89 @@ mod tests {
         let (code, recon) = q.quantize(2.0, 2.0).unwrap();
         assert_eq!(code, 128); // 2^{m-1}
         assert_eq!(recon, 2.0);
+    }
+
+    /// The integer-conversion interval search must pick exactly the
+    /// interval `round()` picks — ties, neighbours of ties, both range
+    /// edges — and reconstruct to the same value (up to the sign of zero).
+    #[test]
+    fn quantize_matches_the_round_reference() {
+        let reference = |q: &Quantizer, value: f64, pred: f64| -> Option<(u32, f64)> {
+            let k = q.ratio(value - pred).round();
+            if k.is_nan() || k.abs() >= q.half as f64 {
+                return None;
+            }
+            Some(((q.half + k as i64) as u32, pred + 2.0 * q.eb * k))
+        };
+        let mut h = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            h
+        };
+        for bits in [2u32, 4, 8, 16, 30] {
+            // A power-of-two width makes ratios exact, so ties are hit.
+            for eb in [0.5, 0.25, 1e-3, 3.7e-7] {
+                let q = Quantizer::new(eb, bits);
+                let half = q.half as f64;
+                let mut cases = Vec::new();
+                for n in [0.0, 1.0, 2.0, 7.0, half - 2.0, half - 1.0, half, half + 1.0] {
+                    for y in [n - 0.5, n + 0.5, n, n + 0.25, n - 0.25] {
+                        for y in [y, y.next_up(), y.next_down(), -y] {
+                            cases.push((y * 2.0 * eb, 0.0));
+                        }
+                    }
+                }
+                for _ in 0..20_000 {
+                    let r = next();
+                    let pred = (r >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0;
+                    let scale = [1e-3, 1.0, half, half * 4.0][(r & 3) as usize];
+                    let y = ((next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0) * scale;
+                    cases.push((pred + y * 2.0 * eb, pred));
+                }
+                cases.extend([
+                    (f64::NAN, 0.0),
+                    (1.0, f64::NAN),
+                    (f64::INFINITY, 0.0),
+                    (0.0, f64::NEG_INFINITY),
+                    (-0.0, 0.0),
+                    (0.0, -0.0),
+                ]);
+                for (value, pred) in cases {
+                    let got = q.quantize(value, pred);
+                    let want = reference(&q, value, pred);
+                    assert_eq!(
+                        got.map(|(c, _)| c),
+                        want.map(|(c, _)| c),
+                        "bits {bits} eb {eb} value {value:e} pred {pred:e}"
+                    );
+                    if let (Some((_, a)), Some((_, b))) = (got, want) {
+                        assert!(a == b, "recon {a:e} vs {b:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The exponent read-off agrees with testing each width in turn.
+    #[test]
+    fn bits_needed_matches_the_width_scan() {
+        let scan = |k: f64| {
+            let mut b = 2u32;
+            while b <= 40 && k >= (1i64 << (b - 1)) as f64 {
+                b += 1;
+            }
+            b
+        };
+        let mut ks = vec![0.0, 1.0, 2.0, 3.0, 4.0, f64::NAN, f64::INFINITY, 1e300];
+        for e in 0..40 {
+            let p = (1u64 << e) as f64;
+            ks.extend([p - 1.0, p, p + 1.0]);
+        }
+        for k in ks {
+            assert_eq!(bits_needed(k).min(41), scan(k).min(41), "k = {k}");
+        }
     }
 
     #[test]

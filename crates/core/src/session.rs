@@ -1,7 +1,7 @@
 //! `CodecSession`: one owning object for the whole SZ-1.4 pipeline.
 //!
 //! The codec's reusable state — scan kernels (with their row-engine scratch
-//! rows), the quantizer's code/miss/escape buffers, Huffman codecs, and the
+//! rows), the quantizer's code/escape buffers, Huffman codecs, and the
 //! bit/byte staging buffers — used to be wired up independently by every
 //! caller (the free functions, `StreamCompressor`, `szr-parallel`'s chunked
 //! workers, the planner's size model). A [`CodecSession`] owns all of it
@@ -19,10 +19,10 @@
 //!   pricing passes and the chunked driver's per-worker state want;
 //! * the **fused quantize→encode fast path** becomes possible: when a
 //!   Huffman table is known before the scan (session table-reuse mode, or
-//!   the chunked driver's presampled shared table),
-//!   [`Quantizer::quantize_row_emit`] streams each code straight into the
-//!   session's [`BitWriter`] and the intermediate `codes: Vec<u32>` is
-//!   never materialized.
+//!   the chunked driver's presampled shared table), the quantizing scan
+//!   Huffman-encodes each wavefront group's codes straight into the
+//!   session's [`BitWriter`] and the band's `codes: Vec<u32>` is never
+//!   materialized.
 //!
 //! The szr-core free functions (`compress`, `decompress`, …) are thin
 //! wrappers that run a throwaway session-equivalent pipeline; their output
@@ -43,15 +43,15 @@
 //! [`crate::decompress`] reads them.
 
 use crate::compress::{
-    encode_parts, encode_quantized_sink, escape_lz_trial, quantize_into, quantize_validated_impl,
-    resolve_band_params, resolve_range_eb, write_band_header, write_post_passed, BandMeta,
-    CompressionStats, EncodeExtra, EntropyScratch, HuffmanTable, QuantBufs, QuantizedBand,
-    VERSION_ESCLZ, VERSION_SHARED_ESCLZ, VERSION_SHARED_V3, VERSION_V3,
+    encode_group_escapes, encode_parts, encode_quantized_sink, escape_lz_trial, quantize_into,
+    quantize_validated_impl, resolve_band_params, resolve_range_eb, write_band_header,
+    write_post_passed, BandMeta, CompressionStats, EncodeExtra, EntropyScratch, HuffmanTable,
+    QuantBufs, QuantizedBand, VERSION_ESCLZ, VERSION_SHARED_ESCLZ, VERSION_SHARED_V3, VERSION_V3,
 };
 use crate::config::Config;
 use crate::decompress::{decompress_cached, DecodePolicy, DecodeScratch};
 use crate::float::ScalarFloat;
-use crate::kernel::{Carry, RowVisitor, ScanKernel};
+use crate::kernel::{RowVisitor, ScanKernel};
 use crate::quant::Quantizer;
 use crate::unpred::UnpredictableCodec;
 use crate::{Result, SzError};
@@ -151,33 +151,6 @@ pub fn covering_codec(hist: &[u64]) -> HuffmanCodec {
         smoothed.push(1);
     }
     HuffmanCodec::from_frequencies(&smoothed)
-}
-
-/// The fused sink's per-code decision, shared by the interior-row closure
-/// and the border-point path so the demotion policy cannot diverge:
-/// `Ok(true)` — encoded; `Ok(false)` — no codeword, demote this point to an
-/// escape; `Err` — abort the fused scan (the cap is crossed, or even the
-/// escape code is uncovered).
-#[inline]
-fn fused_emit(
-    codec: &HuffmanCodec,
-    code_bits: &mut BitWriter,
-    demoted: &mut usize,
-    demote_cap: usize,
-    code: u32,
-) -> std::result::Result<bool, TableMiss> {
-    if codec.try_encode(code, code_bits) {
-        return Ok(true);
-    }
-    if code == 0 {
-        return Err(TableMiss);
-    }
-    *demoted += 1;
-    if *demoted > demote_cap {
-        Err(TableMiss)
-    } else {
-        Ok(false)
-    }
 }
 
 impl<T: ScalarFloat> CodecSession<T> {
@@ -862,9 +835,11 @@ fn run_fused_scan<T: ScalarFloat>(
         unpred: UnpredictableCodec::new(eb),
         eb,
         codec,
+        lengths: codec.lengths(),
         code_bits,
         unpred_bits: &mut bufs.unpred,
-        misses: &mut bufs.misses,
+        group_codes: &mut bufs.codes,
+        start: 0,
         predictable: 0,
         demoted: 0,
         demote_cap: values.len() >> DEMOTE_CAP_SHIFT,
@@ -888,25 +863,30 @@ fn run_fused_scan<T: ScalarFloat>(
     }
 }
 
-/// The fused row visitor: quantization decisions identical to the staged
-/// [`Quantizer::quantize_row`] path, but each code is Huffman-encoded into
-/// `code_bits` the moment it is produced.
+/// The fused wavefront visitor: quantization decisions identical to the
+/// staged [`RowQuantizer`](crate::compress) path, but each group's codes
+/// are Huffman-encoded into `code_bits` at `end_group`, in scan order.
 ///
-/// A code the table lacks is **demoted to an escape** — code 0 plus the
-/// binary-representation bits, exactly what the decoder expects, so the
-/// bound holds with no rescan. Only when demotions pass `demote_cap` (the
-/// distribution has structurally outgrown the table, and escapes cost
-/// 15–30 bits each) does the scan abort with [`TableMiss`] and the caller
-/// re-run the band staged.
+/// Whether the table has a codeword for a code is decided per point, inline,
+/// because it changes the reconstruction: a code the table lacks is
+/// **demoted to an escape** — code 0 plus the binary-representation bits,
+/// exactly what the decoder expects, so the bound holds with no rescan.
+/// Only when demotions pass `demote_cap` (the distribution has structurally
+/// outgrown the table, and escapes cost 15–30 bits each) does the scan
+/// abort with [`TableMiss`] and the caller re-run the band staged.
 struct FusedRowQuantizer<'a, T: ScalarFloat> {
     values: &'a [T],
     quantizer: Quantizer,
     unpred: UnpredictableCodec,
     eb: f64,
     codec: &'a HuffmanCodec,
+    /// The codec's code lengths: a zero length means no codeword.
+    lengths: &'a [u32],
     code_bits: &'a mut BitWriter,
     unpred_bits: &'a mut BitWriter,
-    misses: &'a mut Vec<u32>,
+    /// The open group's codes, indexed from `start`.
+    group_codes: &'a mut Vec<u32>,
+    start: usize,
     predictable: usize,
     /// Hits demoted to escapes because the table had no codeword.
     demoted: usize,
@@ -917,65 +897,43 @@ struct FusedRowQuantizer<'a, T: ScalarFloat> {
 impl<T: ScalarFloat> RowVisitor<T> for FusedRowQuantizer<'_, T> {
     type Error = TableMiss;
 
-    fn point(&mut self, flat: usize, pred: f64) -> std::result::Result<T, TableMiss> {
-        let value = self.values[flat];
-        let v64 = value.to_f64();
-        let quantized = self.quantizer.quantize(v64, pred).and_then(|(code, r64)| {
-            let r = T::from_f64(r64);
-            ((v64 - r.to_f64()).abs() <= self.eb).then_some((code, r))
-        });
-        if let Some((code, r)) = quantized {
-            if fused_emit(
-                self.codec,
-                self.code_bits,
-                &mut self.demoted,
-                self.demote_cap,
-                code,
-            )? {
-                self.predictable += 1;
-                return Ok(r);
-            }
-        }
-        if !self.codec.try_encode(0, self.code_bits) {
-            return Err(TableMiss);
-        }
-        Ok(self.unpred.encode(value, self.unpred_bits))
+    fn begin_group(&mut self, start: usize, len: usize) -> std::result::Result<(), TableMiss> {
+        self.start = start;
+        self.group_codes.clear();
+        self.group_codes.resize(len, 0);
+        Ok(())
     }
 
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> std::result::Result<(), TableMiss> {
-        let quantizer = self.quantizer;
-        let unpred = self.unpred;
-        let eb = self.eb;
-        let values = &self.values[flat..flat + row.len()];
-        // Split the borrows by hand: the emit closure needs the codec,
-        // writer, and demotion counters while `misses` rides separately.
-        let (codec, code_bits) = (self.codec, &mut *self.code_bits);
-        let (demoted, demote_cap) = (&mut self.demoted, self.demote_cap);
-        let hits = quantizer.quantize_row_emit(
-            values,
-            partials,
-            carry,
-            prev,
-            eb,
-            &unpred,
-            &mut |code| fused_emit(codec, code_bits, demoted, demote_cap, code),
-            row,
-            self.misses,
-        )?;
-        self.predictable += hits;
-        // Escape bits in scan order, exactly like the staged row visitor.
-        for &i in self.misses.iter() {
-            self.unpred
-                .encode(self.values[flat + i as usize], self.unpred_bits);
+    #[inline(always)]
+    fn point(&mut self, flat: usize, pred: f64) -> T {
+        let value = self.values[flat];
+        if let Some((code, r)) = self.quantizer.quantize_narrowed(value, pred, self.eb) {
+            if self.lengths.get(code as usize).is_some_and(|&l| l > 0) {
+                self.group_codes[flat - self.start] = code;
+                return r;
+            }
+            self.demoted += 1;
         }
-        self.misses.clear();
+        // The code stays 0 from `begin_group`.
+        self.unpred.reconstruction(value)
+    }
+
+    fn end_group(&mut self, start: usize, len: usize) -> std::result::Result<(), TableMiss> {
+        if self.demoted > self.demote_cap {
+            return Err(TableMiss);
+        }
+        for &code in self.group_codes.iter() {
+            // Only the escape code can lack a codeword here.
+            if !self.codec.try_encode(code, self.code_bits) {
+                return Err(TableMiss);
+            }
+        }
+        self.predictable += encode_group_escapes(
+            self.group_codes,
+            &self.values[start..start + len],
+            &self.unpred,
+            self.unpred_bits,
+        );
         Ok(())
     }
 }

@@ -113,31 +113,6 @@ macro_rules! scalar_kernels {
                 }
             }
 
-            pub(super) fn diff_set(dst: &mut [f64], a: &[$t], b: &[$t]) {
-                for i in 0..dst.len() {
-                    dst[i] = a[i] as f64 - b[i] as f64;
-                }
-            }
-
-            pub(super) fn terms2_set(dst: &mut [f64], a: &[$t], ca: f64, b: &[$t], cb: f64) {
-                for i in 0..dst.len() {
-                    dst[i] = ca * a[i] as f64 + cb * b[i] as f64;
-                }
-            }
-
-            pub(super) fn terms6_set(dst: &mut [f64], srcs: [&[$t]; 6], cs: [f64; 6]) {
-                let [s0, s1, s2, s3, s4, s5] = srcs;
-                let [c0, c1, c2, c3, c4, c5] = cs;
-                for i in 0..dst.len() {
-                    dst[i] = c0 * s0[i] as f64
-                        + c1 * s1[i] as f64
-                        + c2 * s2[i] as f64
-                        + c3 * s3[i] as f64
-                        + c4 * s4[i] as f64
-                        + c5 * s5[i] as f64;
-                }
-            }
-
             pub(super) fn k_pass(ks: &mut [f64], vals: &[$t], preds: &[f64], two_eb: f64) {
                 for i in 0..ks.len() {
                     ks[i] = ((vals[i] as f64 - preds[i]) / two_eb).round().abs();
@@ -223,103 +198,6 @@ mod x86 {
                     }
                     while i < n {
                         dst[i] += c * src[i] as f64;
-                        i += 1;
-                    }
-                }
-
-                #[target_feature(enable = "avx2")]
-                pub(in super::super) fn diff_set(dst: &mut [f64], a: &[$t], b: &[$t]) {
-                    let n = dst.len();
-                    let mut i = 0;
-                    while i + 4 <= n {
-                        let va = unsafe { $load4(a.as_ptr().add(i)) };
-                        let vb = unsafe { $load4(b.as_ptr().add(i)) };
-                        let r = _mm256_sub_pd(va, vb);
-                        unsafe { _mm256_storeu_pd(dst.as_mut_ptr().add(i), r) };
-                        i += 4;
-                    }
-                    while i < n {
-                        dst[i] = a[i] as f64 - b[i] as f64;
-                        i += 1;
-                    }
-                }
-
-                #[target_feature(enable = "avx2")]
-                pub(in super::super) fn terms2_set(
-                    dst: &mut [f64],
-                    a: &[$t],
-                    ca: f64,
-                    b: &[$t],
-                    cb: f64,
-                ) {
-                    let n = dst.len();
-                    let cav = _mm256_set1_pd(ca);
-                    let cbv = _mm256_set1_pd(cb);
-                    let mut i = 0;
-                    while i + 4 <= n {
-                        let va = unsafe { $load4(a.as_ptr().add(i)) };
-                        let vb = unsafe { $load4(b.as_ptr().add(i)) };
-                        let r = _mm256_add_pd(_mm256_mul_pd(cav, va), _mm256_mul_pd(cbv, vb));
-                        unsafe { _mm256_storeu_pd(dst.as_mut_ptr().add(i), r) };
-                        i += 4;
-                    }
-                    while i < n {
-                        dst[i] = ca * a[i] as f64 + cb * b[i] as f64;
-                        i += 1;
-                    }
-                }
-
-                #[target_feature(enable = "avx2")]
-                pub(in super::super) fn terms6_set(
-                    dst: &mut [f64],
-                    srcs: [&[$t]; 6],
-                    cs: [f64; 6],
-                ) {
-                    let n = dst.len();
-                    let [s0, s1, s2, s3, s4, s5] = srcs;
-                    let cv: [__m256d; 6] = [
-                        _mm256_set1_pd(cs[0]),
-                        _mm256_set1_pd(cs[1]),
-                        _mm256_set1_pd(cs[2]),
-                        _mm256_set1_pd(cs[3]),
-                        _mm256_set1_pd(cs[4]),
-                        _mm256_set1_pd(cs[5]),
-                    ];
-                    let mut i = 0;
-                    while i + 4 <= n {
-                        // Left-associated add chain, matching the scalar
-                        // expression's evaluation order exactly.
-                        let mut acc = _mm256_mul_pd(cv[0], unsafe { $load4(s0.as_ptr().add(i)) });
-                        acc = _mm256_add_pd(
-                            acc,
-                            _mm256_mul_pd(cv[1], unsafe { $load4(s1.as_ptr().add(i)) }),
-                        );
-                        acc = _mm256_add_pd(
-                            acc,
-                            _mm256_mul_pd(cv[2], unsafe { $load4(s2.as_ptr().add(i)) }),
-                        );
-                        acc = _mm256_add_pd(
-                            acc,
-                            _mm256_mul_pd(cv[3], unsafe { $load4(s3.as_ptr().add(i)) }),
-                        );
-                        acc = _mm256_add_pd(
-                            acc,
-                            _mm256_mul_pd(cv[4], unsafe { $load4(s4.as_ptr().add(i)) }),
-                        );
-                        acc = _mm256_add_pd(
-                            acc,
-                            _mm256_mul_pd(cv[5], unsafe { $load4(s5.as_ptr().add(i)) }),
-                        );
-                        unsafe { _mm256_storeu_pd(dst.as_mut_ptr().add(i), acc) };
-                        i += 4;
-                    }
-                    while i < n {
-                        dst[i] = cs[0] * s0[i] as f64
-                            + cs[1] * s1[i] as f64
-                            + cs[2] * s2[i] as f64
-                            + cs[3] * s3[i] as f64
-                            + cs[4] * s4[i] as f64
-                            + cs[5] * s5[i] as f64;
                         i += 1;
                     }
                 }
@@ -423,96 +301,6 @@ mod x86 {
                         i += 1;
                     }
                 }
-
-                pub(in super::super) fn diff_set(dst: &mut [f64], a: &[$t], b: &[$t]) {
-                    let n = dst.len();
-                    let mut i = 0;
-                    while i + 2 <= n {
-                        unsafe {
-                            let va = $load2(a.as_ptr().add(i));
-                            let vb = $load2(b.as_ptr().add(i));
-                            _mm_storeu_pd(dst.as_mut_ptr().add(i), _mm_sub_pd(va, vb));
-                        }
-                        i += 2;
-                    }
-                    while i < n {
-                        dst[i] = a[i] as f64 - b[i] as f64;
-                        i += 1;
-                    }
-                }
-
-                pub(in super::super) fn terms2_set(
-                    dst: &mut [f64],
-                    a: &[$t],
-                    ca: f64,
-                    b: &[$t],
-                    cb: f64,
-                ) {
-                    let n = dst.len();
-                    let cav = unsafe { _mm_set1_pd(ca) };
-                    let cbv = unsafe { _mm_set1_pd(cb) };
-                    let mut i = 0;
-                    while i + 2 <= n {
-                        unsafe {
-                            let va = $load2(a.as_ptr().add(i));
-                            let vb = $load2(b.as_ptr().add(i));
-                            let r = _mm_add_pd(_mm_mul_pd(cav, va), _mm_mul_pd(cbv, vb));
-                            _mm_storeu_pd(dst.as_mut_ptr().add(i), r);
-                        }
-                        i += 2;
-                    }
-                    while i < n {
-                        dst[i] = ca * a[i] as f64 + cb * b[i] as f64;
-                        i += 1;
-                    }
-                }
-
-                pub(in super::super) fn terms6_set(
-                    dst: &mut [f64],
-                    srcs: [&[$t]; 6],
-                    cs: [f64; 6],
-                ) {
-                    let n = dst.len();
-                    let [s0, s1, s2, s3, s4, s5] = srcs;
-                    let mut i = 0;
-                    while i + 2 <= n {
-                        unsafe {
-                            let mut acc =
-                                _mm_mul_pd(_mm_set1_pd(cs[0]), $load2(s0.as_ptr().add(i)));
-                            acc = _mm_add_pd(
-                                acc,
-                                _mm_mul_pd(_mm_set1_pd(cs[1]), $load2(s1.as_ptr().add(i))),
-                            );
-                            acc = _mm_add_pd(
-                                acc,
-                                _mm_mul_pd(_mm_set1_pd(cs[2]), $load2(s2.as_ptr().add(i))),
-                            );
-                            acc = _mm_add_pd(
-                                acc,
-                                _mm_mul_pd(_mm_set1_pd(cs[3]), $load2(s3.as_ptr().add(i))),
-                            );
-                            acc = _mm_add_pd(
-                                acc,
-                                _mm_mul_pd(_mm_set1_pd(cs[4]), $load2(s4.as_ptr().add(i))),
-                            );
-                            acc = _mm_add_pd(
-                                acc,
-                                _mm_mul_pd(_mm_set1_pd(cs[5]), $load2(s5.as_ptr().add(i))),
-                            );
-                            _mm_storeu_pd(dst.as_mut_ptr().add(i), acc);
-                        }
-                        i += 2;
-                    }
-                    while i < n {
-                        dst[i] = cs[0] * s0[i] as f64
-                            + cs[1] * s1[i] as f64
-                            + cs[2] * s2[i] as f64
-                            + cs[3] * s3[i] as f64
-                            + cs[4] * s4[i] as f64
-                            + cs[5] * s5[i] as f64;
-                        i += 1;
-                    }
-                }
             }
         };
     }
@@ -613,36 +401,6 @@ macro_rules! dispatch_float {
                 }
             }
 
-            fn diff_set(dst: &mut [f64], a: &[$t], b: &[$t]) {
-                match level() {
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx2 => unsafe { x86::$avx2::diff_set(dst, a, b) },
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Sse2 => x86::$sse2::diff_set(dst, a, b),
-                    _ => $scalar::diff_set(dst, a, b),
-                }
-            }
-
-            fn terms2_set(dst: &mut [f64], a: &[$t], ca: f64, b: &[$t], cb: f64) {
-                match level() {
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx2 => unsafe { x86::$avx2::terms2_set(dst, a, ca, b, cb) },
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Sse2 => x86::$sse2::terms2_set(dst, a, ca, b, cb),
-                    _ => $scalar::terms2_set(dst, a, ca, b, cb),
-                }
-            }
-
-            fn terms6_set(dst: &mut [f64], srcs: [&[$t]; 6], cs: [f64; 6]) {
-                match level() {
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Avx2 => unsafe { x86::$avx2::terms6_set(dst, srcs, cs) },
-                    #[cfg(target_arch = "x86_64")]
-                    SimdLevel::Sse2 => x86::$sse2::terms6_set(dst, srcs, cs),
-                    _ => $scalar::terms6_set(dst, srcs, cs),
-                }
-            }
-
             fn k_pass(ks: &mut [f64], vals: &[$t], preds: &[f64], two_eb: f64) {
                 match level() {
                     #[cfg(target_arch = "x86_64")]
@@ -659,9 +417,6 @@ macro_rules! dispatch_float {
 pub(crate) trait FloatSimd: Sized {
     fn term_set(dst: &mut [f64], src: &[Self], c: f64);
     fn term_add(dst: &mut [f64], src: &[Self], c: f64);
-    fn diff_set(dst: &mut [f64], a: &[Self], b: &[Self]);
-    fn terms2_set(dst: &mut [f64], a: &[Self], ca: f64, b: &[Self], cb: f64);
-    fn terms6_set(dst: &mut [f64], srcs: [&[Self]; 6], cs: [f64; 6]);
     fn k_pass(ks: &mut [f64], vals: &[Self], preds: &[f64], two_eb: f64);
 }
 
@@ -737,12 +492,7 @@ mod tests {
     fn term_passes_match_scalar_bit_for_bit() {
         for &n in &LENS {
             let a64 = f64_data(n, 1);
-            let b64 = f64_data(n, 2);
             let a32 = f32_data(n, 3);
-            let b32 = f32_data(n, 4);
-            let srcs64: Vec<Vec<f64>> = (0..6).map(|s| f64_data(n, 10 + s)).collect();
-            let srcs32: Vec<Vec<f32>> = (0..6).map(|s| f32_data(n, 20 + s)).collect();
-            let cs = [1.0, -1.0, 2.0, -2.0, 0.5, -4.0];
             let mut dst = vec![0.0f64; n];
 
             macro_rules! check {
@@ -760,32 +510,6 @@ mod tests {
             check!("term_set/f32", f32::term_set(&mut dst, &a32, -0.3));
             check!("term_add/f64", f64::term_add(&mut dst, &a64, 2.5));
             check!("term_add/f32", f32::term_add(&mut dst, &a32, -1.1));
-            check!("diff_set/f64", f64::diff_set(&mut dst, &a64, &b64));
-            check!("diff_set/f32", f32::diff_set(&mut dst, &a32, &b32));
-            check!(
-                "terms2_set/f64",
-                f64::terms2_set(&mut dst, &a64, 2.0, &b64, -1.0)
-            );
-            check!(
-                "terms2_set/f32",
-                f32::terms2_set(&mut dst, &a32, 2.0, &b32, -1.0)
-            );
-            check!(
-                "terms6_set/f64",
-                f64::terms6_set(
-                    &mut dst,
-                    [&srcs64[0], &srcs64[1], &srcs64[2], &srcs64[3], &srcs64[4], &srcs64[5]],
-                    cs
-                )
-            );
-            check!(
-                "terms6_set/f32",
-                f32::terms6_set(
-                    &mut dst,
-                    [&srcs32[0], &srcs32[1], &srcs32[2], &srcs32[3], &srcs32[4], &srcs32[5]],
-                    cs
-                )
-            );
         }
     }
 
@@ -796,12 +520,7 @@ mod tests {
     fn sse2_kernels_match_scalar_bit_for_bit() {
         for &n in &LENS {
             let a64 = f64_data(n, 31);
-            let b64 = f64_data(n, 32);
             let a32 = f32_data(n, 33);
-            let b32 = f32_data(n, 34);
-            let srcs64: Vec<Vec<f64>> = (0..6).map(|s| f64_data(n, 40 + s)).collect();
-            let srcs32: Vec<Vec<f32>> = (0..6).map(|s| f32_data(n, 50 + s)).collect();
-            let cs = [1.0, -1.0, 2.0, -2.0, 0.5, -4.0];
             let mut got = vec![0.125f64; n];
             let mut want = vec![0.125f64; n];
 
@@ -834,52 +553,6 @@ mod tests {
                 "sse2 term_add/f32",
                 x86::sse2_f32::term_add(&mut got, &a32, -1.1),
                 scalar_f32::term_add(&mut want, &a32, -1.1)
-            );
-            pin!(
-                "sse2 diff_set/f64",
-                x86::sse2_f64::diff_set(&mut got, &a64, &b64),
-                scalar_f64::diff_set(&mut want, &a64, &b64)
-            );
-            pin!(
-                "sse2 diff_set/f32",
-                x86::sse2_f32::diff_set(&mut got, &a32, &b32),
-                scalar_f32::diff_set(&mut want, &a32, &b32)
-            );
-            pin!(
-                "sse2 terms2_set/f64",
-                x86::sse2_f64::terms2_set(&mut got, &a64, 2.0, &b64, -1.0),
-                scalar_f64::terms2_set(&mut want, &a64, 2.0, &b64, -1.0)
-            );
-            pin!(
-                "sse2 terms2_set/f32",
-                x86::sse2_f32::terms2_set(&mut got, &a32, 2.0, &b32, -1.0),
-                scalar_f32::terms2_set(&mut want, &a32, 2.0, &b32, -1.0)
-            );
-            pin!(
-                "sse2 terms6_set/f64",
-                x86::sse2_f64::terms6_set(
-                    &mut got,
-                    [&srcs64[0], &srcs64[1], &srcs64[2], &srcs64[3], &srcs64[4], &srcs64[5]],
-                    cs
-                ),
-                scalar_f64::terms6_set(
-                    &mut want,
-                    [&srcs64[0], &srcs64[1], &srcs64[2], &srcs64[3], &srcs64[4], &srcs64[5]],
-                    cs
-                )
-            );
-            pin!(
-                "sse2 terms6_set/f32",
-                x86::sse2_f32::terms6_set(
-                    &mut got,
-                    [&srcs32[0], &srcs32[1], &srcs32[2], &srcs32[3], &srcs32[4], &srcs32[5]],
-                    cs
-                ),
-                scalar_f32::terms6_set(
-                    &mut want,
-                    [&srcs32[0], &srcs32[1], &srcs32[2], &srcs32[3], &srcs32[4], &srcs32[5]],
-                    cs
-                )
             );
         }
     }

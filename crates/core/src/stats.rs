@@ -1,7 +1,7 @@
 //! Analysis helpers behind the paper's Table II and Figures 3–4.
 
 use crate::float::ScalarFloat;
-use crate::kernel::{Carry, RowVisitor, ScanKernel};
+use crate::kernel::{RowVisitor, ScanKernel};
 use crate::quant::Quantizer;
 use szr_tensor::Tensor;
 
@@ -109,22 +109,8 @@ impl<T: ScalarFloat> HitRateRows<'_, T> {
 impl<T: ScalarFloat> RowVisitor<T> for HitRateRows<'_, T> {
     type Error = std::convert::Infallible;
 
-    fn point(&mut self, flat: usize, pred: f64) -> Result<T, Self::Error> {
-        Ok(self.measure(self.values[flat], pred))
-    }
-
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> Result<(), Self::Error> {
-        let values = self.values;
-        carry.fold(partials, prev, row, |i, pred| {
-            Ok(self.measure(values[flat + i], pred))
-        })
+    fn point(&mut self, flat: usize, pred: f64) -> T {
+        self.measure(self.values[flat], pred)
     }
 }
 
@@ -200,12 +186,7 @@ struct HistogramRows<'a, T: ScalarFloat> {
 impl<T: ScalarFloat> HistogramRows<'_, T> {
     #[inline]
     fn bucket(&mut self, value: T, pred: f64) -> T {
-        let v64 = value.to_f64();
-        let quantized = self.quantizer.quantize(v64, pred).and_then(|(code, r64)| {
-            let r = T::from_f64(r64);
-            ((v64 - r.to_f64()).abs() <= self.eb).then_some((code, r))
-        });
-        match quantized {
+        match self.quantizer.quantize_narrowed(value, pred, self.eb) {
             Some((code, r)) => {
                 self.hist[code as usize] += 1;
                 r
@@ -221,22 +202,8 @@ impl<T: ScalarFloat> HistogramRows<'_, T> {
 impl<T: ScalarFloat> RowVisitor<T> for HistogramRows<'_, T> {
     type Error = std::convert::Infallible;
 
-    fn point(&mut self, flat: usize, pred: f64) -> Result<T, Self::Error> {
-        Ok(self.bucket(self.values[flat], pred))
-    }
-
-    fn row(
-        &mut self,
-        flat: usize,
-        partials: &[f64],
-        carry: Carry,
-        row: &mut [T],
-        prev: [T; 2],
-    ) -> Result<(), Self::Error> {
-        let values = self.values;
-        carry.fold(partials, prev, row, |i, pred| {
-            Ok(self.bucket(values[flat + i], pred))
-        })
+    fn point(&mut self, flat: usize, pred: f64) -> T {
+        self.bucket(self.values[flat], pred)
     }
 }
 

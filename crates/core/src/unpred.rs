@@ -89,10 +89,13 @@ impl UnpredictableCodec {
     }
 
     /// The reconstruction [`Self::encode`] would store for `value`, without
-    /// writing any bits — used by the batched row quantizer, which needs the
-    /// escape reconstruction immediately (it feeds the loop-carried
-    /// prediction) but defers the bit writing to a per-row pass over the
-    /// collected miss indices.
+    /// writing any bits — used by the wavefront quantizers, which need the
+    /// escape reconstruction immediately (it feeds later predictions) but
+    /// write the bits at the end of the scan group, in row-major order.
+    /// Kept out of line: escapes are rare, and inlined this would bloat the
+    /// scan's per-point path.
+    #[cold]
+    #[inline(never)]
     pub fn reconstruction<T: ScalarFloat>(&self, value: T) -> T {
         if value.to_f64().abs() <= self.eb {
             return T::from_f64(0.0);
@@ -118,25 +121,6 @@ impl UnpredictableCodec {
             | (biased << T::MANTISSA_BITS)
             | (mant_top << (T::MANTISSA_BITS - k));
         Ok(T::from_bits_u64(bits))
-    }
-
-    /// Decodes `n` consecutive values written by [`Self::encode`] into
-    /// `out`, which is **always cleared first** (never appended to). The
-    /// fused row decoder batches each row's escapes through this instead of
-    /// branching into the bit reader mid-reconstruction; on error `out`
-    /// holds the values decoded before the failure.
-    pub fn decode_run<T: ScalarFloat>(
-        &self,
-        input: &mut BitReader<'_>,
-        n: usize,
-        out: &mut Vec<T>,
-    ) -> Result<()> {
-        out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.decode(input)?);
-        }
-        Ok(())
     }
 
     /// Average storage cost in bits for a value with exponent field `biased`

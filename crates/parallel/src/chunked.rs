@@ -930,9 +930,9 @@ pub fn compress_chunked_shared_telemetry<T: ScalarFloat + Send + Sync>(
 
 /// Compresses `data` as shared-table band archives through the **fused
 /// quantize→encode fast path**: the Huffman table is known *before* any
-/// worker scans its bands, so each band's codes stream straight from
-/// `Quantizer::quantize_row` into the band archive's bit buffer — the
-/// intermediate per-band `codes: Vec<u32>` (4 bytes/point of transient
+/// worker scans its bands, so each band's codes stream straight from the
+/// quantizing scan, one wavefront group at a time, into the band archive's
+/// bit buffer — the intermediate per-band `codes: Vec<u32>` (4 bytes/point of transient
 /// traffic that [`compress_chunked_shared`]'s staged phases pay twice) is
 /// never materialized.
 ///
@@ -995,13 +995,7 @@ pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
     // Pin the bound against the full tensor's range so every band honors
     // one absolute guarantee and quantizes on the same intervals the
     // sampled table was built for.
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        let x = v.to_f64();
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    let range = if lo > hi { 0.0 } else { hi - lo };
+    let range = szr_core::value_range(values);
     let pinned = Config {
         bound: ErrorBound::Absolute(config.bound.effective(range)),
         ..*config

@@ -51,9 +51,10 @@ pub enum Stage {
     Deflate,
     /// Band/container header serialization or parse.
     HeaderIo,
-    /// Decode-side Huffman symbol pull (per-row batched `decode_into`).
+    /// Decode-side Huffman symbol pull (per-group batched `decode_into`).
     SymbolDecode,
-    /// Decode-side row reconstruction (offset math + escape decode + fold).
+    /// Decode-side reconstruction (alphabet check, offset math, escape
+    /// decode and the wavefront scan).
     RowReconstruct,
 }
 

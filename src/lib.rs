@@ -229,27 +229,28 @@
 //! fast path separated from the boundary slow path — falling back to the
 //! generic stencil walker for any other `(d, n)`.
 //!
-//! The hot paths are **row-granular**: `ScanKernel::scan_rows` precomputes
-//! each interior row's row-invariant stencil prefix into a reusable
-//! partial-sum scratch row (tight, autovectorizable slice loops) and hands
-//! whole row segments to a [`RowVisitor`], leaving only the loop-carried
-//! previous-neighbor [`Carry`] in the scalar tail; compression batches the
-//! hit test and code emission through `Quantizer::quantize_row`, and the
-//! fallible row decode aborts a corrupt archive at the first bad symbol.
-//! The per-point visitor (`ScanKernel::scan`) is retained as the slow-path
-//! oracle; row and point paths produce byte-identical archives, pinned by
-//! property tests across every dimension/layer/shape class.
+//! The hot paths are **wavefront row groups**: `ScanKernel::scan_rows`
+//! walks up to four rows of one row class at once, row `q` one column
+//! behind row `q − 1`, so the CPU overlaps four independent
+//! predict→quantize→reconstruct chains instead of waiting on one. Each
+//! point keeps the exact `f64` expression tree of the per-point oracle
+//! (`ScanKernel::scan`), so both produce byte-identical archives, pinned by
+//! property tests across every dimension/layer/shape class. A
+//! [`RowVisitor`] sees one group at a time: quantizers write codes by index
+//! and serialize a group's escapes in row-major order at its end; decoders
+//! pull, validate and pre-decode a group's symbols at its start, so a
+//! corrupt archive aborts at the first bad group.
 //!
-//! The row slice passes themselves — partial-sum prefixes, the quantizer
-//! hit test, code→offset reconstruction — dispatch at runtime to explicit
-//! SSE2/AVX2 kernels on x86-64, with scalar reference loops everywhere
-//! else. Dispatch never changes bytes: every SIMD kernel is bit-identical
-//! to its scalar reference, and `SZR_FORCE_SCALAR=1` (or
+//! The batched slice passes — the read-only and sampler prediction rows,
+//! the sampler's hit test, code→offset reconstruction — dispatch at runtime
+//! to explicit SSE2/AVX2 kernels on x86-64, with scalar reference loops
+//! everywhere else. Dispatch never changes bytes: every SIMD kernel is
+//! bit-identical to its scalar reference, and `SZR_FORCE_SCALAR=1` (or
 //! [`force_scalar`]) pins the fallback, which CI exercises on every push.
 //!
 //! Four call sites consume it, so they cannot drift apart:
 //!
-//! * [`compress`] / [`compress_slice_with_stats`] — row-batched
+//! * [`compress`] / [`compress_slice_with_stats`] — the wavefront
 //!   quantization scan over the reconstruction buffer
 //!   ([`compress_slice_with_kernel`] accepts a caller-owned kernel);
 //! * [`decompress`] — replays the identical traversal from decoded codes
@@ -276,8 +277,8 @@ pub use szr_core::{
     decompress_with_policy, encode_quantized, escape_lz_trial_ratio, force_scalar,
     hit_rate_by_layer, inspect, inspect_layout, layer_coefficients, predict_at,
     quantization_histogram, quantization_histogram_with_kernel, quantize_slice_with_kernel,
-    quantize_slice_with_kernel_oracle, verify_pointwise_rel, ArchiveInfo, BandDamage, BandLayout,
-    Carry, CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound, HuffmanTable,
+    quantize_slice_with_kernel_oracle, value_range, verify_pointwise_rel, ArchiveInfo, BandDamage,
+    BandLayout, CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound, HuffmanTable,
     IntervalMode, KernelKind, PredictionBasis, QuantizedBand, Quantizer, Result, RowVisitor,
     SalvageReport, ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor,
     StreamDecompressor, SzError, UnpredictableCodec,

@@ -36,7 +36,7 @@ fn sz14_respects_bound_on_all_datasets_and_bounds() {
 
 #[test]
 fn sz14_row_path_matches_point_oracle_on_all_datasets() {
-    // The row-granular scan engine must produce archives byte-identical to
+    // The wavefront scan engine must produce archives byte-identical to
     // the retained per-point visitor oracle — same codes, same escape bits,
     // same stats — on every real dataset family, both layer counts.
     use szr::{

@@ -297,29 +297,9 @@ fn warm_scan_rows_is_allocation_free() {
     }
     impl RowVisitor<f32> for Sink<'_> {
         type Error = std::convert::Infallible;
-        fn point(&mut self, flat: usize, pred: f64) -> Result<f32, Self::Error> {
+        fn point(&mut self, flat: usize, pred: f64) -> f32 {
             self.acc ^= pred.to_bits();
-            Ok(self.values[flat])
-        }
-        fn row(
-            &mut self,
-            flat: usize,
-            partials: &[f64],
-            carry: szr::Carry,
-            row: &mut [f32],
-            prev: [f32; 2],
-        ) -> Result<(), Self::Error> {
-            let mut p1 = prev[0] as f64;
-            let mut p2 = prev[1] as f64;
-            for i in 0..row.len() {
-                let pred = carry.pred(partials[i], p1, p2);
-                self.acc ^= pred.to_bits();
-                let r = self.values[flat + i];
-                row[i] = r;
-                p2 = p1;
-                p1 = r as f64;
-            }
-            Ok(())
+            self.values[flat]
         }
     }
     let mut buf = vec![0f32; data.len()];
