@@ -417,7 +417,9 @@ pub(crate) fn resolve_range_eb<T: ScalarFloat>(
 /// The value range `max − min` a relative bound scales (Metric 1), taken
 /// over the finite values only: an infinite extreme would make a relative
 /// bound infinite. NaN is skipped too, a slice without finite values has
-/// range 0, and a range beyond `f64::MAX` saturates there.
+/// range 0, and a range beyond `f64::MAX` saturates there. Public for the
+/// chunked driver, which resolves one bound for all of a tensor's bands.
+#[doc(hidden)]
 pub fn value_range<T: ScalarFloat>(values: &[T]) -> f64 {
     // Independent lanes, so the compares vectorize instead of forming one
     // serial min chain and one max chain.
@@ -1024,6 +1026,22 @@ mod tests {
             let err = (a.to_f64() - b.to_f64()).abs();
             assert!(err <= eb, "point {i}: error {err} > bound {eb}");
         }
+    }
+
+    #[test]
+    fn value_range_skips_non_finite_values() {
+        assert_eq!(value_range(&[f32::NAN, 2.0, f32::INFINITY, -1.0]), 3.0);
+        assert_eq!(
+            value_range(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]),
+            0.0
+        );
+        assert_eq!(value_range::<f64>(&[]), 0.0);
+        assert_eq!(value_range(&[-f64::MAX, f64::MAX]), f64::MAX);
+        // More values than lanes, extremes in the remainder and the chunks.
+        let mut v: Vec<f64> = (0..37).map(|i| i as f64).collect();
+        v[3] = f64::INFINITY;
+        v[36] = f64::NEG_INFINITY;
+        assert_eq!(value_range(&v), 35.0);
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //! of earlier rows, so the neighbors row `q` needs at column `j` were
 //! finished a step earlier, and the CPU overlaps the group's independent
 //! chains. Rows below the layer count (each its own row class) form groups
-//! of one, and the last group of a plane is simply shorter. So do the 3-D
-//! two-layer rows, whose 24-term prior is batched ahead of the row instead
-//! (see [`LONGEST_WAVE_PRIOR`]).
+//! of one, and the last group of a plane is simply shorter.
 //!
 //! Each point keeps its exact `f64` expression tree: the finished-row
 //! stencil terms are summed left to right in [`Stencil`]'s canonical order,
@@ -65,15 +63,6 @@ use szr_tensor::Shape;
 /// Rows per wavefront group: enough independent chains to keep the
 /// out-of-order core busy. Eight rows measured no faster than four.
 const GROUP_ROWS: usize = 4;
-
-/// Row classes whose finished-row prior has more terms than this (only the
-/// 3-D two-layer classes, up to 24 terms) scan one row per group, with the
-/// prior batched ahead by SIMD term passes. Their terms from a group's own
-/// earlier rows come first in the left-to-right sum, so in a wavefront the
-/// whole sum lies on the row-to-row chain, and evaluated inline it costs
-/// four times the instructions of the batched passes: on the Hurricane
-/// fields either made two-layer decoding three times slower.
-const LONGEST_WAVE_PRIOR: usize = 6;
 
 /// A group-granular visitor driven by [`ScanKernel::scan_rows`].
 ///
@@ -351,7 +340,7 @@ impl ScanKernel {
     ///
     /// Specialized kernels cut every plane of rows into wavefront groups
     /// (see the module docs): groups of up to four rows of one row class,
-    /// or of one row for the border rows and the 3-D two-layer rows.
+    /// or of one row for the border rows.
     /// Within a group, row `q` visits column `t − q` in step `t`. Border
     /// columns (`j < layers`) take the shrunk per-point stencil; interior
     /// columns sum the row class's finished-row terms and add the
@@ -418,8 +407,7 @@ impl ScanKernel {
     /// leading coordinates are `outer` followed by `r`) into wavefront
     /// groups. Rows `r < layers` each have their own row class and go
     /// alone; the rest share one class and go in runs of [`GROUP_ROWS`],
-    /// the last run shorter — or alone too when the class's prior is longer
-    /// than [`LONGEST_WAVE_PRIOR`].
+    /// the last run shorter.
     #[allow(clippy::too_many_arguments)]
     fn plane_groups<T, V>(
         &mut self,
@@ -440,8 +428,7 @@ impl ScanKernel {
         let mut r = 0;
         while r < count {
             lead[axis] = r;
-            let plan = &self.row_plans[plan_index(self.layers, &lead[..=axis])];
-            let rows = if r < self.layers || plan.prior_len > LONGEST_WAVE_PRIOR {
+            let rows = if r < self.layers {
                 1
             } else {
                 GROUP_ROWS.min(count - r)
@@ -472,13 +459,13 @@ impl ScanKernel {
             layers,
             stencils,
             row_plans,
-            row_scratch,
             ..
         } = self;
         let plan = &row_plans[plan_index(*layers, lead)];
         let mut index = [0usize; 3];
         index[..lead.len()].copy_from_slice(lead);
         let group = Group {
+            prior: &plan.terms[..plan.prior_len],
             index,
             axis: lead.len(),
             rows,
@@ -486,35 +473,7 @@ impl ScanKernel {
             len,
             layers: *layers,
         };
-        // The dominant interior classes get a fixed-shape prior the
-        // compiler unrolls; the expression tree is the same in every arm.
-        match plan.terms[..plan.prior_len] {
-            [(o0, c0), (o1, c1)] if c0 == 1.0 && c1 == -1.0 => {
-                group.wave(DiffPrior(o0, o1), stencils, buf, visitor)
-            }
-            [t0, t1, t2, t3, t4, t5] => {
-                group.wave(SixPrior([t0, t1, t2, t3, t4, t5]), stencils, buf, visitor)
-            }
-            ref terms if terms.len() > LONGEST_WAVE_PRIOR => {
-                // A one-row group (see `plane_groups`): its prior reads only
-                // finished rows, so the SIMD term passes batch it up front.
-                debug_assert_eq!(rows, 1);
-                let seg = start + *layers;
-                let n = len.saturating_sub(*layers);
-                if row_scratch.len() < n {
-                    row_scratch.resize(n, 0.0);
-                }
-                if n > 0 {
-                    fill_partials(terms, buf, seg, &mut row_scratch[..n]);
-                }
-                let prior = RowPrior {
-                    partials: &row_scratch[..n],
-                    seg,
-                };
-                group.wave(prior, stencils, buf, visitor)
-            }
-            ref terms => group.wave(TermsPrior(terms), stencils, buf, visitor),
-        }
+        group.wave(stencils, buf, visitor);
         visitor.end_group(start, rows * len)
     }
 
@@ -1136,126 +1095,12 @@ fn strided(lo: usize, hi: usize, stride: usize) -> std::iter::StepBy<std::ops::R
     (lo.next_multiple_of(stride)..hi).step_by(stride)
 }
 
-/// The finished-row part of a row class's stencil, evaluated at one point:
-/// `Σ_t coeff_t · buf[f − off_t]`, summed left to right in canonical term
-/// order (an empty prior is `0.0`). Every implementation computes that same
-/// expression tree; they differ only in how much the compiler can unroll.
-///
-/// The reads are unchecked: the wavefront evaluates these once per point,
-/// and six bounds checks per point (with the 24 row pointers they kept
-/// live) made reconstruction of the 3-D Hurricane fields about 15% slower.
-/// [`Group::wave`] proves the bounds once per group instead.
-trait Prior: Copy {
-    /// The largest term offset.
-    fn reach(self) -> usize;
-
-    /// # Safety
-    /// `f < buf.len()` and `f >= self.reach()`, so every `f − off` indexes
-    /// `buf`.
-    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64;
-}
-
-/// Reads `buf[f − off]`, widened.
-///
-/// # Safety
-/// `off <= f < buf.len()`.
-#[inline(always)]
-unsafe fn back<T: ScalarFloat>(buf: &[T], f: usize, off: usize) -> f64 {
-    debug_assert!(off <= f && f < buf.len());
-    // SAFETY: the caller guarantees `off <= f < buf.len()`.
-    unsafe { buf.get_unchecked(f - off) }.to_f64()
-}
-
-/// The 2-D Lorenzo prior `buf[f − o0] − buf[f − o1]`: coefficients `+1, −1`,
-/// whose multiplies are exact no-ops.
-#[derive(Clone, Copy)]
-struct DiffPrior(usize, usize);
-
-impl Prior for DiffPrior {
-    fn reach(self) -> usize {
-        self.0.max(self.1)
-    }
-
-    #[inline(always)]
-    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64 {
-        // SAFETY: both offsets are at most `reach() <= f < buf.len()`.
-        unsafe { back(buf, f, self.0) - back(buf, f, self.1) }
-    }
-}
-
-/// The six-term priors of 3-D Lorenzo and 2-D two-layer prediction.
-#[derive(Clone, Copy)]
-struct SixPrior([(usize, f64); 6]);
-
-impl Prior for SixPrior {
-    fn reach(self) -> usize {
-        self.0.iter().map(|&(off, _)| off).max().unwrap_or(0)
-    }
-
-    #[inline(always)]
-    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64 {
-        let [(o0, c0), (o1, c1), (o2, c2), (o3, c3), (o4, c4), (o5, c5)] = self.0;
-        // SAFETY: every offset is at most `reach() <= f < buf.len()`.
-        unsafe {
-            c0 * back(buf, f, o0)
-                + c1 * back(buf, f, o1)
-                + c2 * back(buf, f, o2)
-                + c3 * back(buf, f, o3)
-                + c4 * back(buf, f, o4)
-                + c5 * back(buf, f, o5)
-        }
-    }
-}
-
-/// Any other prior: border row classes and the 24-term 3-D two-layer one.
-#[derive(Clone, Copy)]
-struct TermsPrior<'a>(&'a [(usize, f64)]);
-
-impl Prior for TermsPrior<'_> {
-    fn reach(self) -> usize {
-        self.0.iter().map(|&(off, _)| off).max().unwrap_or(0)
-    }
-
-    #[inline(always)]
-    unsafe fn partial<T: ScalarFloat>(self, buf: &[T], f: usize) -> f64 {
-        match self.0.split_first() {
-            None => 0.0,
-            // SAFETY: every offset is at most `reach() <= f < buf.len()`.
-            Some((&(o0, c0), rest)) => unsafe {
-                let mut acc = c0 * back(buf, f, o0);
-                for &(off, coeff) in rest {
-                    acc += coeff * back(buf, f, off);
-                }
-                acc
-            },
-        }
-    }
-}
-
-/// A long prior batched ahead of a one-row group: `partials[f − seg]`,
-/// filled by [`fill_partials`] with the same left-to-right sum.
-#[derive(Clone, Copy)]
-struct RowPrior<'a> {
-    partials: &'a [f64],
-    seg: usize,
-}
-
-impl Prior for RowPrior<'_> {
-    fn reach(self) -> usize {
-        0 // reads no `buf`
-    }
-
-    #[inline(always)]
-    unsafe fn partial<T: ScalarFloat>(self, _buf: &[T], f: usize) -> f64 {
-        self.partials[f - self.seg]
-    }
-}
-
 /// One wavefront group of [`ScanKernel::scan_rows`]: `rows` consecutive
 /// rows of one row class, `len` points each, starting at flat `start`.
 /// Row `q`'s leading coordinates are `index[..axis]` with `q` added to the
-/// last of them.
-struct Group {
+/// last of them; `prior` is the class's finished-row terms.
+struct Group<'a> {
+    prior: &'a [(usize, f64)],
     index: [usize; 3],
     axis: usize,
     rows: usize,
@@ -1264,7 +1109,24 @@ struct Group {
     layers: usize,
 }
 
-impl Group {
+impl Group<'_> {
+    /// The finished-row part of the stencil at interior point `f`:
+    /// `Σ_t coeff_t · buf[f − off_t]`, summed left to right in canonical
+    /// term order (an empty prior is `0.0`).
+    #[inline(always)]
+    fn partial<T: ScalarFloat>(&self, buf: &[T], f: usize) -> f64 {
+        match self.prior.split_first() {
+            None => 0.0,
+            Some((&(o0, c0), rest)) => {
+                let mut acc = c0 * buf[f - o0].to_f64();
+                for &(off, coeff) in rest {
+                    acc += coeff * buf[f - off].to_f64();
+                }
+                acc
+            }
+        }
+    }
+
     /// Visits the group in wavefront order: in step `t`, row `q` takes
     /// column `t − q`. Row `q`'s stencil reads rows `q − 1` and `q − 2` of
     /// the group only at columns `≤ j`, which those rows finished in earlier
@@ -1275,20 +1137,11 @@ impl Group {
     /// through [`Group::steady`]; the ramps at both ends (and a short
     /// group's every step) take [`Group::step`].
     #[inline(always)]
-    fn wave<T, V, P>(&self, prior: P, stencils: &mut StencilSet, buf: &mut [T], visitor: &mut V)
+    fn wave<T, V>(&self, stencils: &mut StencilSet, buf: &mut [T], visitor: &mut V)
     where
         T: ScalarFloat,
         V: RowVisitor<T>,
-        P: Prior,
     {
-        // The bounds proof behind the prior's unchecked reads: every point
-        // it is evaluated at is an interior point of the group, so
-        // `start + layers <= f < start + rows·len`.
-        assert!(
-            prior.reach() <= self.start + self.layers
-                && self.start + self.rows * self.len <= buf.len(),
-            "wavefront group outside the grid"
-        );
         // Per row, the widened reconstructions at columns j − 1 and j − 2.
         let mut carry = [[0.0f64; 2]; GROUP_ROWS];
         let steps = self.len + self.rows - 1;
@@ -1298,27 +1151,26 @@ impl Group {
             steps..steps
         };
         for t in 0..steady.start {
-            self.step(t, prior, &mut carry, stencils, buf, visitor);
+            self.step(t, &mut carry, stencils, buf, visitor);
         }
         if !steady.is_empty() {
             if self.layers == 1 {
-                self.steady::<1, _, _, _>(steady.clone(), prior, &mut carry, buf, visitor);
+                self.steady::<1, _, _>(steady.clone(), &mut carry, buf, visitor);
             } else {
-                self.steady::<2, _, _, _>(steady.clone(), prior, &mut carry, buf, visitor);
+                self.steady::<2, _, _>(steady.clone(), &mut carry, buf, visitor);
             }
         }
         for t in steady.end.max(steady.start)..steps {
-            self.step(t, prior, &mut carry, stencils, buf, visitor);
+            self.step(t, &mut carry, stencils, buf, visitor);
         }
     }
 
     /// One wavefront step of any group: the rows whose column `t − q` lies
     /// in the grid, border columns included.
     #[inline(always)]
-    fn step<T, V, P>(
+    fn step<T, V>(
         &self,
         t: usize,
-        prior: P,
         carry: &mut [[f64; 2]; GROUP_ROWS],
         stencils: &mut StencilSet,
         buf: &mut [T],
@@ -1326,7 +1178,6 @@ impl Group {
     ) where
         T: ScalarFloat,
         V: RowVisitor<T>,
-        P: Prior,
     {
         let mut index = self.index;
         let first = if t < self.len { 0 } else { t - self.len + 1 };
@@ -1343,9 +1194,7 @@ impl Group {
                 index[self.axis] = j;
                 predict_at(buf, f, stencils.for_index(&index[..=self.axis]))
             } else {
-                // SAFETY: `f` is an interior point of the group, which
-                // `wave` checked against the prior's reach and `buf`.
-                let partial = unsafe { prior.partial(buf, f) };
+                let partial = self.partial(buf, f);
                 if self.layers == 1 {
                     partial + p1
                 } else {
@@ -1362,17 +1211,15 @@ impl Group {
     /// an interior column: no border test, no row-range arithmetic, and
     /// the carries held in a local copy the compiler can keep in registers.
     #[inline(always)]
-    fn steady<const N: usize, T, V, P>(
+    fn steady<const N: usize, T, V>(
         &self,
         steps: std::ops::Range<usize>,
-        prior: P,
         carry: &mut [[f64; 2]; GROUP_ROWS],
         buf: &mut [T],
         visitor: &mut V,
     ) where
         T: ScalarFloat,
         V: RowVisitor<T>,
-        P: Prior,
     {
         let mut c = *carry;
         for t in steps {
@@ -1380,9 +1227,7 @@ impl Group {
             let mut f = self.start + t;
             for row in c.iter_mut() {
                 let [p1, p2] = *row;
-                // SAFETY: `f` is an interior point of the group, which
-                // `wave` checked against the prior's reach and `buf`.
-                let partial = unsafe { prior.partial(buf, f) };
+                let partial = self.partial(buf, f);
                 let pred = if N == 1 {
                     partial + p1
                 } else {

@@ -277,11 +277,11 @@ pub use szr_core::{
     decompress_with_policy, encode_quantized, escape_lz_trial_ratio, force_scalar,
     hit_rate_by_layer, inspect, inspect_layout, layer_coefficients, predict_at,
     quantization_histogram, quantization_histogram_with_kernel, quantize_slice_with_kernel,
-    quantize_slice_with_kernel_oracle, value_range, verify_pointwise_rel, ArchiveInfo, BandDamage,
-    BandLayout, CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound, HuffmanTable,
-    IntervalMode, KernelKind, PredictionBasis, QuantizedBand, Quantizer, Result, RowVisitor,
-    SalvageReport, ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor,
-    StreamDecompressor, SzError, UnpredictableCodec,
+    quantize_slice_with_kernel_oracle, verify_pointwise_rel, ArchiveInfo, BandDamage, BandLayout,
+    CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound, HuffmanTable, IntervalMode,
+    KernelKind, PredictionBasis, QuantizedBand, Quantizer, Result, RowVisitor, SalvageReport,
+    ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor, StreamDecompressor, SzError,
+    UnpredictableCodec,
 };
 pub use szr_tensor::{Shape, Tensor};
 

@@ -4,7 +4,7 @@
 //! infinities bit for bit (the CLI's `--rel` is covered in the CLI tests).
 
 use szr::parallel::{compress_chunked, decompress_chunked};
-use szr::{compress, decompress, value_range, CodecSession, Config, ErrorBound, Tensor};
+use szr::{compress, decompress, CodecSession, Config, ErrorBound, Tensor};
 
 const REL: f64 = 1e-4;
 
@@ -41,16 +41,6 @@ fn assert_decodes(what: &str, data: &Tensor<f32>, out: &Tensor<f32>) {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: infinity lost at {f}");
         }
     }
-}
-
-#[test]
-fn value_range_skips_non_finite_values() {
-    let data = field_with_infinities();
-    assert_eq!(value_range(data.as_slice()), finite_range(data.as_slice()));
-    assert_eq!(value_range(&[f32::NAN, 2.0, f32::INFINITY, -1.0]), 3.0);
-    assert_eq!(value_range(&[f32::NAN, f32::INFINITY]), 0.0);
-    assert_eq!(value_range::<f64>(&[]), 0.0);
-    assert_eq!(value_range(&[-f64::MAX, f64::MAX]), f64::MAX);
 }
 
 #[test]
