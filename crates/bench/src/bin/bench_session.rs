@@ -19,7 +19,7 @@ use std::time::Instant;
 use szr_bench::codecs::absolute_bound;
 use szr_core::{compress, decompress_staged, CodecSession, Config, ErrorBound, StreamCompressor};
 use szr_datagen::{dataset, DatasetKind, Scale};
-use szr_parallel::{compress_chunked_fused, compress_chunked_shared};
+use szr_parallel::{BandExecutor, Strategy};
 use szr_tensor::Tensor;
 
 /// Median-of-`reps` wall-clock seconds for one invocation of `f`.
@@ -98,12 +98,14 @@ fn main() {
 
         let chunks = 16usize;
         let t_shared = time_median(reps, || {
-            compress_chunked_shared(&data, &config, chunks, 1)
+            BandExecutor::new(1)
+                .compress(&data, &config, chunks, Strategy::Shared)
                 .unwrap()
                 .compressed_bytes() as u64
         });
         let t_chunk_fused = time_median(reps, || {
-            compress_chunked_fused(&data, &config, chunks, 1)
+            BandExecutor::new(1)
+                .compress(&data, &config, chunks, Strategy::Fused)
                 .unwrap()
                 .compressed_bytes() as u64
         });

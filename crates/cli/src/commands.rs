@@ -218,14 +218,13 @@ pub fn compress(args: &Args) -> CmdResult {
                 return Err("--chunks needs at least one band".into());
             }
             let cfg = build_config(args)?;
-            let archive = szr_parallel::compress_chunked_telemetry(
-                data,
-                &cfg,
-                bands,
+            let executor = szr_parallel::BandExecutor {
                 threads,
-                sink.map(|s| s.as_ref()),
-            )
-            .map_err(|e| e.to_string())?;
+                sink: sink.map(|s| s.as_ref()),
+            };
+            let archive = executor
+                .compress(data, &cfg, bands, szr_parallel::Strategy::Independent)
+                .map_err(|e| e.to_string())?;
             return Ok(archive.to_bytes());
         }
         match (pw, auto) {
@@ -327,12 +326,13 @@ pub fn decompress(args: &Args) -> CmdResult {
     let output = args.need("output")?;
     let mode = telemetry_mode(args)?;
     let sink = telemetry_sink(mode);
+    let threads = args.get_parse::<usize>("threads")?.unwrap_or(4);
     let archive = std::fs::read(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     if salvage_mode(args)? != SalvageMode::Off {
         if sink.is_some() {
             return Err("--salvage and --telemetry do not combine".into());
         }
-        return decompress_salvage(args, input, output, &archive);
+        return decompress_salvage(args, input, output, &archive, threads);
     }
     // Pointwise-relative archives carry their own magic and type tag.
     if archive.starts_with(b"SZRL") {
@@ -375,29 +375,27 @@ pub fn decompress(args: &Args) -> CmdResult {
             .first()
             .ok_or_else(|| "container: no bands".to_string())?;
         let info = szr_core::inspect(first).map_err(|e| format!("band 0: {e}"))?;
-        let threads = args.get_parse::<usize>("threads")?.unwrap_or(4);
         let total: usize = container.dims.iter().product();
         let raw_bytes = total * if info.dtype == "f32" { 4 } else { 8 };
+        let executor = szr_parallel::BandExecutor {
+            threads,
+            sink: sink.as_deref(),
+        };
+        let strict = szr_core::DecodePolicy::Strict;
         let (result, timing) = time_it(raw_bytes, || -> CmdResult {
             match info.dtype {
-                "f32" => {
-                    let data = szr_parallel::decompress_chunked_telemetry::<f32>(
-                        &container,
-                        threads,
-                        sink.as_deref(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    write_raw(output, &data)
-                }
-                _ => {
-                    let data = szr_parallel::decompress_chunked_telemetry::<f64>(
-                        &container,
-                        threads,
-                        sink.as_deref(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    write_raw(output, &data)
-                }
+                "f32" => write_raw(
+                    output,
+                    &executor
+                        .decompress::<f32>(&container, strict)
+                        .map_err(|e| e.to_string())?,
+                ),
+                _ => write_raw(
+                    output,
+                    &executor
+                        .decompress::<f64>(&container, strict)
+                        .map_err(|e| e.to_string())?,
+                ),
             }
         });
         result?;
@@ -452,7 +450,13 @@ pub fn decompress(args: &Args) -> CmdResult {
 /// is intact, fill damaged regions, and print the salvage report. Exits
 /// nonzero (command error) when any band was lost, after writing the
 /// partial output — the recovered data is the point of the mode.
-fn decompress_salvage(args: &Args, input: &str, output: &str, archive: &[u8]) -> CmdResult {
+fn decompress_salvage(
+    args: &Args,
+    input: &str,
+    output: &str,
+    archive: &[u8],
+    threads: usize,
+) -> CmdResult {
     let json = salvage_mode(args)? == SalvageMode::Json;
     let fill = args.get_parse::<f64>("fill")?.unwrap_or(0.0);
 
@@ -484,10 +488,11 @@ fn decompress_salvage(args: &Args, input: &str, output: &str, archive: &[u8]) ->
         container: &szr_parallel::ChunkedArchive,
         fill: f64,
         output: &str,
+        threads: usize,
     ) -> Result<szr_core::SalvageReport, String> {
-        let (data, report) =
-            szr_parallel::decompress_chunked_salvage::<T>(container, 4, T::from_f64(fill))
-                .map_err(|e| e.to_string())?;
+        let (data, report) = szr_parallel::BandExecutor::new(threads)
+            .salvage::<T>(container, T::from_f64(fill))
+            .map_err(|e| e.to_string())?;
         write_raw(output, &data)?;
         Ok(report)
     }
@@ -514,10 +519,10 @@ fn decompress_salvage(args: &Args, input: &str, output: &str, archive: &[u8]) ->
                 .first()
                 .ok_or_else(|| "container: no bands to salvage".to_string())?;
             match szr_core::inspect(first).map(|info| info.dtype) {
-                Ok("f64") => salvage_chunked::<f64>(&container, fill, output)?,
+                Ok("f64") => salvage_chunked::<f64>(&container, fill, output, threads)?,
                 // Damaged first band: fall back to f32, the common case; a
                 // wrong guess shows up as per-band type errors, not a panic.
-                _ => salvage_chunked::<f32>(&container, fill, output)?,
+                _ => salvage_chunked::<f32>(&container, fill, output, threads)?,
             }
         }
         Some(b"SZST") => match archive.get(4) {

@@ -25,7 +25,7 @@ szr — error-bounded lossy compression for scientific data (SZ-1.4)
 
 USAGE:
   szr compress   --input FILE --dims AxBxC --rel EB | --abs EB [options] --output FILE
-  szr decompress --input FILE --output FILE [--telemetry[=json]]
+  szr decompress --input FILE --output FILE [--threads N] [--telemetry[=json]]
                  [--salvage[=json] [--fill V]]
   szr inspect    --input FILE
   szr stat       --input FILE
@@ -56,7 +56,7 @@ COMPRESS OPTIONS:
   --chunks N             write a chunked container (SZCK): the tensor splits
                          into N independently decodable bands, compressed in
                          parallel and sealed with a random-access band index
-  --threads N            worker threads for --chunks / extract (default 4)
+  --threads N            worker threads for chunked containers (default 4)
 
 DECOMPRESS OPTIONS:
   --salvage[=json]       verify each band's checksums and keep going past

@@ -340,3 +340,58 @@ fn salvage_recovers_intact_bands_of_damaged_chunked_container() {
     }
     assert!(saw_fill, "damaged band rows should carry the NaN fill");
 }
+
+/// `--threads` reaches the chunked salvage path: an unparseable value is
+/// rejected there as everywhere else, and the recovered bytes and report do
+/// not depend on the worker count.
+#[test]
+fn salvage_honours_threads() {
+    let data = Tensor::from_fn([96, 40], |ix| {
+        ((ix[0] as f32) * 0.05).sin() * 3.0 + ((ix[1] as f32) * 0.11).cos()
+    });
+    let config = Config::new(ErrorBound::Absolute(1e-3));
+    let mut container = szr_parallel::compress_chunked(&data, &config, 6, 2).unwrap();
+    let mid = container.chunks[2].len() - 9;
+    container.chunks[2][mid] ^= 0xFF;
+    let damaged = tmp("salvage_threads.szck");
+    std::fs::write(&damaged, container.to_bytes()).unwrap();
+
+    let salvage = |threads: &str, out: &PathBuf| {
+        szr()
+            .args(["decompress", "--input", damaged.to_str().unwrap()])
+            .args(["--output", out.to_str().unwrap(), "--salvage"])
+            .args(["--threads", threads])
+            .output()
+            .unwrap()
+    };
+    let bad = salvage("nope", &tmp("salvage_threads_nope.out"));
+    assert_eq!(bad.status.code(), Some(1), "--threads nope: {bad:?}");
+    assert!(
+        String::from_utf8_lossy(&bad.stderr).contains("--threads has an unparseable value"),
+        "the error should name the flag: {bad:?}"
+    );
+    assert!(bad.stdout.is_empty(), "no salvage may run: {bad:?}");
+
+    let (one, three) = (tmp("salvage_threads_1.out"), tmp("salvage_threads_3.out"));
+    let a = salvage("1", &one);
+    let b = salvage("3", &three);
+    assert_eq!(
+        a.status.code(),
+        Some(1),
+        "damaged salvage must exit 1: {a:?}"
+    );
+    assert_eq!(
+        b.status.code(),
+        Some(1),
+        "damaged salvage must exit 1: {b:?}"
+    );
+    assert_eq!(
+        a.stdout, b.stdout,
+        "the report must not depend on --threads"
+    );
+    assert_eq!(
+        std::fs::read(&one).unwrap(),
+        std::fs::read(&three).unwrap(),
+        "the recovered bytes must not depend on --threads"
+    );
+}

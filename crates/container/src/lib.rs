@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use szr_bitstream::{ByteReader, ByteWriter};
 use szr_core::{compress, decompress, ArchiveInfo, Config, Result, ScalarFloat, SzError};
-use szr_parallel::{compress_chunked_shared, decompress_chunked, ChunkedArchive};
+use szr_parallel::{decompress_chunked, BandExecutor, ChunkedArchive, Strategy};
 use szr_tensor::Tensor;
 
 const MAGIC: [u8; 4] = *b"SZSN";
@@ -99,7 +99,8 @@ impl Snapshot {
         num_chunks: usize,
         threads: usize,
     ) -> Result<()> {
-        let archive = compress_chunked_shared(data, config, num_chunks, threads)?;
+        let archive =
+            BandExecutor::new(threads).compress(data, config, num_chunks, Strategy::Shared)?;
         self.fields.insert(
             name.to_string(),
             Field {
@@ -190,9 +191,9 @@ impl Snapshot {
             FieldKind::Plain => szr_core::inspect(&field.bytes).ok(),
             FieldKind::Chunked => {
                 // Header-only peek: no band payloads are copied.
-                let (dims, first) = ChunkedArchive::peek_dims_and_first_band(&field.bytes).ok()?;
-                let mut info = szr_core::inspect(first?).ok()?;
-                info.dims = dims;
+                let stat = ChunkedArchive::peek_stat(&field.bytes).ok()?;
+                let mut info = stat.first_band?;
+                info.dims = stat.dims;
                 info.archive_bytes = field.bytes.len();
                 Some(info)
             }
@@ -467,7 +468,9 @@ mod tests {
         // A version-2 band cut out of a chunked archive cannot stand alone.
         let data = Tensor::from_fn([64, 32], |ix| ((ix[0] + ix[1]) as f32 * 0.1).sin());
         let config = Config::new(ErrorBound::Absolute(1e-3));
-        let chunked = szr_parallel::compress_chunked_shared(&data, &config, 8, 2).unwrap();
+        let chunked = BandExecutor::new(2)
+            .compress(&data, &config, 8, Strategy::Shared)
+            .unwrap();
         let band = chunked
             .chunks
             .iter()

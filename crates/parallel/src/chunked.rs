@@ -1,65 +1,33 @@
-//! Chunked (embarrassingly parallel) compression.
+//! Chunked (embarrassingly parallel) compression: the SZCK container format
+//! and [`BandExecutor`], the one scoped band runner every chunked driver
+//! goes through.
 
+use std::any::Any;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use szr_bitstream::{ByteReader, ByteWriter};
 use szr_core::{
-    check_declared_len, encode_quantized, ArchiveInfo, BandDamage, CodecSession, Config,
-    DecodePolicy, ErrorBound, HuffmanTable, QuantizedBand, Result, SalvageReport, ScalarFloat,
-    SzError,
+    check_declared_len, ArchiveInfo, BandDamage, CodecSession, Config, DecodePolicy, ErrorBound,
+    HuffmanTable, QuantizedBand, Result, SalvageReport, ScalarFloat, SzError,
 };
 use szr_huffman::HuffmanCodec;
-use szr_metrics::{value_range, Real};
+use szr_metrics::Real;
 use szr_planner::plan_band_config_with_estimate;
 use szr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use szr_tensor::{Shape, Tensor};
 
 use crate::scheduler::BandScheduler;
 
-/// Per-worker telemetry: each worker thread records into its own
-/// [`RecordingSink`] (no cross-thread contention on the hot path) and the
-/// driver folds every worker's sink into the caller's once the scope joins.
-/// Returns `None` — and the workers run with no sink attached at all — when
-/// the caller did not ask for telemetry.
-fn worker_sink(sink: Option<&RecordingSink>) -> Option<Arc<RecordingSink>> {
-    sink.map(|_| Arc::new(RecordingSink::new()))
-}
-
-/// Attaches a worker's private sink (if any) to its session.
-fn attach<T: ScalarFloat>(session: &mut CodecSession<T>, ws: &Option<Arc<RecordingSink>>) {
-    if let Some(ws) = ws {
-        session.set_telemetry(Some(ws.clone() as Arc<dyn TelemetrySink>));
-    }
-}
-
-/// Folds a worker's private sink into the caller's.
-fn merge_into(sink: Option<&RecordingSink>, ws: &Option<Arc<RecordingSink>>) {
-    if let (Some(sink), Some(ws)) = (sink, ws) {
-        sink.merge_from(ws);
-    }
-}
-
-/// Surfaces the scheduler's cross-worker steal count (imbalance signal)
-/// into the caller's sink after a parallel phase joins.
-fn record_steals(sink: Option<&RecordingSink>, sched: &BandScheduler) {
-    if let Some(sink) = sink {
-        let steals = sched.steals();
-        if steals > 0 {
-            sink.counter(Counter::SchedulerSteals, steals);
-        }
-    }
-}
-
-/// A tensor compressed as independent per-band archives.
+/// A tensor compressed as per-band archives.
 ///
 /// Bands split the slowest dimension, so each band is a contiguous slice of
 /// the row-major buffer and carries a complete self-describing archive —
 /// exactly the paper's in-situ model where every rank owns a horizontal
-/// slab. [`compress_chunked_shared`] amortizes the entropy stage instead:
-/// one Huffman table built from the merged per-band histograms, stored once
-/// in `shared_table` and referenced by version-2 band archives (bands whose
-/// distribution diverges from the merge keep their own embedded table).
+/// slab. [`Strategy::Shared`] and [`Strategy::Fused`] amortize the entropy
+/// stage instead: one Huffman table stored once in `shared_table` and
+/// referenced by version-2 band archives (bands whose distribution diverges
+/// keep their own embedded table).
 #[derive(Debug, Clone)]
 pub struct ChunkedArchive {
     /// Original tensor dimensions.
@@ -82,6 +50,11 @@ const CHUNKED_VERSION: u8 = 2;
 /// The un-indexed legacy version ([`ChunkedArchive::to_bytes_legacy`]).
 const CHUNKED_V1: u8 = 1;
 
+/// A [`SzError::Corrupt`] result.
+fn corrupt<T>(msg: impl Into<String>) -> Result<T> {
+    Err(SzError::Corrupt(msg.into()))
+}
+
 /// Header fields shared by every parse entry point, plus the reader
 /// positioned at the band region.
 struct ChunkedHeader {
@@ -101,56 +74,51 @@ struct ChunkedHeader {
 fn parse_header<'a>(bytes: &'a [u8]) -> Result<(ChunkedHeader, ByteReader<'a>)> {
     let mut reader = ByteReader::new(bytes);
     if reader.read_bytes(4)? != CHUNKED_MAGIC {
-        return Err(SzError::Corrupt("bad chunked-archive magic".into()));
+        return corrupt("bad chunked-archive magic");
     }
     let version = reader.read_u8()?;
     if version == 0 || version > CHUNKED_VERSION {
-        return Err(SzError::Corrupt(format!(
-            "unsupported chunked-archive version {version}"
-        )));
+        return corrupt(format!("unsupported chunked-archive version {version}"));
     }
     let has_shared = match reader.read_u8()? {
         0 => false,
         1 => true,
-        _ => return Err(SzError::Corrupt("bad shared-table flag".into())),
+        _ => return corrupt("bad shared-table flag"),
     };
     let ndim = reader.read_varint()? as usize;
     if !(1..=16).contains(&ndim) {
-        return Err(SzError::Corrupt("implausible chunked rank".into()));
+        return corrupt("implausible chunked rank");
     }
     let mut dims = Vec::with_capacity(ndim);
     let mut product: u128 = 1;
     for _ in 0..ndim {
         let d = reader.read_varint()? as usize;
         if d == 0 {
-            return Err(SzError::Corrupt("zero-extent dimension".into()));
+            return corrupt("zero-extent dimension");
         }
         product *= d as u128;
         // Same plausibility ceiling as the core archive header: corrupt
         // dims must error here, not drive a wild allocation in
         // decompress_chunked's output buffer.
         if product > (1u128 << 40) {
-            return Err(SzError::Corrupt("element count implausibly large".into()));
+            return corrupt("element count implausibly large");
         }
         dims.push(d);
     }
     let shared_table = if has_shared {
-        let start = reader.pos();
         let table = reader.read_len_prefixed()?;
-        Some((start + (reader.pos() - start - table.len()), reader.pos()))
+        Some((reader.pos() - table.len(), reader.pos()))
     } else {
         None
     };
     let count = reader.read_varint()? as usize;
     if count > reader.remaining() {
-        return Err(SzError::Corrupt("implausible band count".into()));
+        return corrupt("implausible band count");
     }
     let band_region_len = if version >= 2 {
         let len = reader.read_varint()? as usize;
         if len > reader.remaining() {
-            return Err(SzError::Corrupt(
-                "band region overruns the archive bytes".into(),
-            ));
+            return corrupt("band region overruns the archive bytes");
         }
         Some(len)
     } else {
@@ -236,32 +204,23 @@ impl BandIndex {
     /// Maps a slowest-dimension row range onto the bands covering it:
     /// `(band range, first covered band's starting row)`.
     pub fn bands_covering_rows(&self, rows: Range<usize>) -> Result<(Range<usize>, usize)> {
-        let extent = self.dims[0];
-        if rows.start >= rows.end || rows.end > extent {
+        if rows.start >= rows.end || rows.end > self.dims[0] {
             return Err(SzError::InvalidConfig(
                 "row range is empty or exceeds the container extent",
             ));
         }
-        let mut row = 0usize;
-        let mut first = None;
-        let mut first_row = 0usize;
-        let mut end = self.entries.len();
-        for (i, entry) in self.entries.iter().enumerate() {
-            let band_end = row + entry.rows;
-            if first.is_none() && rows.start < band_end {
-                first = Some(i);
-                first_row = row;
-            }
-            if rows.end <= band_end {
-                end = i + 1;
-                break;
-            }
-            row = band_end;
+        // Each band's end row; bands `start..end` are the first one ending
+        // past `rows.start` through the first one reaching `rows.end`.
+        let mut ends: Vec<usize> = Vec::with_capacity(self.entries.len());
+        for entry in &self.entries {
+            ends.push(ends.last().unwrap_or(&0) + entry.rows);
         }
-        let start = first.ok_or_else(|| {
-            SzError::Corrupt("index: band rows do not cover the requested range".into())
-        })?;
-        Ok((start..end, first_row))
+        let start = ends.partition_point(|&end| end <= rows.start);
+        if start == ends.len() {
+            return corrupt("index: band rows do not cover the requested range");
+        }
+        let end = (ends.partition_point(|&end| end < rows.end) + 1).min(ends.len());
+        Ok((start..end, start.checked_sub(1).map_or(0, |b| ends[b])))
     }
 }
 
@@ -342,7 +301,8 @@ impl ChunkedArchive {
     /// The band index is *ignored* here: the length-prefixed band walk is
     /// authoritative, so an archive with a damaged index still parses (and
     /// decodes byte-identically) — only the random-access entry points
-    /// ([`Self::peek_index`], [`read_bands`]) care about index integrity.
+    /// ([`Self::peek_index`], [`BandExecutor::read`]) care about index
+    /// integrity.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let (header, mut reader) = parse_header(bytes)?;
         let mut chunks = Vec::with_capacity(header.count);
@@ -358,29 +318,15 @@ impl ChunkedArchive {
         })
     }
 
-    /// Header-only parse of a serialized archive: full-tensor dims and a
-    /// *borrowed* first band. Metadata queries (e.g. a container `info`)
-    /// stay O(header) instead of deep-copying every band payload.
-    pub fn peek_dims_and_first_band(bytes: &[u8]) -> Result<(Vec<usize>, Option<&[u8]>)> {
-        let (header, mut reader) = parse_header(bytes)?;
-        let first = if header.count > 0 {
-            Some(reader.read_len_prefixed()?)
-        } else {
-            None
-        };
-        Ok((header.dims, first))
-    }
-
     /// Header-only metadata for `szr stat`-style queries: format version,
     /// dims, band count, shared-table size, index validity, and the first
     /// band's own header ([`ArchiveInfo`]: dtype, error bound, layers).
     /// Costs O(header + index + one band header) — no payload is decoded.
     pub fn peek_stat(bytes: &[u8]) -> Result<ChunkedStat> {
         let (header, mut reader) = parse_header(bytes)?;
-        let first_band = if header.count > 0 {
-            szr_core::inspect(reader.read_len_prefixed()?).ok()
-        } else {
-            None
+        let first_band = match header.count {
+            0 => None,
+            _ => szr_core::inspect(reader.read_len_prefixed()?).ok(),
         };
         Ok(ChunkedStat {
             version: header.version,
@@ -405,46 +351,32 @@ impl ChunkedArchive {
     pub fn peek_index(bytes: &[u8]) -> Result<BandIndex> {
         let (header, _) = parse_header(bytes)?;
         let Some(band_region_len) = header.band_region_len else {
-            return Err(SzError::Corrupt(
-                "index: archive is un-indexed (version 1)".into(),
-            ));
+            return corrupt("index: archive is un-indexed (version 1)");
         };
         let index_start = header.band_region_start + band_region_len;
-        let mut reader = ByteReader::new(
-            bytes
-                .get(index_start..)
-                .ok_or_else(|| SzError::Corrupt("index: band region overruns archive".into()))?,
-        );
+        let Some(index_bytes) = bytes.get(index_start..) else {
+            return corrupt("index: band region overruns archive");
+        };
+        let mut reader = ByteReader::new(index_bytes);
         let mut entries = Vec::with_capacity(header.count);
         let mut prev_end = 0usize;
         let mut rows_total = 0usize;
         for band in 0..header.count {
-            let offset = reader
-                .read_varint()
-                .map_err(|_| SzError::Corrupt(format!("index: truncated at entry {band}")))?
-                as usize;
-            let len = reader
-                .read_varint()
-                .map_err(|_| SzError::Corrupt(format!("index: truncated at entry {band}")))?
-                as usize;
-            let rows = reader
-                .read_varint()
-                .map_err(|_| SzError::Corrupt(format!("index: truncated at entry {band}")))?
-                as usize;
+            let mut field = || match reader.read_varint() {
+                Ok(v) => Ok(v as usize),
+                Err(_) => corrupt(format!("index: truncated at entry {band}")),
+            };
+            let (offset, len, rows) = (field()?, field()?, field()?);
             // Offsets are relative to the band region and must march
             // strictly forward through it: each payload starts after the
             // previous one's end (its own length prefix sits between), and
             // nothing may reach past the region. Any violation means a
             // seek through this index would read the wrong bytes.
             if offset < prev_end + 1 || offset.saturating_add(len) > band_region_len {
-                return Err(SzError::Corrupt(format!(
-                    "index: entry {band} offsets are inconsistent"
-                )));
+                return corrupt(format!("index: entry {band} offsets are inconsistent"));
             }
             if rows == 0 {
-                return Err(SzError::Corrupt(format!(
-                    "index: entry {band} declares zero rows"
-                )));
+                return corrupt(format!("index: entry {band} declares zero rows"));
             }
             prev_end = offset + len;
             rows_total += rows;
@@ -460,14 +392,12 @@ impl ChunkedArchive {
             .map_err(|_| SzError::Corrupt("index: truncated checksum".into()))?;
         let actual = szr_deflate::crc32(&bytes[index_start..index_start + entry_bytes]);
         if crc != actual {
-            return Err(SzError::Corrupt(format!(
+            return corrupt(format!(
                 "index: checksum mismatch (stored {crc:#010x}, computed {actual:#010x})"
-            )));
+            ));
         }
         if rows_total != header.dims[0] {
-            return Err(SzError::Corrupt(
-                "index: band rows disagree with the container extent".into(),
-            ));
+            return corrupt("index: band rows disagree with the container extent");
         }
         Ok(BandIndex {
             version: header.version,
@@ -508,41 +438,34 @@ pub struct ChunkedStat {
 /// O(index), but seeks derived from the result are always consistent with
 /// the band walk [`ChunkedArchive::from_bytes`] performs.
 pub fn band_index(bytes: &[u8]) -> Result<BandIndex> {
-    match ChunkedArchive::peek_index(bytes) {
-        Ok(index) => Ok(index),
-        Err(_) => {
-            let (header, mut reader) = parse_header(bytes)?;
-            let mut entries = Vec::with_capacity(header.count);
-            let mut rows_total = 0usize;
-            for band in 0..header.count {
-                let chunk = reader.read_len_prefixed()?;
-                let offset = reader.pos() - chunk.len();
-                let rows = szr_core::inspect(chunk)
-                    .map_err(|e| SzError::Corrupt(format!("band {band}: {e}")))?
-                    .dims[0];
-                rows_total += rows;
-                entries.push(BandIndexEntry {
-                    offset,
-                    len: chunk.len(),
-                    rows,
-                });
-            }
-            if rows_total != header.dims[0] {
-                return Err(SzError::Corrupt(
-                    "band rows do not cover the container extent".into(),
-                ));
-            }
-            Ok(BandIndex {
-                version: header.version,
-                dims: header.dims,
-                shared_table: header.shared_table,
-                band_region: (header.band_region_start, reader.pos()),
-                entries,
-                crc: 0,
-                from_index: false,
-            })
-        }
+    if let Ok(index) = ChunkedArchive::peek_index(bytes) {
+        return Ok(index);
     }
+    let (header, mut reader) = parse_header(bytes)?;
+    let mut entries = Vec::with_capacity(header.count);
+    for band in 0..header.count {
+        let chunk = reader.read_len_prefixed()?;
+        let rows = szr_core::inspect(chunk)
+            .map_err(|e| SzError::Corrupt(format!("band {band}: {e}")))?
+            .dims[0];
+        entries.push(BandIndexEntry {
+            offset: reader.pos() - chunk.len(),
+            len: chunk.len(),
+            rows,
+        });
+    }
+    if entries.iter().map(|e| e.rows).sum::<usize>() != header.dims[0] {
+        return corrupt("band rows do not cover the container extent");
+    }
+    Ok(BandIndex {
+        version: header.version,
+        dims: header.dims,
+        shared_table: header.shared_table,
+        band_region: (header.band_region_start, reader.pos()),
+        entries,
+        crc: 0,
+        from_index: false,
+    })
 }
 
 /// Splits `extent` into `parts` contiguous ranges as evenly as possible.
@@ -566,903 +489,660 @@ fn band_ranges(extent: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Compresses `data` as `num_chunks` independent band archives using up to
-/// `threads` worker threads.
+/// The even row split of a tensor into bands along its slowest dimension,
+/// shared by every chunked compression (and the `szr-server` compress
+/// jobs), so all of them cut identical bands.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct BandSplit {
+    dims: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+    row_elems: usize,
+}
+
+impl BandSplit {
+    /// Splits a tensor shaped `dims` into `parts` bands (none for an empty
+    /// extent).
+    pub fn new(dims: &[usize], parts: usize) -> Self {
+        BandSplit {
+            dims: dims.to_vec(),
+            ranges: band_ranges(dims[0], parts.max(1)),
+            row_elems: dims[1..].iter().product::<usize>().max(1),
+        }
+    }
+
+    /// Number of bands.
+    pub fn bands(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Band `band`'s values (a contiguous slice of the row-major buffer)
+    /// and shape.
+    pub fn band<'v, T>(&self, values: &'v [T], band: usize) -> (&'v [T], Shape) {
+        let (r0, r1) = self.ranges[band];
+        let mut dims = self.dims.clone();
+        dims[0] = r1 - r0;
+        (self.rows(values, r0..r1), Shape::new(&dims))
+    }
+
+    fn rows<'v, T>(&self, values: &'v [T], rows: Range<usize>) -> &'v [T] {
+        &values[rows.start * self.row_elems..rows.end * self.row_elems]
+    }
+}
+
+/// Compresses band `band` of `values` as a self-contained archive, stamping
+/// the band's telemetry record with its index.
+#[doc(hidden)]
+pub fn compress_band<T: ScalarFloat>(
+    session: &mut CodecSession<T>,
+    values: &[T],
+    split: &BandSplit,
+    band: usize,
+) -> Result<Vec<u8>> {
+    let (slice, shape) = split.band(values, band);
+    session.set_next_band_index(band as u64);
+    session
+        .compress_slice(slice, &shape)
+        .map(|(bytes, _)| bytes)
+}
+
+/// Decodes one band archive; version-2 shared-stream bands need `codec`,
+/// self-contained bands ignore it.
+fn decode_chunk<T: ScalarFloat>(
+    session: &mut CodecSession<T>,
+    chunk: &[u8],
+    codec: Option<&HuffmanCodec>,
+) -> Result<Tensor<T>> {
+    match codec {
+        Some(codec) => session.decompress_shared(chunk, codec),
+        None => session.decompress(chunk),
+    }
+}
+
+impl BandIndex {
+    /// Decodes band `band` of the serialized archive `bytes` through this
+    /// index. The index's row extent placed the band inside the tensor; a
+    /// band that decodes to a different extent would misplace every later
+    /// row, so that is a hard error, not a silent shift.
+    #[doc(hidden)]
+    pub fn decode_band<T: ScalarFloat>(
+        &self,
+        session: &mut CodecSession<T>,
+        bytes: &[u8],
+        band: usize,
+        codec: Option<&HuffmanCodec>,
+    ) -> Result<Tensor<T>> {
+        let tensor = decode_chunk(session, self.band_slice(bytes, band)?, codec)?;
+        if tensor.dims()[0] != self.entries[band].rows {
+            return corrupt("index: band row extent disagrees with the decoded band");
+        }
+        Ok(tensor)
+    }
+
+    /// The dims bands `bands` stitch to: the container's inner dims under
+    /// the bands' summed rows.
+    #[doc(hidden)]
+    pub fn stitched_dims(&self, bands: Range<usize>) -> Vec<usize> {
+        let mut dims = self.dims.clone();
+        dims[0] = self.entries[bands].iter().map(|e| e.rows).sum();
+        dims
+    }
+}
+
+/// Rebuilds a container's serialized shared Huffman table, if it has one.
+#[doc(hidden)]
+pub fn shared_codec(table: Option<&[u8]>) -> Result<Option<HuffmanCodec>> {
+    table
+        .map(szr_huffman::deserialize_codec)
+        .transpose()
+        .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))
+}
+
+/// Stitches decoded bands, in band order, into one tensor shaped `dims`:
+/// the bands must match its inner dims and cover its slowest extent
+/// exactly. `keep` trims the result to that row range (region reads); only
+/// the kept rows are copied.
+#[doc(hidden)]
+pub fn stitch<T: ScalarFloat>(
+    dims: &[usize],
+    bands: impl IntoIterator<Item = Result<Tensor<T>>>,
+    keep: Option<Range<usize>>,
+) -> Result<Tensor<T>> {
+    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
+    let keep = keep.unwrap_or(0..dims[0]);
+    let mut out: Vec<T> = Vec::with_capacity(keep.len() * row_elems);
+    let mut row = 0usize;
+    for band in bands {
+        let band = band?;
+        if band.dims()[1..] != dims[1..] {
+            return corrupt("band inner dimensions disagree");
+        }
+        let rows = band.dims()[0];
+        if row + rows > dims[0] {
+            return corrupt("bands overrun the original extent");
+        }
+        let (lo, hi) = (row.max(keep.start), (row + rows).min(keep.end));
+        if lo < hi {
+            let kept = (lo - row) * row_elems..(hi - row) * row_elems;
+            out.extend_from_slice(&band.as_slice()[kept]);
+        }
+        row += rows;
+    }
+    if row != dims[0] {
+        return corrupt("bands do not cover the original extent");
+    }
+    if keep.end > dims[0] {
+        return corrupt("index: covering bands hold fewer rows than declared");
+    }
+    let mut out_dims = dims.to_vec();
+    out_dims[0] = keep.len();
+    Ok(Tensor::from_vec(Shape::new(&out_dims), out))
+}
+
+/// Resolves `config`'s bound against the whole tensor's finite value range,
+/// so every band honours one absolute guarantee whatever its local range
+/// (infinities and NaNs are carried exactly, never priced). Returns the
+/// pinned config and its absolute bound.
+fn pin_bound<T: ScalarFloat>(config: &Config, values: &[T]) -> Result<(Config, f64)> {
+    let eb = config.bound.effective(szr_core::value_range(values));
+    let pinned = Config {
+        bound: ErrorBound::Absolute(eb),
+        ..*config
+    };
+    pinned.validate()?;
+    Ok((pinned, eb))
+}
+
+/// Band archives in band order, plus the serialized shared Huffman table
+/// when any band references one.
+type BandArchives = (Vec<Vec<u8>>, Option<Vec<u8>>);
+
+/// A decode-only session under `policy`.
+fn decoder<T: ScalarFloat>(policy: DecodePolicy) -> CodecSession<T> {
+    let mut session = CodecSession::decoder();
+    session.set_decode_policy(policy);
+    session
+}
+
+/// How [`BandExecutor::compress`] codes the bands. Archive bytes depend only
+/// on the data, config and band count, never on threads or a sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strategy {
+    /// Self-contained band archives, each with its own Huffman table: the
+    /// paper's in-situ model, where every rank owns a horizontal slab.
+    Independent,
+    /// One Huffman table merged from the bands' code histograms, stored
+    /// once in [`ChunkedArchive::shared_table`]; a band whose own table
+    /// plus payload is strictly smaller keeps a self-contained archive.
+    Shared,
+    /// A shared table fitted on a strided seed sample of the whole tensor
+    /// before any band is scanned, so each band's codes stream straight
+    /// into its bitstream (the fused fast path). Slightly larger archives
+    /// than [`Strategy::Shared`]; faster compression.
+    Fused,
+    /// The planner picks each band's layer count and interval bits from
+    /// `config.bound` alone; `szr_core::inspect` reads them back per band.
+    Planned,
+}
+
+/// The one band executor behind every chunked driver: bands run on up to
+/// `threads` scoped workers, each owning one `CodecSession` reused across
+/// every band it claims; idle workers steal from the most loaded peer.
 ///
-/// With `num_chunks == 1` this degrades to plain [`szr_core::compress`].
-/// Compression is deterministic: the archive bytes depend only on the data
-/// and config, not on thread scheduling.
+/// With a `sink`, each worker records into a private [`RecordingSink`],
+/// merged into `sink` when the workers join (band records in band order,
+/// steals as `scheduler_steals`). Output is identical with or without one.
+#[derive(Clone, Copy)]
+pub struct BandExecutor<'a> {
+    /// Worker threads (clamped to `1..=bands`).
+    pub threads: usize,
+    /// Sink every worker's telemetry merges into.
+    pub sink: Option<&'a RecordingSink>,
+}
+
+impl<'a> BandExecutor<'a> {
+    /// An executor with `threads` workers and no telemetry.
+    pub fn new(threads: usize) -> Self {
+        BandExecutor {
+            threads,
+            sink: None,
+        }
+    }
+
+    /// The scoped band runner: `task` for every band in `0..bands`, on
+    /// workers with one session each, results in band order.
+    fn run<T: ScalarFloat, R: Send>(
+        &self,
+        bands: usize,
+        session: impl Fn() -> CodecSession<T> + Sync,
+        task: impl Fn(&mut CodecSession<T>, usize) -> R + Sync,
+    ) -> Vec<R> {
+        let threads = self.threads.clamp(1, bands.max(1));
+        let sched = BandScheduler::new(bands, threads);
+        let slots: Vec<Mutex<Option<R>>> = (0..bands).map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    let mut session = session();
+                    let worker_sink = self.sink.map(|_| Arc::new(RecordingSink::new()));
+                    if let Some(ws) = &worker_sink {
+                        session.set_telemetry(Some(ws.clone() as Arc<dyn TelemetrySink>));
+                    }
+                    let w = sched.register();
+                    while let Some(band) = sched.next(w) {
+                        let out = task(&mut session, band);
+                        *slots[band].lock().unwrap() = Some(out);
+                    }
+                    if let (Some(sink), Some(ws)) = (self.sink, &worker_sink) {
+                        sink.merge_from(ws);
+                    }
+                });
+            }
+        });
+        if let (Some(sink), steals @ 1..) = (self.sink, sched.steals()) {
+            sink.counter(Counter::SchedulerSteals, steals);
+        }
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap()
+                    .expect("every band is claimed exactly once")
+            })
+            .collect()
+    }
+
+    /// Compresses `data` as `chunks` row bands under `strategy`. One band
+    /// compresses like plain [`szr_core::compress`].
+    pub fn compress<T: ScalarFloat + Send + Sync>(
+        &self,
+        data: &Tensor<T>,
+        config: &Config,
+        chunks: usize,
+        strategy: Strategy,
+    ) -> Result<ChunkedArchive> {
+        config.validate()?;
+        let split = BandSplit::new(data.dims(), chunks);
+        let values = data.as_slice();
+        let (chunks, shared_table) = match strategy {
+            Strategy::Independent => self.independent(values, config, &split),
+            Strategy::Shared => self.shared(values, config, &split),
+            // Per-point dither state cannot fuse; the staged shared path is
+            // the correct (and still table-sharing) fallback.
+            Strategy::Fused if config.decorrelate => self.shared(values, config, &split),
+            Strategy::Fused if split.bands() <= 1 => self.independent(values, config, &split),
+            Strategy::Fused => self.fused(values, config, &split),
+            // The planner prices samples through `szr_metrics::Real`, which
+            // both `ScalarFloat` types implement.
+            Strategy::Planned => {
+                let data: &dyn Any = data;
+                if let Some(data) = data.downcast_ref::<Tensor<f32>>() {
+                    self.planned(data.as_slice(), config, &split)
+                } else if let Some(data) = data.downcast_ref::<Tensor<f64>>() {
+                    self.planned(data.as_slice(), config, &split)
+                } else {
+                    Err(SzError::InvalidConfig(
+                        "planned chunking needs f32 or f64 data",
+                    ))
+                }
+            }
+        }?;
+        Ok(ChunkedArchive {
+            dims: split.dims,
+            chunks,
+            shared_table,
+        })
+    }
+
+    fn independent<T: ScalarFloat + Send + Sync>(
+        &self,
+        values: &[T],
+        config: &Config,
+        split: &BandSplit,
+    ) -> Result<BandArchives> {
+        let chunks = self.run(
+            split.bands(),
+            || CodecSession::new(*config).expect("config validated"),
+            |session, band| compress_band(session, values, split, band),
+        );
+        Ok((chunks.into_iter().collect::<Result<_>>()?, None))
+    }
+
+    fn planned<T: ScalarFloat + Real + Send + Sync>(
+        &self,
+        values: &[T],
+        config: &Config,
+        split: &BandSplit,
+    ) -> Result<BandArchives> {
+        let (_, eb_abs) = pin_bound(config, values)?;
+        // Per-band plans may pick different layer counts; the session's
+        // kernel cache keys on (layers, stride family), so one session per
+        // worker still reuses everything.
+        let chunks = self.run(split.bands(), CodecSession::decoder, |session, band| {
+            let (slice, shape) = split.band(values, band);
+            let (config, estimate) = plan_band_config_with_estimate(slice, &shape, eb_abs);
+            session.set_planned_bits_per_value(Some(estimate));
+            session.set_config(config)?;
+            compress_band(session, values, split, band)
+        });
+        Ok((chunks.into_iter().collect::<Result<_>>()?, None))
+    }
+
+    fn shared<T: ScalarFloat + Send + Sync>(
+        &self,
+        values: &[T],
+        config: &Config,
+        split: &BandSplit,
+    ) -> Result<BandArchives> {
+        // Phase A (parallel): predict→quantize each band, holding the code
+        // streams in memory (4 bytes/point, transient).
+        let bands = self.run(
+            split.bands(),
+            || CodecSession::new(*config).expect("config validated"),
+            |session, band| {
+                let (slice, shape) = split.band(values, band);
+                let quantized = session.quantize(slice, &shape)?;
+                // Force the cached histogram here, in parallel, so the
+                // serial merge below only reads it.
+                quantized.histogram();
+                Ok(quantized)
+            },
+        );
+        let bands = bands.into_iter().collect::<Result<Vec<QuantizedBand>>>()?;
+
+        // Phase B (serial): merge the bands' cached histograms (no
+        // code-stream re-scan), padded to one common alphabet, build the
+        // shared codec, and price every band both ways. The comparison is
+        // exact: shared loses only when the band's own table *plus* its
+        // shorter payload still undercuts the shared payload.
+        let max_code = bands
+            .iter()
+            .map(|b| b.histogram().len())
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let mut merged = vec![0u64; max_code];
+        for band in &bands {
+            for (m, f) in merged.iter_mut().zip(band.histogram()) {
+                *m += f;
+            }
+        }
+        let shared = HuffmanCodec::from_frequencies(&merged);
+        let table_bits =
+            |codec: &HuffmanCodec| 8 * szr_huffman::serialize_codec(codec).len() as u64;
+        // Per band: `Some(bits saved)` when the shared table wins.
+        let saved: Vec<Option<u64>> = bands
+            .iter()
+            .map(|band| {
+                let mut freqs = band.histogram().to_vec();
+                freqs.resize(max_code, 0);
+                let own = HuffmanCodec::from_frequencies(&freqs);
+                let own_bits = own.payload_bits(&freqs) + table_bits(&own);
+                own_bits.checked_sub(shared.payload_bits(&freqs))
+            })
+            .collect();
+        // Sharing must win *net of storing the table once*: otherwise a set
+        // of marginal bands could pay for a table nobody amortizes and the
+        // archive would come out larger than plain per-band chunking.
+        let saved_bits: u64 = saved.iter().flatten().sum();
+        let any_shared = bands.len() > 1 && saved_bits >= table_bits(&shared);
+
+        // Phase C (parallel): entropy-code each band under its chosen table.
+        let chunks = self.run(bands.len(), CodecSession::<T>::decoder, |session, band| {
+            let table = match saved[band] {
+                Some(_) if any_shared => HuffmanTable::Shared(&shared),
+                _ => HuffmanTable::PerBand,
+            };
+            session.set_next_band_index(band as u64);
+            session.encode(&bands[band], table).0
+        });
+        Ok((
+            chunks,
+            any_shared.then(|| szr_huffman::serialize_codec(&shared)),
+        ))
+    }
+
+    fn fused<T: ScalarFloat + Send + Sync>(
+        &self,
+        values: &[T],
+        config: &Config,
+        split: &BandSplit,
+    ) -> Result<BandArchives> {
+        // Every band quantizes on the intervals the sampled table was built
+        // for.
+        let (pinned, _) = pin_bound(config, values)?;
+
+        // Seed the table from a strided row sample spanning the *whole*
+        // tensor (one band's worth of rows, planner-style), so the shared
+        // code prices the global distribution rather than one band's: a
+        // heterogeneous slab elsewhere still finds its common codes covered.
+        let rows = (0..split.dims[0]).step_by(split.bands());
+        let mut sample_dims = split.dims.clone();
+        sample_dims[0] = rows.len();
+        let sample: Vec<T> = rows
+            .flat_map(|row| split.rows(values, row..row + 1))
+            .copied()
+            .collect();
+        let sample_shape = Shape::new(&sample_dims);
+        let seed = self
+            .run(
+                1,
+                || CodecSession::new(pinned).expect("pinned config validated"),
+                |session, _| session.quantize(&sample, &sample_shape),
+            )
+            .remove(0)?;
+        // Smoothed so every in-range code has a codeword; stray out-of-range
+        // codes ride as in-band escapes.
+        let shared = szr_core::covering_codec(seed.histogram());
+        // Pin the sample's interval bits for every band: the shared table's
+        // symbol range only lines up when all bands quantize on the same
+        // interval count (and the per-band §IV-B sampler is skipped).
+        let worker_config = Config {
+            intervals: szr_core::IntervalMode::Fixed {
+                bits: seed.interval_bits(),
+            },
+            ..pinned
+        };
+
+        let bands = self.run(
+            split.bands(),
+            || CodecSession::new(worker_config).expect("pinned config validated"),
+            |session, band| {
+                let (slice, shape) = split.band(values, band);
+                session.set_next_band_index(band as u64);
+                match session.compress_slice_shared_fused(slice, &shape, &shared)? {
+                    Some((bytes, _)) => Ok((bytes, true)),
+                    // Structural divergence (demotion cap): a self-contained
+                    // staged fallback under the caller's interval mode, so
+                    // the band gets its own adaptive bits and table.
+                    None => {
+                        session.set_config(pinned)?;
+                        let staged = compress_band(session, values, split, band);
+                        session.set_config(worker_config)?;
+                        staged.map(|bytes| (bytes, false))
+                    }
+                }
+            },
+        );
+        let bands = bands.into_iter().collect::<Result<Vec<_>>>()?;
+        let any_shared = bands.iter().any(|&(_, used_shared)| used_shared);
+        let chunks = bands.into_iter().map(|(bytes, _)| bytes).collect();
+        Ok((
+            chunks,
+            any_shared.then(|| szr_huffman::serialize_codec(&shared)),
+        ))
+    }
+
+    /// Decodes every band of `archive` in band order, lending `codec` to
+    /// every worker.
+    fn decode_all<T: ScalarFloat + Send + Sync>(
+        &self,
+        archive: &ChunkedArchive,
+        policy: DecodePolicy,
+        codec: Option<&HuffmanCodec>,
+    ) -> Vec<Result<Tensor<T>>> {
+        self.run(
+            archive.chunks.len(),
+            || decoder(policy),
+            |session, band| decode_chunk(session, &archive.chunks[band], codec),
+        )
+    }
+
+    /// Decodes `archive` back into one tensor. Band extents are re-derived
+    /// from each band's own header, so a corrupt archive fails loudly.
+    /// [`DecodePolicy::Verify`] / `Salvage` recompute every band's v3
+    /// section checksums and fail on the first mismatch (section-named
+    /// error); for fill-and-continue use [`BandExecutor::salvage`].
+    pub fn decompress<T: ScalarFloat + Send + Sync>(
+        &self,
+        archive: &ChunkedArchive,
+        policy: DecodePolicy,
+    ) -> Result<Tensor<T>> {
+        // Bound the output allocation by the bytes actually present before
+        // trusting the container's declared dims.
+        check_declared_len(
+            archive.dims.iter().product(),
+            archive.compressed_bytes() + 1,
+        )?;
+        let codec = shared_codec(archive.shared_table.as_deref())?;
+        let decoded = self.decode_all(archive, policy, codec.as_ref());
+        stitch(&archive.dims, decoded, None)
+    }
+
+    /// Decodes exactly the slowest-dimension rows `rows` of a serialized
+    /// archive, byte-identical to that slice of a full decode: only the
+    /// bands covering them are decoded, located through the [`BandIndex`]
+    /// (or the sequential header walk when the index is absent or damaged).
+    pub fn read<T: ScalarFloat + Send + Sync>(
+        &self,
+        bytes: &[u8],
+        rows: Range<usize>,
+        policy: DecodePolicy,
+    ) -> Result<Tensor<T>> {
+        let index = band_index(bytes)?;
+        let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
+        let codec = shared_codec(index.shared_table_slice(bytes))?;
+        let decoded = self.run(
+            bands.len(),
+            || decoder(policy),
+            |session, slot| index.decode_band(session, bytes, bands.start + slot, codec.as_ref()),
+        );
+        let keep = rows.start - first_row..rows.end - first_row;
+        stitch(&index.stitched_dims(bands), decoded, Some(keep))
+    }
+
+    /// Decodes every intact band of a possibly damaged `archive` (verifying
+    /// each band's v3 checksums, intact bands bit-identical to a verify
+    /// decode) and returns the stitched tensor plus a [`SalvageReport`].
+    /// Damaged bands' rows hold `fill`; a damaged band is placed by its
+    /// declared extent while its header still parses plausibly, after which
+    /// every later band is reported damaged rather than decoded into the
+    /// wrong rows. A corrupt shared table damages only the shared-stream
+    /// bands. Filled bands are counted as `salvaged_bands`.
+    ///
+    /// # Errors
+    /// [`SzError::Corrupt`] when the container frame itself (dims
+    /// implausible for the byte budget) is unusable — there is nothing to
+    /// align against.
+    pub fn salvage<T: ScalarFloat + Send + Sync>(
+        &self,
+        archive: &ChunkedArchive,
+        fill: T,
+    ) -> Result<(Tensor<T>, SalvageReport)> {
+        let shape = Shape::new(&archive.dims);
+        let row_elems: usize = archive.dims[1..].iter().product::<usize>().max(1);
+        check_declared_len(shape.len(), archive.compressed_bytes() + 1)?;
+        let mut out: Vec<T> = vec![fill; shape.len()];
+        // Without a usable table, shared-stream bands fail to decode (and
+        // are reported) while self-contained bands still decode.
+        let codec = shared_codec(archive.shared_table.as_deref()).unwrap_or(None);
+        let decoded = self.decode_all(archive, DecodePolicy::Verify, codec.as_ref());
+
+        let mut report = SalvageReport {
+            bands: archive.chunks.len(),
+            recovered: Vec::new(),
+            damaged: Vec::new(),
+            fill: fill.to_f64(),
+        };
+        // Byte ranges are offsets into the concatenated band payload
+        // region, in band order — the stable coordinate system a repair
+        // tool can map back onto the serialized container.
+        let mut offset = 0usize;
+        let mut row = 0usize;
+        let mut aligned = true;
+        for (i, result) in decoded.into_iter().enumerate() {
+            let byte_range = (offset, offset + archive.chunks[i].len());
+            offset = byte_range.1;
+            let rows_fit = |dims: &[usize]| {
+                dims.len() == archive.dims.len()
+                    && dims[1..] == archive.dims[1..]
+                    && row + dims[0] <= archive.dims[0]
+            };
+            let error = match result {
+                _ if !aligned => "row alignment lost after earlier damage".into(),
+                Ok(band) if rows_fit(band.dims()) => {
+                    let rows = band.dims()[0];
+                    out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
+                    report.recovered.push(i);
+                    row += rows;
+                    continue;
+                }
+                Ok(_) => {
+                    aligned = false;
+                    "band extent disagrees with container dims".into()
+                }
+                Err(e) => {
+                    // Place the fill by the band's declared extent when its
+                    // header still parses consistently with the container.
+                    match szr_core::inspect(&archive.chunks[i]) {
+                        Ok(info) if rows_fit(&info.dims) => row += info.dims[0],
+                        _ => aligned = false,
+                    }
+                    e.to_string()
+                }
+            };
+            report.damaged.push(BandDamage {
+                band: i,
+                byte_range,
+                error,
+            });
+        }
+        if let (Some(sink), damaged @ 1..) = (self.sink, report.damaged.len()) {
+            sink.counter(Counter::SalvagedBands, damaged as u64);
+        }
+        Ok((Tensor::from_vec(shape, out), report))
+    }
+}
+
+/// Compresses `data` as `num_chunks` independent band archives on up to
+/// `threads` workers ([`Strategy::Independent`]).
 pub fn compress_chunked<T: ScalarFloat + Send + Sync>(
     data: &Tensor<T>,
     config: &Config,
     num_chunks: usize,
     threads: usize,
 ) -> Result<ChunkedArchive> {
-    compress_chunked_telemetry(data, config, num_chunks, threads, None)
+    BandExecutor::new(threads).compress(data, config, num_chunks, Strategy::Independent)
 }
 
-/// [`compress_chunked`] with optional telemetry: each worker records
-/// per-stage spans, codec counters, and per-band records into its own sink,
-/// all merged into `sink` (band records keyed by band index, so the merged
-/// report is in band order regardless of scheduling). Archive bytes are
-/// identical with or without a sink.
-pub fn compress_chunked_telemetry<T: ScalarFloat + Send + Sync>(
-    data: &Tensor<T>,
-    config: &Config,
-    num_chunks: usize,
-    threads: usize,
-    sink: Option<&RecordingSink>,
-) -> Result<ChunkedArchive> {
-    config.validate()?;
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-    let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len().max(1));
-
-    // Work queues: each worker drains its own contiguous run of bands and
-    // steals from the most loaded peer once dry, so one slow band cannot
-    // serialize the rest of the job behind it.
-    let sched = BandScheduler::new(ranges.len(), threads);
-    let results: Vec<Mutex<Option<Result<Vec<u8>>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // One CodecSession per worker: bands share their inner
-                // extents, so the session's cached kernel (dispatch
-                // decision, boundary-stencil cache, row-engine scratch) and
-                // its quantize/entropy buffers serve every band the worker
-                // claims — setup and allocations are paid once per worker,
-                // not once per band.
-                let mut session = CodecSession::<T>::new(*config).expect("config validated above");
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    session.set_next_band_index(band as u64);
-                    let result = session
-                        .compress_slice(slice, &shape)
-                        .map(|(bytes, _)| bytes);
-                    *results[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-
-    let mut chunks = Vec::with_capacity(ranges.len());
-    for cell in results {
-        match cell.into_inner().unwrap() {
-            Some(Ok(bytes)) => chunks.push(bytes),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
-    Ok(ChunkedArchive {
-        dims,
-        chunks,
-        shared_table: None,
-    })
-}
-
-/// Compresses `data` as independent band archives, letting the planner pick
-/// a per-band configuration (layer count + pinned interval bits) so
-/// heterogeneous slabs — a smooth troposphere above a turbulent boundary
-/// layer, say — each get the config that suits them.
-///
-/// The bound is resolved against the *full* tensor's value range once, so
-/// every band honors the same absolute guarantee regardless of its local
-/// range. Returns the archive plus the per-band configs (band order) for
-/// inspection. Like [`compress_chunked`], the result is deterministic and
-/// independent of thread scheduling.
-pub fn compress_chunked_planned<T: ScalarFloat + Real + Send + Sync>(
-    data: &Tensor<T>,
-    bound: ErrorBound,
-    num_chunks: usize,
-    threads: usize,
-) -> Result<(ChunkedArchive, Vec<Config>)> {
-    compress_chunked_planned_telemetry(data, bound, num_chunks, threads, None)
-}
-
-/// [`compress_chunked_planned`] with optional telemetry. On top of the
-/// spans/counters/band records of [`compress_chunked_telemetry`], each
-/// band's record carries the planner's estimated bits per value, so the
-/// merged report exposes planner drift (estimate vs achieved) per band.
-pub fn compress_chunked_planned_telemetry<T: ScalarFloat + Real + Send + Sync>(
-    data: &Tensor<T>,
-    bound: ErrorBound,
-    num_chunks: usize,
-    threads: usize,
-    sink: Option<&RecordingSink>,
-) -> Result<(ChunkedArchive, Vec<Config>)> {
-    // Validate the bound spec through a throwaway config before resolving.
-    Config::new(bound).validate()?;
-    let eb_abs = bound.effective(value_range(data.as_slice()));
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-    let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len().max(1));
-
-    let sched = BandScheduler::new(ranges.len(), threads);
-    type Planned = (Vec<u8>, Config);
-    let results: Vec<Mutex<Option<Result<Planned>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Per-band planning may pick different layer counts; the
-                // session's kernel cache keys on (layers, stride family),
-                // so one session per worker still reuses everything.
-                let mut session = CodecSession::<T>::decoder();
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    let (config, estimate) = plan_band_config_with_estimate(slice, &shape, eb_abs);
-                    session.set_next_band_index(band as u64);
-                    session.set_planned_bits_per_value(Some(estimate));
-                    let result = session
-                        .set_config(config)
-                        .and_then(|()| session.compress_slice(slice, &shape))
-                        .map(|(bytes, _)| (bytes, config));
-                    *results[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-
-    let mut chunks = Vec::with_capacity(ranges.len());
-    let mut configs = Vec::with_capacity(ranges.len());
-    for cell in results {
-        match cell.into_inner().unwrap() {
-            Some(Ok((bytes, config))) => {
-                chunks.push(bytes);
-                configs.push(config);
-            }
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
-    Ok((
-        ChunkedArchive {
-            dims,
-            chunks,
-            shared_table: None,
-        },
-        configs,
-    ))
-}
-
-/// Compresses `data` as band archives that share **one Huffman table**,
-/// built from the merged per-band code histograms.
-///
-/// Per-band tables are the dominant fixed cost of fine-grained chunking
-/// (each band serializes its own RLE length table and pays its own code
-/// build); bands of one field usually quantize to near-identical code
-/// distributions, so one merged table costs a fraction of the per-band sum
-/// at nearly the same code lengths. A band whose own table + payload would
-/// be strictly smaller than its shared-table payload — a genuinely
-/// divergent distribution, e.g. one turbulent slab in a smooth field —
-/// falls back to a self-contained version-1 archive; the comparison is
-/// exact (integer bit counts), so the result is deterministic.
-///
-/// The output interoperates with [`decompress_chunked`], which rebuilds the
-/// codec from [`ChunkedArchive::shared_table`] once and feeds it to every
-/// version-2 band.
-pub fn compress_chunked_shared<T: ScalarFloat + Send + Sync>(
-    data: &Tensor<T>,
-    config: &Config,
-    num_chunks: usize,
-    threads: usize,
-) -> Result<ChunkedArchive> {
-    compress_chunked_shared_telemetry(data, config, num_chunks, threads, None)
-}
-
-/// [`compress_chunked_shared`] with optional telemetry: phase-A
-/// predict→quantize spans and phase-C entropy/band records are collected
-/// per worker and merged into `sink`. Archive bytes are identical with or
-/// without a sink.
-pub fn compress_chunked_shared_telemetry<T: ScalarFloat + Send + Sync>(
-    data: &Tensor<T>,
-    config: &Config,
-    num_chunks: usize,
-    threads: usize,
-    sink: Option<&RecordingSink>,
-) -> Result<ChunkedArchive> {
-    config.validate()?;
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-    let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len().max(1));
-
-    // Phase A (parallel): predict→quantize each band, holding the code
-    // streams in memory (4 bytes/point, transient).
-    let sched = BandScheduler::new(ranges.len(), threads);
-    let quantized: Vec<Mutex<Option<Result<QuantizedBand>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session = CodecSession::<T>::new(*config).expect("config validated above");
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    let result = session.quantize(slice, &shape);
-                    if let Ok(band) = &result {
-                        // Force the cached histogram here, in parallel, so
-                        // the serial merge below only reads it.
-                        band.histogram();
-                    }
-                    *quantized[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-    let mut bands = Vec::with_capacity(ranges.len());
-    for cell in quantized {
-        match cell.into_inner().unwrap() {
-            Some(Ok(band)) => bands.push(band),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
-
-    // Phase B (serial): merge the bands' cached histograms (no code-stream
-    // re-scan), build the shared codec, and decide per band whether sharing
-    // actually wins. Per-band frequency vectors are padded to one common
-    // alphabet so the exact size comparison below is unchanged.
-    let max_code = bands
-        .iter()
-        .map(|b| b.histogram().len())
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let mut merged = vec![0u64; max_code];
-    let mut band_freqs: Vec<Vec<u64>> = Vec::with_capacity(bands.len());
-    for band in &bands {
-        let mut freqs = vec![0u64; max_code];
-        freqs[..band.histogram().len()].copy_from_slice(band.histogram());
-        for (m, f) in merged.iter_mut().zip(&freqs) {
-            *m += f;
-        }
-        band_freqs.push(freqs);
-    }
-    let shared = HuffmanCodec::from_frequencies(&merged);
-    let shared_table_bits = 8 * szr_huffman::serialize_codec(&shared).len() as u64;
-    let mut saved_bits = 0u64;
-    let use_shared: Vec<bool> = band_freqs
-        .iter()
-        .map(|freqs| {
-            let shared_bits = shared.payload_bits(freqs);
-            let own = HuffmanCodec::from_frequencies(freqs);
-            let own_total =
-                own.payload_bits(freqs) + 8 * szr_huffman::serialize_codec(&own).len() as u64;
-            // Exact comparison: shared loses only when the band's own table
-            // *plus* its shorter payload still undercuts the shared payload.
-            if shared_bits <= own_total {
-                saved_bits += own_total - shared_bits;
-                true
-            } else {
-                false
-            }
-        })
-        .collect();
-    // Sharing must win *net of storing the table once*: otherwise a set of
-    // marginal bands could pay for a table nobody amortizes and the archive
-    // would come out larger than plain per-band chunking.
-    let any_shared = bands.len() > 1 && saved_bits >= shared_table_bits;
-
-    // Phase C (parallel): entropy-code each band under its chosen table.
-    // Telemetry runs through per-worker sessions (band records need the
-    // session's band index); the plain path keeps the free function.
-    let sched = BandScheduler::new(bands.len(), threads);
-    let encoded: Vec<Mutex<Option<Vec<u8>>>> = (0..bands.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session = sink.map(|_| CodecSession::<T>::decoder());
-                let ws = worker_sink(sink);
-                if let Some(session) = &mut session {
-                    attach(session, &ws);
-                }
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let table = if any_shared && use_shared[band] {
-                        HuffmanTable::Shared(&shared)
-                    } else {
-                        HuffmanTable::PerBand
-                    };
-                    let bytes = match &mut session {
-                        Some(session) => {
-                            session.set_next_band_index(band as u64);
-                            session.encode(&bands[band], table).0
-                        }
-                        None => encode_quantized(&bands[band], table).0,
-                    };
-                    *encoded[band].lock().unwrap() = Some(bytes);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-    let chunks: Vec<Vec<u8>> = encoded
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .unwrap()
-                .expect("every band is claimed exactly once")
-        })
-        .collect();
-
-    Ok(ChunkedArchive {
-        dims,
-        chunks,
-        shared_table: any_shared.then(|| szr_huffman::serialize_codec(&shared)),
-    })
-}
-
-/// Compresses `data` as shared-table band archives through the **fused
-/// quantize→encode fast path**: the Huffman table is known *before* any
-/// worker scans its bands, so each band's codes stream straight from the
-/// quantizing scan, one wavefront group at a time, into the band archive's
-/// bit buffer — the intermediate per-band `codes: Vec<u32>` (4 bytes/point of transient
-/// traffic that [`compress_chunked_shared`]'s staged phases pay twice) is
-/// never materialized.
-///
-/// The table comes from a seed sample — one band's worth of rows strided
-/// across the *whole* tensor, quantized staged on the calling thread — so
-/// it prices the global code distribution. Its histogram is smoothed with
-/// [`szr_core::covering_codec`] (counts clamped to ≥ 1 over the occupied
-/// symbol range, so every in-range code has a codeword) and the codec is
-/// stored once as the archive's shared table. Workers then compress
-/// **every** band fused as a version-2 shared-stream archive under the
-/// sample's interval bits; stray out-of-range codes ride as in-band
-/// escapes, and a band that structurally diverges (demotion cap) falls
-/// back to a self-contained version-1 archive with its own adaptive bits.
-/// The bound is resolved against the full tensor once (like
-/// [`compress_chunked_planned`]) so the sampled table and every band price
-/// the same quantizer. Deterministic: the table is fixed before the
-/// parallel phase, so band bytes are independent of scheduling.
-///
-/// Compared with [`compress_chunked_shared`], archives can be marginally
-/// larger (the shared code is fitted on the sample, and bands do not get
-/// the exact own-table-vs-shared size comparison) but compression is
-/// measurably faster — the trade the in-situ scenarios want. The output
-/// decodes through [`decompress_chunked`] unchanged.
-pub fn compress_chunked_fused<T: ScalarFloat + Send + Sync>(
-    data: &Tensor<T>,
-    config: &Config,
-    num_chunks: usize,
-    threads: usize,
-) -> Result<ChunkedArchive> {
-    compress_chunked_fused_telemetry(data, config, num_chunks, threads, None)
-}
-
-/// [`compress_chunked_fused`] with optional telemetry: the seed sample's
-/// staged quantize, every worker's fused scans (including
-/// `fused_demotions`/`fused_table_reseeds` counters and staged fallbacks),
-/// and per-band records merge into `sink`. Archive bytes are identical with
-/// or without a sink.
-pub fn compress_chunked_fused_telemetry<T: ScalarFloat + Send + Sync>(
-    data: &Tensor<T>,
-    config: &Config,
-    num_chunks: usize,
-    threads: usize,
-    sink: Option<&RecordingSink>,
-) -> Result<ChunkedArchive> {
-    config.validate()?;
-    if config.decorrelate {
-        // Per-point dither state cannot fuse; the staged shared path is the
-        // correct (and still table-sharing) fallback.
-        return compress_chunked_shared_telemetry(data, config, num_chunks, threads, sink);
-    }
-    let dims = data.dims().to_vec();
-    let ranges = band_ranges(dims[0], num_chunks.max(1));
-    if ranges.len() <= 1 {
-        return compress_chunked_telemetry(data, config, num_chunks, threads, sink);
-    }
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-    let values = data.as_slice();
-    let threads = threads.clamp(1, ranges.len());
-
-    // Pin the bound against the full tensor's range so every band honors
-    // one absolute guarantee and quantizes on the same intervals the
-    // sampled table was built for.
-    let range = szr_core::value_range(values);
-    let pinned = Config {
-        bound: ErrorBound::Absolute(config.bound.effective(range)),
-        ..*config
-    };
-
-    // Seed the table from a strided row sample spanning the *whole* tensor
-    // (one band's worth of rows, planner-style), so the shared code prices
-    // the global distribution rather than one band's: a heterogeneous slab
-    // elsewhere in the tensor still finds its common codes covered.
-    let stride = ranges.len();
-    let n_sampled = dims[0].div_ceil(stride);
-    let mut sample: Vec<T> = Vec::with_capacity(n_sampled * row_elems);
-    for i in (0..dims[0]).step_by(stride) {
-        sample.extend_from_slice(&values[i * row_elems..(i + 1) * row_elems]);
-    }
-    let mut sample_dims = dims.clone();
-    sample_dims[0] = n_sampled;
-    let mut seeder = CodecSession::<T>::new(pinned)?;
-    let seed_sink = worker_sink(sink);
-    attach(&mut seeder, &seed_sink);
-    let seed = seeder.quantize(&sample, &Shape::new(&sample_dims))?;
-    merge_into(sink, &seed_sink);
-    let shared = szr_core::covering_codec(seed.histogram());
-    // Pin the sample's interval bits for every band: the shared table's
-    // symbol range only lines up when all bands quantize on the same
-    // interval count (and the per-band §IV-B sampler is skipped).
-    let worker_config = Config {
-        intervals: szr_core::IntervalMode::Fixed {
-            bits: seed.interval_bits(),
-        },
-        ..pinned
-    };
-
-    // All bands: fused under the fixed table, per-worker sessions.
-    let sched = BandScheduler::new(ranges.len(), threads);
-    type Fused = (Vec<u8>, bool);
-    let results: Vec<Mutex<Option<Result<Fused>>>> =
-        (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session =
-                    CodecSession::<T>::new(worker_config).expect("config validated above");
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let (r0, r1) = ranges[band];
-                    let mut band_dims = dims.clone();
-                    band_dims[0] = r1 - r0;
-                    let shape = Shape::new(&band_dims);
-                    let slice = &values[r0 * row_elems..r1 * row_elems];
-                    session.set_next_band_index(band as u64);
-                    let result = match session.compress_slice_shared_fused(slice, &shape, &shared) {
-                        Ok(Some((bytes, _))) => Ok((bytes, true)),
-                        // Structural divergence: self-contained staged
-                        // fallback under the caller's interval mode, so the
-                        // band gets its own adaptive bits and table.
-                        Ok(None) => {
-                            session.set_next_band_index(band as u64);
-                            let staged = match session.set_config(pinned) {
-                                Ok(()) => session
-                                    .compress_slice(slice, &shape)
-                                    .map(|(bytes, _)| (bytes, false)),
-                                Err(e) => Err(e),
-                            };
-                            session
-                                .set_config(worker_config)
-                                .expect("config validated above");
-                            staged
-                        }
-                        Err(e) => Err(e),
-                    };
-                    *results[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-
-    let mut chunks = Vec::with_capacity(ranges.len());
-    let mut any_shared = false;
-    for cell in results {
-        match cell.into_inner().unwrap() {
-            Some(Ok((bytes, used_shared))) => {
-                any_shared |= used_shared;
-                chunks.push(bytes);
-            }
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every band is claimed exactly once"),
-        }
-    }
-    Ok(ChunkedArchive {
-        dims,
-        chunks,
-        shared_table: any_shared.then(|| szr_huffman::serialize_codec(&shared)),
-    })
-}
-
-/// Decompresses a [`ChunkedArchive`] back into one tensor using up to
-/// `threads` worker threads.
+/// Decompresses a [`ChunkedArchive`] on up to `threads` workers
+/// ([`BandExecutor::decompress`] under [`DecodePolicy::Strict`]).
 pub fn decompress_chunked<T: ScalarFloat + Send + Sync>(
     archive: &ChunkedArchive,
     threads: usize,
 ) -> Result<Tensor<T>> {
-    decompress_chunked_telemetry(archive, threads, None)
+    BandExecutor::new(threads).decompress(archive, DecodePolicy::Strict)
 }
 
-/// [`decompress_chunked`] under an explicit [`DecodePolicy`]:
-/// [`DecodePolicy::Strict`] matches [`decompress_chunked`] exactly, while
-/// `Verify`/`Salvage` make every worker recompute each band's v3 section
-/// checksums and fail the decode on the first mismatch (section-named
-/// error). For fill-and-continue semantics on damaged bands use
-/// [`decompress_chunked_salvage`] instead.
-pub fn decompress_chunked_with_policy<T: ScalarFloat + Send + Sync>(
-    archive: &ChunkedArchive,
-    threads: usize,
-    policy: DecodePolicy,
-) -> Result<Tensor<T>> {
-    decompress_chunked_policy_telemetry(archive, threads, policy, None)
-}
-
-/// [`decompress_chunked`] with optional telemetry: header/deflate/symbol
-/// decode/row reconstruction spans plus kernel- and codec-table-cache
-/// counters from every worker merge into `sink`. Output is identical with
-/// or without a sink.
-pub fn decompress_chunked_telemetry<T: ScalarFloat + Send + Sync>(
-    archive: &ChunkedArchive,
-    threads: usize,
-    sink: Option<&RecordingSink>,
-) -> Result<Tensor<T>> {
-    decompress_chunked_policy_telemetry(archive, threads, DecodePolicy::Strict, sink)
-}
-
-/// Decodes every band of `archive` in parallel under `policy`, returning
-/// per-band results in band order. The shared codec (if any) is rebuilt
-/// once and lent to every worker; version-1 bands ignore it. A corrupt
-/// shared table is an error in strict/verify stitching but surfaces here as
-/// `Err` per shared-stream band, which is what salvage wants.
-#[allow(clippy::type_complexity)]
-fn decode_bands<T: ScalarFloat + Send + Sync>(
-    archive: &ChunkedArchive,
-    threads: usize,
-    policy: DecodePolicy,
-    sink: Option<&RecordingSink>,
-) -> (Result<()>, Vec<Result<Tensor<T>>>) {
-    let threads = threads.clamp(1, archive.chunks.len().max(1));
-    let shared = match archive
-        .shared_table
-        .as_deref()
-        .map(szr_huffman::deserialize_codec)
-        .transpose()
-    {
-        Ok(codec) => codec,
-        Err(e) => {
-            return (
-                Err(SzError::Corrupt(format!("shared huffman table: {e}"))),
-                Vec::new(),
-            )
-        }
-    };
-
-    // Decode bands in parallel, then stitch; band extents are re-derived
-    // from each chunk's own header so a corrupt archive fails loudly.
-    let sched = BandScheduler::new(archive.chunks.len(), threads);
-    let decoded: Vec<Mutex<Option<Result<Tensor<T>>>>> = (0..archive.chunks.len())
-        .map(|_| Mutex::new(None))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Mirror of the compress side's reuse: one decode-only
-                // session per worker, whose kernel cache (keyed on layer
-                // count and stride family) and symbol scratch serve every
-                // band the worker claims.
-                let mut session = CodecSession::<T>::decoder();
-                session.set_decode_policy(policy);
-                let ws = worker_sink(sink);
-                attach(&mut session, &ws);
-                let w = sched.register();
-                while let Some(band) = sched.next(w) {
-                    let result = match &shared {
-                        Some(codec) => session.decompress_shared(&archive.chunks[band], codec),
-                        None => session.decompress(&archive.chunks[band]),
-                    };
-                    *decoded[band].lock().unwrap() = Some(result);
-                }
-                merge_into(sink, &ws);
-            });
-        }
-    });
-    record_steals(sink, &sched);
-    let results = decoded
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .unwrap()
-                .expect("every band is claimed exactly once")
-        })
-        .collect();
-    (Ok(()), results)
-}
-
-/// [`decompress_chunked_with_policy`] with optional telemetry.
-pub fn decompress_chunked_policy_telemetry<T: ScalarFloat + Send + Sync>(
-    archive: &ChunkedArchive,
-    threads: usize,
-    policy: DecodePolicy,
-    sink: Option<&RecordingSink>,
-) -> Result<Tensor<T>> {
-    let shape = Shape::new(&archive.dims);
-    let row_elems: usize = archive.dims[1..].iter().product::<usize>().max(1);
-    // Bound the output allocation by the bytes actually present before
-    // trusting the container's declared dims.
-    check_declared_len(shape.len(), archive.compressed_bytes() + 1)?;
-    let mut out: Vec<T> = vec![T::from_f64(0.0); shape.len()];
-    let (setup, decoded) = decode_bands::<T>(archive, threads, policy, sink);
-    setup?;
-
-    let mut row = 0usize;
-    for cell in decoded {
-        let band = cell?;
-        if band.dims()[1..] != archive.dims[1..] {
-            return Err(SzError::Corrupt("band inner dimensions disagree".into()));
-        }
-        let rows = band.dims()[0];
-        if (row + rows) > archive.dims[0] {
-            return Err(SzError::Corrupt("bands overrun the original extent".into()));
-        }
-        out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
-        row += rows;
-    }
-    if row != archive.dims[0] {
-        return Err(SzError::Corrupt(
-            "bands do not cover the original extent".into(),
-        ));
-    }
-    Ok(Tensor::from_vec(shape, out))
-}
-
-/// Decodes only bands `bands` of a *serialized* chunked archive, seeking
-/// through its [`BandIndex`] — O(touched bands), never O(archive). Returns
-/// the stitched sub-tensor (the selected bands' rows, original inner dims).
-///
-/// The touched band payloads are bit-identical to what the sequential walk
-/// hands [`decompress_chunked`], so the rows come back byte-identical to
-/// the corresponding slice of a full decode. Archives without a usable
-/// index (v1, or a damaged index) transparently pay the sequential header
-/// walk to locate bands, then still decode only the selected payloads.
-pub fn read_bands<T: ScalarFloat + Send + Sync>(
-    bytes: &[u8],
-    bands: Range<usize>,
-    threads: usize,
-    policy: DecodePolicy,
-) -> Result<Tensor<T>> {
-    let index = band_index(bytes)?;
-    read_bands_indexed(bytes, &index, bands, threads, policy)
-}
-
-/// [`read_bands`] against a caller-held [`BandIndex`], so repeated region
-/// reads of one archive parse the index once.
-pub fn read_bands_indexed<T: ScalarFloat + Send + Sync>(
-    bytes: &[u8],
-    index: &BandIndex,
-    bands: Range<usize>,
-    threads: usize,
-    policy: DecodePolicy,
-) -> Result<Tensor<T>> {
-    if bands.start >= bands.end || bands.end > index.entries.len() {
-        return Err(SzError::InvalidConfig(
-            "band range is empty or exceeds the band count",
-        ));
-    }
-    let shared = index
-        .shared_table_slice(bytes)
-        .map(szr_huffman::deserialize_codec)
-        .transpose()
-        .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))?;
-    let selected: Vec<usize> = bands.clone().collect();
-    let rows_total: usize = selected.iter().map(|&b| index.entries[b].rows).sum();
-    let row_elems: usize = index.dims[1..].iter().product::<usize>().max(1);
-    let mut out_dims = index.dims.clone();
-    out_dims[0] = rows_total;
-    let shape = Shape::new(&out_dims);
-    let threads = threads.clamp(1, selected.len());
-
-    let sched = BandScheduler::new(selected.len(), threads);
-    let decoded: Vec<Mutex<Option<Result<Tensor<T>>>>> =
-        (0..selected.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut session = CodecSession::<T>::decoder();
-                session.set_decode_policy(policy);
-                let w = sched.register();
-                while let Some(slot) = sched.next(w) {
-                    let result =
-                        index
-                            .band_slice(bytes, selected[slot])
-                            .and_then(|chunk| match &shared {
-                                Some(codec) => session.decompress_shared(chunk, codec),
-                                None => session.decompress(chunk),
-                            });
-                    *decoded[slot].lock().unwrap() = Some(result);
-                }
-            });
-        }
-    });
-
-    let mut out: Vec<T> = vec![T::from_f64(0.0); shape.len()];
-    let mut row = 0usize;
-    for (slot, cell) in decoded.into_iter().enumerate() {
-        let band = cell
-            .into_inner()
-            .unwrap()
-            .expect("every selected band is claimed exactly once")?;
-        if band.dims()[1..] != index.dims[1..] {
-            return Err(SzError::Corrupt("band inner dimensions disagree".into()));
-        }
-        // The index's row extent located this band inside the tensor; a
-        // band that decodes to a different extent would mis-place every
-        // later row, so it is a hard error, not a silent shift.
-        if band.dims()[0] != index.entries[selected[slot]].rows {
-            return Err(SzError::Corrupt(
-                "index: band row extent disagrees with the decoded band".into(),
-            ));
-        }
-        let rows = band.dims()[0];
-        out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
-        row += rows;
-    }
-    Ok(Tensor::from_vec(shape, out))
-}
-
-/// Decodes exactly the slowest-dimension rows `rows` of a serialized
-/// chunked archive: maps the row range onto the covering bands through the
-/// [`BandIndex`], decodes only those via [`read_bands_indexed`], and trims
-/// the stitched result to the requested rows. This is the ROI read the
-/// in-situ scenarios want — cost scales with the region, not the archive.
+/// Decodes slowest-dimension rows `rows` of a serialized archive on up to
+/// `threads` workers ([`BandExecutor::read`]).
 pub fn decompress_chunked_region<T: ScalarFloat + Send + Sync>(
     bytes: &[u8],
     rows: Range<usize>,
     threads: usize,
     policy: DecodePolicy,
 ) -> Result<Tensor<T>> {
-    let index = band_index(bytes)?;
-    let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
-    let stitched = read_bands_indexed::<T>(bytes, &index, bands, threads, policy)?;
-    let row_elems: usize = index.dims[1..].iter().product::<usize>().max(1);
-    let skip = rows.start - first_row;
-    let keep = rows.end - rows.start;
-    if stitched.dims()[0] < skip + keep {
-        return Err(SzError::Corrupt(
-            "index: covering bands hold fewer rows than declared".into(),
-        ));
-    }
-    let mut out_dims = index.dims.clone();
-    out_dims[0] = keep;
-    let out = stitched.as_slice()[skip * row_elems..(skip + keep) * row_elems].to_vec();
-    Ok(Tensor::from_vec(Shape::new(&out_dims), out))
-}
-
-/// Decodes every intact band of a possibly-damaged [`ChunkedArchive`],
-/// verifying each band's v3 checksums, and returns the stitched tensor plus
-/// a [`SalvageReport`]. Damaged bands' rows are filled with `fill` (intact
-/// bands are bit-identical to a verify decode); a damaged band's row
-/// placement comes from its declared extent when the band header still
-/// parses plausibly, and once that is unrecoverable, alignment for every
-/// later band is lost — those are reported damaged rather than decoded
-/// into the wrong rows. A corrupt *shared table* damages only the
-/// shared-stream bands; self-contained bands still recover.
-///
-/// # Errors
-/// [`SzError::Corrupt`] when the container frame itself (dims implausible
-/// for the byte budget) is unusable — there is nothing to align against.
-pub fn decompress_chunked_salvage<T: ScalarFloat + Send + Sync>(
-    archive: &ChunkedArchive,
-    threads: usize,
-    fill: T,
-) -> Result<(Tensor<T>, SalvageReport)> {
-    decompress_chunked_salvage_telemetry(archive, threads, fill, None)
-}
-
-/// [`decompress_chunked_salvage`] with optional telemetry: on top of the
-/// usual decode spans/counters, the number of filled bands is recorded
-/// under `salvaged_bands`.
-pub fn decompress_chunked_salvage_telemetry<T: ScalarFloat + Send + Sync>(
-    archive: &ChunkedArchive,
-    threads: usize,
-    fill: T,
-    sink: Option<&RecordingSink>,
-) -> Result<(Tensor<T>, SalvageReport)> {
-    let shape = Shape::new(&archive.dims);
-    let row_elems: usize = archive.dims[1..].iter().product::<usize>().max(1);
-    check_declared_len(shape.len(), archive.compressed_bytes() + 1)?;
-    let mut out: Vec<T> = vec![fill; shape.len()];
-    let (_, decoded) = decode_bands::<T>(archive, threads, DecodePolicy::Verify, sink);
-
-    let mut report = SalvageReport {
-        bands: archive.chunks.len(),
-        recovered: Vec::new(),
-        damaged: Vec::new(),
-        fill: fill.to_f64(),
-    };
-    // Byte ranges are offsets into the concatenated band payload region, in
-    // band order — the stable coordinate system a repair tool can map back
-    // onto the serialized container.
-    let mut offset = 0usize;
-    let mut row = 0usize;
-    let mut aligned = true;
-    for (i, result) in decoded.into_iter().enumerate() {
-        let len = archive.chunks[i].len();
-        let byte_range = (offset, offset + len);
-        offset += len;
-        if !aligned {
-            report.damaged.push(BandDamage {
-                band: i,
-                byte_range,
-                error: "row alignment lost after earlier damage".into(),
-            });
-            continue;
-        }
-        let rows_fit = |dims: &[usize]| {
-            dims.len() == archive.dims.len()
-                && dims[1..] == archive.dims[1..]
-                && row + dims[0] <= archive.dims[0]
-        };
-        match result {
-            Ok(band) if rows_fit(band.dims()) => {
-                let rows = band.dims()[0];
-                out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
-                report.recovered.push(i);
-                row += rows;
-            }
-            Ok(_) => {
-                report.damaged.push(BandDamage {
-                    band: i,
-                    byte_range,
-                    error: "band extent disagrees with container dims".into(),
-                });
-                aligned = false;
-            }
-            Err(e) => {
-                // Place the fill by the band's declared extent when its
-                // header still parses consistently with the container.
-                match szr_core::inspect(&archive.chunks[i]) {
-                    Ok(info) if rows_fit(&info.dims) => row += info.dims[0],
-                    _ => aligned = false,
-                }
-                report.damaged.push(BandDamage {
-                    band: i,
-                    byte_range,
-                    error: e.to_string(),
-                });
-            }
-        }
-    }
-    if let Some(sink) = sink {
-        if !report.damaged.is_empty() {
-            sink.counter(
-                szr_telemetry::Counter::SalvagedBands,
-                report.damaged.len() as u64,
-            );
-        }
-    }
-    Ok((Tensor::from_vec(shape, out), report))
+    BandExecutor::new(threads).read(bytes, rows, policy)
 }
 
 #[cfg(test)]
@@ -1474,6 +1154,18 @@ mod tests {
         Tensor::from_fn([97, 64], |ix| {
             ((ix[0] as f32) * 0.11).sin() * 8.0 + ((ix[1] as f32) * 0.07).cos()
         })
+    }
+
+    /// Each band's `(layers, interval bits)`, read back from its header.
+    fn band_configs(archive: &ChunkedArchive) -> Vec<(usize, u32)> {
+        archive
+            .chunks
+            .iter()
+            .map(|c| {
+                let info = inspect(c).unwrap();
+                (info.layers, info.interval_bits)
+            })
+            .collect()
     }
 
     #[test]
@@ -1557,16 +1249,15 @@ mod tests {
                 ((h >> 40) % 4096) as f32
             }
         });
-        let eb = ErrorBound::Absolute(1e-3);
-        let (archive, configs) = compress_chunked_planned(&data, eb, 2, 2).unwrap();
+        let config = Config::new(ErrorBound::Absolute(1e-3));
+        let archive = BandExecutor::new(2)
+            .compress(&data, &config, 2, Strategy::Planned)
+            .unwrap();
+        let configs = band_configs(&archive);
         assert_eq!(configs.len(), 2);
-        let bits = |c: &Config| match c.intervals {
-            szr_core::IntervalMode::Fixed { bits } => bits,
-            _ => panic!("planned configs pin their interval bits"),
-        };
         assert!(
-            bits(&configs[0]) < bits(&configs[1]),
-            "smooth band {:?} should use fewer interval bits than noisy band {:?}",
+            configs[0].1 < configs[1].1,
+            "smooth band (layers, bits) {:?} should use fewer interval bits than noisy band {:?}",
             configs[0],
             configs[1]
         );
@@ -1579,11 +1270,15 @@ mod tests {
     #[test]
     fn planned_chunking_is_deterministic_and_never_larger_capped() {
         let data = field();
-        let eb = ErrorBound::Relative(1e-4);
-        let (a, ca) = compress_chunked_planned(&data, eb, 8, 1).unwrap();
-        let (b, cb) = compress_chunked_planned(&data, eb, 8, 4).unwrap();
+        let config = Config::new(ErrorBound::Relative(1e-4));
+        let a = BandExecutor::new(1)
+            .compress(&data, &config, 8, Strategy::Planned)
+            .unwrap();
+        let b = BandExecutor::new(4)
+            .compress(&data, &config, 8, Strategy::Planned)
+            .unwrap();
         assert_eq!(a.chunks, b.chunks);
-        assert_eq!(ca, cb);
+        assert_eq!(band_configs(&a), band_configs(&b));
         let out: Tensor<f32> = decompress_chunked(&a, 4).unwrap();
         let range = szr_metrics::value_range(data.as_slice());
         for (&x, &y) in data.as_slice().iter().zip(out.as_slice()) {
@@ -1625,7 +1320,9 @@ mod tests {
         });
         let config = Config::new(ErrorBound::Absolute(1e-4));
         let per_band = compress_chunked(&data, &config, 32, 4).unwrap();
-        let shared = compress_chunked_shared(&data, &config, 32, 4).unwrap();
+        let shared = BandExecutor::new(4)
+            .compress(&data, &config, 32, Strategy::Shared)
+            .unwrap();
         assert!(
             shared.shared_table.is_some(),
             "homogeneous bands must share"
@@ -1647,8 +1344,12 @@ mod tests {
     fn shared_table_compression_is_deterministic() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-4));
-        let a = compress_chunked_shared(&data, &config, 8, 1).unwrap();
-        let b = compress_chunked_shared(&data, &config, 8, 4).unwrap();
+        let a = BandExecutor::new(1)
+            .compress(&data, &config, 8, Strategy::Shared)
+            .unwrap();
+        let b = BandExecutor::new(4)
+            .compress(&data, &config, 8, Strategy::Shared)
+            .unwrap();
         assert_eq!(a.chunks, b.chunks);
         assert_eq!(a.shared_table, b.shared_table);
     }
@@ -1667,7 +1368,9 @@ mod tests {
             }
         });
         let config = Config::new(ErrorBound::Absolute(1e-5));
-        let archive = compress_chunked_shared(&data, &config, 4, 2).unwrap();
+        let archive = BandExecutor::new(2)
+            .compress(&data, &config, 4, Strategy::Shared)
+            .unwrap();
         let kinds: Vec<bool> = archive
             .chunks
             .iter()
@@ -1689,7 +1392,9 @@ mod tests {
             ((ix[0] as f32) * 0.04).sin() * 6.0 + ((ix[1] as f32) * 0.09).cos() * 2.0
         });
         let config = Config::new(ErrorBound::Relative(1e-4));
-        let archive = compress_chunked_fused(&data, &config, 16, 4).unwrap();
+        let archive = BandExecutor::new(4)
+            .compress(&data, &config, 16, Strategy::Fused)
+            .unwrap();
         assert_eq!(archive.chunks.len(), 16);
         assert!(
             archive.shared_table.is_some(),
@@ -1713,8 +1418,12 @@ mod tests {
     fn fused_chunking_is_deterministic_across_thread_counts() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-4));
-        let a = compress_chunked_fused(&data, &config, 8, 1).unwrap();
-        let b = compress_chunked_fused(&data, &config, 8, 4).unwrap();
+        let a = BandExecutor::new(1)
+            .compress(&data, &config, 8, Strategy::Fused)
+            .unwrap();
+        let b = BandExecutor::new(4)
+            .compress(&data, &config, 8, Strategy::Fused)
+            .unwrap();
         assert_eq!(a.chunks, b.chunks);
         assert_eq!(a.shared_table, b.shared_table);
     }
@@ -1733,7 +1442,9 @@ mod tests {
             }
         });
         let config = Config::new(ErrorBound::Absolute(1e-3));
-        let archive = compress_chunked_fused(&data, &config, 4, 2).unwrap();
+        let archive = BandExecutor::new(2)
+            .compress(&data, &config, 4, Strategy::Fused)
+            .unwrap();
         assert_eq!(archive.chunks.len(), 4);
         for chunk in &archive.chunks {
             let _ = inspect(chunk).unwrap(); // every band parses
@@ -1748,7 +1459,9 @@ mod tests {
     fn fused_single_band_degrades_to_plain_chunking() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-3));
-        let fused = compress_chunked_fused(&data, &config, 1, 2).unwrap();
+        let fused = BandExecutor::new(2)
+            .compress(&data, &config, 1, Strategy::Fused)
+            .unwrap();
         let plain = compress_chunked(&data, &config, 1, 2).unwrap();
         assert_eq!(fused.chunks, plain.chunks);
         assert!(fused.shared_table.is_none());
@@ -1760,7 +1473,9 @@ mod tests {
         let config = Config::new(ErrorBound::Absolute(1e-3));
         for archive in [
             compress_chunked(&data, &config, 4, 2).unwrap(),
-            compress_chunked_shared(&data, &config, 6, 2).unwrap(),
+            BandExecutor::new(2)
+                .compress(&data, &config, 6, Strategy::Shared)
+                .unwrap(),
         ] {
             let bytes = archive.to_bytes();
             let back = ChunkedArchive::from_bytes(&bytes).unwrap();
@@ -1777,7 +1492,9 @@ mod tests {
         // *trailing index* is tolerated by the sequential parse by design
         // (the index tests cover that), so the end-of-archive cut runs
         // against the legacy layout where the last band is the last byte.
-        let archive = compress_chunked_shared(&data, &config, 6, 2).unwrap();
+        let archive = BandExecutor::new(2)
+            .compress(&data, &config, 6, Strategy::Shared)
+            .unwrap();
         let bytes = archive.to_bytes();
         for cut in [0usize, 3, 9, bytes.len() / 2] {
             assert!(ChunkedArchive::from_bytes(&bytes[..cut]).is_err());
@@ -1812,7 +1529,9 @@ mod tests {
     fn stripped_shared_table_fails_loudly() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-3));
-        let mut archive = compress_chunked_shared(&data, &config, 8, 2).unwrap();
+        let mut archive = BandExecutor::new(2)
+            .compress(&data, &config, 8, Strategy::Shared)
+            .unwrap();
         assert!(archive.shared_table.is_some());
         archive.shared_table = None;
         assert!(decompress_chunked::<f32>(&archive, 2).is_err());
@@ -1835,7 +1554,9 @@ mod tests {
         let config = Config::new(ErrorBound::Absolute(1e-3));
         for archive in [
             compress_chunked(&data, &config, 5, 2).unwrap(),
-            compress_chunked_shared(&data, &config, 6, 2).unwrap(),
+            BandExecutor::new(2)
+                .compress(&data, &config, 6, Strategy::Shared)
+                .unwrap(),
         ] {
             let bytes = archive.to_bytes();
             let indexed = ChunkedArchive::peek_index(&bytes).unwrap();
@@ -1859,7 +1580,9 @@ mod tests {
     fn legacy_v1_bytes_still_roundtrip() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-3));
-        let archive = compress_chunked_shared(&data, &config, 6, 2).unwrap();
+        let archive = BandExecutor::new(2)
+            .compress(&data, &config, 6, Strategy::Shared)
+            .unwrap();
         let legacy = archive.to_bytes_legacy();
         assert_eq!(legacy[4], 1);
         let back = ChunkedArchive::from_bytes(&legacy).unwrap();
@@ -1868,11 +1591,12 @@ mod tests {
         // The un-indexed walk still powers random access.
         let index = band_index(&legacy).unwrap();
         assert!(!index.from_index);
-        let roi: Tensor<f32> = read_bands(&legacy, 1..3, 2, DecodePolicy::Strict).unwrap();
-        let full: Tensor<f32> = decompress_chunked(&back, 2).unwrap();
-        let row_elems = archive.dims[1];
         let r0 = index.entries[0].rows;
         let r1 = r0 + index.entries[1].rows + index.entries[2].rows;
+        let roi: Tensor<f32> =
+            decompress_chunked_region(&legacy, r0..r1, 2, DecodePolicy::Strict).unwrap();
+        let full: Tensor<f32> = decompress_chunked(&back, 2).unwrap();
+        let row_elems = archive.dims[1];
         assert_eq!(
             roi.as_slice(),
             &full.as_slice()[r0 * row_elems..r1 * row_elems]
@@ -1880,36 +1604,49 @@ mod tests {
     }
 
     #[test]
-    fn read_bands_matches_the_full_decode() {
+    fn band_aligned_reads_match_the_full_decode() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-3));
         for archive in [
             compress_chunked(&data, &config, 8, 2).unwrap(),
-            compress_chunked_shared(&data, &config, 8, 2).unwrap(),
+            BandExecutor::new(2)
+                .compress(&data, &config, 8, Strategy::Shared)
+                .unwrap(),
         ] {
             let bytes = archive.to_bytes();
             let full: Tensor<f32> = decompress_chunked(&archive, 2).unwrap();
             let index = band_index(&bytes).unwrap();
             let row_elems = archive.dims[1];
             let mut row = 0usize;
-            for (band, entry) in index.entries.iter().enumerate() {
-                let one: Tensor<f32> =
-                    read_bands(&bytes, band..band + 1, 1, DecodePolicy::Strict).unwrap();
+            for entry in &index.entries {
+                let one: Tensor<f32> = decompress_chunked_region(
+                    &bytes,
+                    row..row + entry.rows,
+                    1,
+                    DecodePolicy::Strict,
+                )
+                .unwrap();
                 assert_eq!(
                     one.as_slice(),
                     &full.as_slice()[row * row_elems..(row + entry.rows) * row_elems]
                 );
                 row += entry.rows;
             }
-            let mid: Tensor<f32> = read_bands(&bytes, 2..6, 2, DecodePolicy::Strict).unwrap();
             let start: usize = index.entries[..2].iter().map(|e| e.rows).sum();
             let span: usize = index.entries[2..6].iter().map(|e| e.rows).sum();
+            let mid: Tensor<f32> =
+                decompress_chunked_region(&bytes, start..start + span, 2, DecodePolicy::Strict)
+                    .unwrap();
             assert_eq!(
                 mid.as_slice(),
                 &full.as_slice()[start * row_elems..(start + span) * row_elems]
             );
-            assert!(read_bands::<f32>(&bytes, 3..3, 1, DecodePolicy::Strict).is_err());
-            assert!(read_bands::<f32>(&bytes, 0..9, 1, DecodePolicy::Strict).is_err());
+            assert!(
+                decompress_chunked_region::<f32>(&bytes, 3..3, 1, DecodePolicy::Strict).is_err()
+            );
+            assert!(
+                decompress_chunked_region::<f32>(&bytes, 0..98, 1, DecodePolicy::Strict).is_err()
+            );
         }
     }
 
@@ -1981,7 +1718,9 @@ mod tests {
     fn peek_stat_reports_header_metadata() {
         let data = field();
         let config = Config::new(ErrorBound::Absolute(1e-3));
-        let archive = compress_chunked_shared(&data, &config, 6, 2).unwrap();
+        let archive = BandExecutor::new(2)
+            .compress(&data, &config, 6, Strategy::Shared)
+            .unwrap();
         let bytes = archive.to_bytes();
         let stat = ChunkedArchive::peek_stat(&bytes).unwrap();
         assert_eq!(stat.version, 2);

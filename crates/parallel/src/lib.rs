@@ -6,17 +6,22 @@
 //! reproduces that shape on a single machine and models the cluster:
 //!
 //! * [`chunked`] — split a tensor into contiguous row bands, compress each
-//!   band as an independent archive (scoped threads, no locks on the data
-//!   path), reassemble on decompression; `compress_chunked_planned` lets
-//!   `szr-planner` pick a per-band configuration so heterogeneous slabs
-//!   each get suitable layer counts and interval sizes;
-//!   `compress_chunked_fused` presamples one shared Huffman table and runs
-//!   the fused quantize→encode fast path per band. Every worker (both
-//!   directions) owns one `szr_core::CodecSession`, so kernels, quantize
-//!   buffers, and decode scratch are reused across all bands it claims.
-//!   Serialized containers (v2) carry a CRC-sealed band index enabling
-//!   `read_bands` / `decompress_chunked_region` — ROI decode that costs
-//!   O(touched bands), never O(archive) — and header-only `peek_stat`;
+//!   band as its own archive, reassemble on decompression. One scoped band
+//!   runner, [`BandExecutor`], runs every direction: `compress` under a
+//!   [`Strategy`] (`Independent` self-contained bands; `Shared`, one
+//!   Huffman table merged from the bands' histograms; `Fused`, a presampled
+//!   shared table with the fused quantize→encode fast path per band;
+//!   `Planned`, where `szr-planner` picks each band's layer count and
+//!   interval sizing), `decompress`, the region `read`, and `salvage`.
+//!   Each worker owns one `szr_core::CodecSession`, so kernels, quantize
+//!   buffers, and decode scratch are reused across all bands it claims;
+//!   an optional sink collects per-worker telemetry merged in band order.
+//!   `compress_chunked` / `decompress_chunked` / `decompress_chunked_region`
+//!   are one-line wrappers over it. Serialized containers (v2) carry a
+//!   CRC-sealed band index enabling ROI reads that cost O(touched bands),
+//!   never O(archive), and header-only `peek_stat`. The per-band tasks
+//!   (band split, band compress and decode, stitch) are shared with the
+//!   `szr-server` archive service;
 //! * [`scheduler`] — the work-stealing band scheduler behind every chunked
 //!   driver (and the `szr-server` job queues): per-worker deques seeded
 //!   with contiguous band runs, idle workers steal from the most loaded
@@ -35,13 +40,9 @@ mod scaling;
 mod scheduler;
 
 pub use chunked::{
-    band_index, compress_chunked, compress_chunked_fused, compress_chunked_fused_telemetry,
-    compress_chunked_planned, compress_chunked_planned_telemetry, compress_chunked_shared,
-    compress_chunked_shared_telemetry, compress_chunked_telemetry, decompress_chunked,
-    decompress_chunked_policy_telemetry, decompress_chunked_region, decompress_chunked_salvage,
-    decompress_chunked_salvage_telemetry, decompress_chunked_telemetry,
-    decompress_chunked_with_policy, read_bands, read_bands_indexed, BandIndex, BandIndexEntry,
-    ChunkedArchive, ChunkedStat,
+    band_index, compress_band, compress_chunked, decompress_chunked, decompress_chunked_region,
+    shared_codec, stitch, BandExecutor, BandIndex, BandIndexEntry, BandSplit, ChunkedArchive,
+    ChunkedStat, Strategy,
 };
 pub use io_model::{io_breakdown, IoBreakdown, IoModel};
 pub use scaling::{measure_scaling, model_cluster_scaling, ClusterModel, Direction, ScalingPoint};

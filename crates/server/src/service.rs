@@ -11,10 +11,12 @@
 //! submit blocks or is rejected (counted, and surfaced through the
 //! service's telemetry sink as `rejected_jobs`).
 //!
-//! Decompress-side jobs operate on *serialized* archives through the
-//! [`BandIndex`], so a region read seeks straight to the covered bands.
-//! Compress jobs replicate `szr_parallel::compress_chunked` band-for-band,
-//! so service output is bit-identical to the single-threaded reference.
+//! The tasks are `szr-parallel`'s own band tasks: compress jobs cut bands
+//! with its [`BandSplit`] and run [`compress_band`] per task, decode jobs
+//! run [`BandIndex::decode_band`] on *serialized* archives (so a region
+//! read seeks straight to the covered bands), and the last task to finish
+//! assembles the job through the same [`stitch`]. Service output is
+//! therefore bit-identical to the chunked drivers by construction.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,9 +25,12 @@ use std::thread::JoinHandle;
 
 use szr_core::{Config, DecodePolicy, ScalarFloat, SzError};
 use szr_huffman::HuffmanCodec;
-use szr_parallel::{band_index, BandIndex, ChunkedArchive, WorkQueues};
+use szr_parallel::{
+    band_index, compress_band, shared_codec, stitch, BandIndex, BandSplit, ChunkedArchive,
+    WorkQueues,
+};
 use szr_telemetry::{Counter, RecordingSink, TelemetrySink};
-use szr_tensor::{Shape, Tensor};
+use szr_tensor::Tensor;
 
 use crate::pool::SessionPool;
 use crate::ServiceError;
@@ -85,19 +90,16 @@ enum JobKind<T: ScalarFloat> {
     Compress {
         data: Arc<Tensor<T>>,
         config: Config,
-        /// Row range per band (slot order), `compress_chunked`'s split.
-        ranges: Vec<(usize, usize)>,
-        dims: Vec<usize>,
+        split: BandSplit,
     },
     Decompress {
         bytes: Arc<Vec<u8>>,
         index: BandIndex,
-        codec: Option<Arc<HuffmanCodec>>,
-        /// Band numbers to decode (slot order).
-        bands: Vec<usize>,
-        /// `(skip_rows, keep_rows)` trim of the stitched result (region
-        /// reads); `None` returns the stitched bands untouched.
-        trim: Option<(usize, usize)>,
+        codec: Option<Box<HuffmanCodec>>,
+        /// Bands to decode; task `slot` decodes band `bands.start + slot`.
+        bands: Range<usize>,
+        /// Rows of the stitched bands to keep (region reads).
+        keep: Option<Range<usize>>,
     },
 }
 
@@ -288,20 +290,18 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
         sink: Option<Arc<RecordingSink>>,
     ) -> Result<CompressHandle<T>, ServiceError> {
         config.validate().map_err(ServiceError::Codec)?;
-        let dims = data.dims().to_vec();
-        let ranges = band_ranges(dims[0], num_chunks.max(1));
+        let split = BandSplit::new(data.dims(), num_chunks);
         let state = Arc::new(JobState {
             done: Mutex::new(None),
             cond: Condvar::new(),
         });
         let job = Arc::new(Job {
-            remaining: AtomicUsize::new(ranges.len()),
-            slots: (0..ranges.len()).map(|_| Mutex::new(None)).collect(),
+            remaining: AtomicUsize::new(split.bands()),
+            slots: (0..split.bands()).map(|_| Mutex::new(None)).collect(),
             kind: JobKind::Compress {
                 data,
                 config,
-                ranges,
-                dims,
+                split,
             },
             policy: DecodePolicy::Strict,
             sink,
@@ -321,25 +321,7 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
         sink: Option<Arc<RecordingSink>>,
     ) -> Result<TensorHandle<T>, ServiceError> {
         let index = band_index(&bytes).map_err(ServiceError::Codec)?;
-        let bands = (0..index.bands()).collect();
-        self.submit_decode(bytes, index, bands, None, policy, sink)
-    }
-
-    /// Submits a decode of bands `bands` only (stitched in band order).
-    pub fn submit_read_bands(
-        &self,
-        bytes: Arc<Vec<u8>>,
-        bands: Range<usize>,
-        policy: DecodePolicy,
-        sink: Option<Arc<RecordingSink>>,
-    ) -> Result<TensorHandle<T>, ServiceError> {
-        let index = band_index(&bytes).map_err(ServiceError::Codec)?;
-        if bands.start >= bands.end || bands.end > index.bands() {
-            return Err(ServiceError::Codec(SzError::InvalidConfig(
-                "band range is empty or exceeds the band count",
-            )));
-        }
-        let bands = bands.collect();
+        let bands = 0..index.bands();
         self.submit_decode(bytes, index, bands, None, policy, sink)
     }
 
@@ -358,28 +340,22 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
         let (bands, first_row) = index
             .bands_covering_rows(rows.clone())
             .map_err(ServiceError::Codec)?;
-        let trim = Some((rows.start - first_row, rows.end - rows.start));
-        let bands = bands.collect();
-        self.submit_decode(bytes, index, bands, trim, policy, sink)
+        let keep = Some(rows.start - first_row..rows.end - first_row);
+        self.submit_decode(bytes, index, bands, keep, policy, sink)
     }
 
     fn submit_decode(
         &self,
         bytes: Arc<Vec<u8>>,
         index: BandIndex,
-        bands: Vec<usize>,
-        trim: Option<(usize, usize)>,
+        bands: Range<usize>,
+        keep: Option<Range<usize>>,
         policy: DecodePolicy,
         sink: Option<Arc<RecordingSink>>,
     ) -> Result<TensorHandle<T>, ServiceError> {
-        let codec = index
-            .shared_table_slice(&bytes)
-            .map(szr_huffman::deserialize_codec)
-            .transpose()
-            .map_err(|e| {
-                ServiceError::Codec(SzError::Corrupt(format!("shared huffman table: {e}")))
-            })?
-            .map(Arc::new);
+        let codec = shared_codec(index.shared_table_slice(&bytes))
+            .map_err(ServiceError::Codec)?
+            .map(Box::new);
         let state = Arc::new(JobState {
             done: Mutex::new(None),
             cond: Condvar::new(),
@@ -392,7 +368,7 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
                 index,
                 codec,
                 bands,
-                trim,
+                keep,
             },
             policy,
             sink,
@@ -473,22 +449,6 @@ impl<T: ScalarFloat> Drop for ArchiveService<T> {
     }
 }
 
-/// `compress_chunked`'s even row split (duplicated here so service bands
-/// line up with the reference driver's bands exactly).
-fn band_ranges(extent: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, extent.max(1));
-    let base = extent / parts;
-    let rem = extent % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 0..parts {
-        let len = base + usize::from(i < rem);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 fn worker_loop<T: ScalarFloat + Send + Sync>(shared: &Shared<T>) {
     let w = shared.queues.register();
     loop {
@@ -520,24 +480,13 @@ fn run_task<T: ScalarFloat + Send + Sync>(shared: &Shared<T>, task: &Task<T>) {
             JobKind::Compress {
                 data,
                 config,
-                ranges,
-                dims,
+                split,
             } => {
-                // Mirror compress_chunked's per-band calls exactly, so
-                // the bytes are bit-identical to the reference driver.
-                if *config != *shared.pool.config() {
+                // A session may still be armed by an earlier job's config.
+                if session.config() != Some(config) {
                     session.set_config(*config).expect("validated at submit")
                 }
-                let (r0, r1) = ranges[task.slot];
-                let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-                let mut band_dims = dims.clone();
-                band_dims[0] = r1 - r0;
-                let shape = Shape::new(&band_dims);
-                let slice = &data.as_slice()[r0 * row_elems..r1 * row_elems];
-                session.set_next_band_index(task.slot as u64);
-                session
-                    .compress_slice(slice, &shape)
-                    .map(|(bytes, _)| TaskOut::Bytes(bytes))
+                compress_band(&mut session, data.as_slice(), split, task.slot).map(TaskOut::Bytes)
             }
             JobKind::Decompress {
                 bytes,
@@ -548,11 +497,12 @@ fn run_task<T: ScalarFloat + Send + Sync>(shared: &Shared<T>, task: &Task<T>) {
             } => {
                 session.set_decode_policy(job.policy);
                 index
-                    .band_slice(bytes, bands[task.slot])
-                    .and_then(|chunk| match codec {
-                        Some(codec) => session.decompress_shared(chunk, codec),
-                        None => session.decompress(chunk),
-                    })
+                    .decode_band(
+                        &mut session,
+                        bytes,
+                        bands.start + task.slot,
+                        codec.as_deref(),
+                    )
                     .map(TaskOut::Band)
             }
         };
@@ -578,87 +528,38 @@ fn run_task<T: ScalarFloat + Send + Sync>(shared: &Shared<T>, task: &Task<T>) {
 /// the handle. Called exactly once, by whichever worker finishes the last
 /// task (or inline for empty jobs).
 fn finalize<T: ScalarFloat>(shared: &Shared<T>, job: &Job<T>) {
-    let mut outs = Vec::with_capacity(job.slots.len());
-    for slot in &job.slots {
-        match slot.lock().unwrap().take() {
-            Some(Ok(out)) => outs.push(out),
-            Some(Err(e)) => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                job.state.fulfill(Err(ServiceError::Codec(e)));
-                return;
-            }
-            None => unreachable!("finalize runs after every task stored its slot"),
-        }
-    }
-    let result = assemble(job, outs);
-    shared.completed.fetch_add(1, Ordering::Relaxed);
-    job.state.fulfill(result);
-}
-
-fn assemble<T: ScalarFloat>(
-    job: &Job<T>,
-    outs: Vec<TaskOut<T>>,
-) -> Result<JobOutput<T>, ServiceError> {
-    match &job.kind {
-        JobKind::Compress { dims, .. } => {
-            let chunks = outs
-                .into_iter()
-                .map(|out| match out {
-                    TaskOut::Bytes(bytes) => bytes,
-                    TaskOut::Band(_) => unreachable!("compress tasks emit bytes"),
-                })
-                .collect();
-            let archive = ChunkedArchive {
-                dims: dims.clone(),
-                chunks,
-                shared_table: None,
-            };
-            Ok(JobOutput::Archive(archive.to_bytes()))
-        }
-        JobKind::Decompress {
-            index, bands, trim, ..
-        } => {
-            let row_elems: usize = index.dims[1..].iter().product::<usize>().max(1);
-            let rows_total: usize = bands.iter().map(|&b| index.entries[b].rows).sum();
-            let mut out_dims = index.dims.clone();
-            out_dims[0] = rows_total;
-            let shape = Shape::new(&out_dims);
-            let mut out: Vec<T> = vec![T::from_f64(0.0); shape.len()];
-            let mut row = 0usize;
-            for (slot, piece) in outs.into_iter().enumerate() {
-                let band = match piece {
-                    TaskOut::Band(band) => band,
-                    TaskOut::Bytes(_) => unreachable!("decode tasks emit tensors"),
+    let outs = job.slots.iter().map(|slot| {
+        slot.lock()
+            .unwrap()
+            .take()
+            .expect("finalize runs after every task stored its slot")
+    });
+    let result = match &job.kind {
+        JobKind::Compress { data, .. } => outs
+            .map(|out| match out? {
+                TaskOut::Bytes(bytes) => Ok(bytes),
+                TaskOut::Band(_) => unreachable!("compress tasks emit bytes"),
+            })
+            .collect::<Result<_, _>>()
+            .map(|chunks| {
+                let archive = ChunkedArchive {
+                    dims: data.dims().to_vec(),
+                    chunks,
+                    shared_table: None,
                 };
-                if band.dims()[1..] != index.dims[1..] {
-                    return Err(ServiceError::Codec(SzError::Corrupt(
-                        "band inner dimensions disagree".into(),
-                    )));
-                }
-                if band.dims()[0] != index.entries[bands[slot]].rows {
-                    return Err(ServiceError::Codec(SzError::Corrupt(
-                        "index: band row extent disagrees with the decoded band".into(),
-                    )));
-                }
-                let rows = band.dims()[0];
-                out[row * row_elems..(row + rows) * row_elems].copy_from_slice(band.as_slice());
-                row += rows;
-            }
-            let tensor = match *trim {
-                None => Tensor::from_vec(shape, out),
-                Some((skip, keep)) => {
-                    if rows_total < skip + keep {
-                        return Err(ServiceError::Codec(SzError::Corrupt(
-                            "index: covering bands hold fewer rows than declared".into(),
-                        )));
-                    }
-                    let mut trimmed_dims = index.dims.clone();
-                    trimmed_dims[0] = keep;
-                    let trimmed = out[skip * row_elems..(skip + keep) * row_elems].to_vec();
-                    Tensor::from_vec(Shape::new(&trimmed_dims), trimmed)
-                }
-            };
-            Ok(JobOutput::Tensor(tensor))
+                JobOutput::Archive(archive.to_bytes())
+            }),
+        JobKind::Decompress {
+            index, bands, keep, ..
+        } => {
+            let bands_out = outs.map(|out| match out? {
+                TaskOut::Band(band) => Ok(band),
+                TaskOut::Bytes(_) => unreachable!("decode tasks emit tensors"),
+            });
+            stitch(&index.stitched_dims(bands.clone()), bands_out, keep.clone())
+                .map(JobOutput::Tensor)
         }
-    }
+    };
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    job.state.fulfill(result.map_err(ServiceError::Codec));
 }

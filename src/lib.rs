@@ -72,8 +72,8 @@
 //! The free functions ([`compress`], [`decompress`], …) remain as thin
 //! wrappers with byte-identical output; `StreamCompressor`, the chunked
 //! drivers in [`parallel`], and the [`planner`]'s size model all run on
-//! sessions internally. With table reuse enabled (or through
-//! `parallel::compress_chunked_fused`'s presampled shared table), the
+//! sessions internally. With table reuse enabled (or through the
+//! presampled shared table of `parallel::Strategy::Fused`), the
 //! quantize and Huffman-encode stages fuse: codes stream straight into the
 //! archive's bit buffer and the intermediate code vector is never
 //! materialized.
@@ -119,10 +119,12 @@
 //! assert_eq!(band.archive_bytes as usize, archive.len());
 //! ```
 //!
-//! The chunked drivers in [`parallel`] have `_telemetry` variants that give
-//! each worker its own sink and merge them in band order, and the in-situ
-//! streaming path ([`StreamCompressor::set_telemetry`]) reports per-slab
-//! bands the same way. On the command line, `szr compress --telemetry=json`
+//! The chunked drivers run through one band runner,
+//! [`parallel::BandExecutor`]: given a sink, it gives each worker its own
+//! sink and merges them in band order (compress under every
+//! [`parallel::Strategy`], decompress, region read, and salvage). The
+//! in-situ streaming path ([`StreamCompressor::set_telemetry`]) reports
+//! per-slab bands the same way. On the command line, `szr compress --telemetry=json`
 //! (and `decompress`) prints the same report on stdout — `version`, `simd`,
 //! `hit_rate`, `escape_rate`, `bits_per_value`, `hit_rate_by_layer`,
 //! `counters`, `spans`, and `bands` (with `estimated_bits_per_value` from
@@ -142,7 +144,7 @@
 //! ([`decompress_with_policy`], [`CodecSession::set_decode_policy`])
 //! rejects any mismatching section with an [`SzError::Corrupt`] naming it
 //! (`header:` / `table:` / `payload:`), and `Salvage` lets container
-//! decodes (`parallel::decompress_chunked_salvage`,
+//! decodes ([`parallel::BandExecutor::salvage`],
 //! [`StreamDecompressor::collect_all_salvage`]) recover every intact band,
 //! fill damaged rows, and report the damage as a [`SalvageReport`]. Every
 //! decode entry point bounds untrusted-header allocations against the
@@ -208,7 +210,7 @@
 //!
 //! Random access rides on the chunked container's **v2 band index**: after
 //! the band region, the archive carries a CRC-32-sealed table of per-band
-//! `(offset, length, rows)` entries, so `parallel::read_bands` and
+//! `(offset, length, rows)` entries, so [`parallel::BandExecutor::read`] and
 //! [`server::ArchiveService::read_region`] decode only the bands a row
 //! range touches — O(touched bands), never O(archive). The sequential band
 //! walk stays authoritative: readers that ignore the index (v1 decoders,

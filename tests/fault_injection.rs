@@ -13,7 +13,7 @@ use szr_core::{
     DecodePolicy, ErrorBound, StreamCompressor, StreamDecompressor,
 };
 use szr_datagen::Mutation;
-use szr_parallel::{decompress_chunked_salvage, decompress_chunked_with_policy, ChunkedArchive};
+use szr_parallel::{BandExecutor, ChunkedArchive};
 use szr_tensor::Tensor;
 
 const EB: f64 = 1e-3;
@@ -91,7 +91,8 @@ fn decode_family(family: &str, bytes: &[u8]) -> Result<Vec<f64>, szr_core::SzErr
             .map(|t| t.as_slice().iter().map(|&v| v as f64).collect()),
         "chunked-f32" => {
             let container = ChunkedArchive::from_bytes(bytes)?;
-            decompress_chunked_with_policy::<f32>(&container, 2, DecodePolicy::Verify)
+            BandExecutor::new(2)
+                .decompress::<f32>(&container, DecodePolicy::Verify)
                 .map(|t| t.as_slice().iter().map(|&v| v as f64).collect())
         }
         "stream-f32" => {
@@ -248,7 +249,9 @@ fn chunked_salvage_recovers_untouched_bands_bit_identically() {
         damaged.chunks[victim].truncate(keep);
         damaged.chunks[victim].extend_from_slice(&tail);
 
-        let (recovered, report) = decompress_chunked_salvage::<f32>(&damaged, 2, f32::NAN).unwrap();
+        let (recovered, report) = BandExecutor::new(2)
+            .salvage::<f32>(&damaged, f32::NAN)
+            .unwrap();
         assert_eq!(report.bands, bands);
         assert_eq!(
             report.damaged.iter().map(|d| d.band).collect::<Vec<_>>(),

@@ -2,9 +2,7 @@
 //! `DecodePolicy` contract, v1/v2 backward compatibility, and salvage
 //! decode on the stream and chunked containers.
 
-use szr::parallel::{
-    decompress_chunked, decompress_chunked_salvage, decompress_chunked_salvage_telemetry,
-};
+use szr::parallel::{decompress_chunked, BandExecutor, Strategy};
 use szr::telemetry::{Counter, RecordingSink};
 use szr::{
     compress, decompress, decompress_with_policy, inspect, inspect_layout, Config, DecodePolicy,
@@ -232,8 +230,11 @@ fn chunked_salvage_emits_telemetry_and_survives_table_loss() {
     damaged.chunks[3][last] ^= 0x55;
 
     let sink = RecordingSink::new();
-    let (out, report) =
-        decompress_chunked_salvage_telemetry::<f32>(&damaged, 2, f32::NAN, Some(&sink)).unwrap();
+    let executor = BandExecutor {
+        threads: 2,
+        sink: Some(&sink),
+    };
+    let (out, report) = executor.salvage::<f32>(&damaged, f32::NAN).unwrap();
     assert_eq!(report.damaged.len(), 1);
     assert_eq!(report.damaged[0].band, 3);
     let counted = sink
@@ -256,14 +257,29 @@ fn chunked_salvage_emits_telemetry_and_survives_table_loss() {
         "bands before the victim must be bit-identical"
     );
 
-    // Destroy the shared table: every shared-stream band is lost, but the
-    // decode still returns a report instead of panicking.
-    if let Some(table) = pristine.clone().shared_table.as_mut() {
-        let mut broken = pristine.clone();
-        let t = broken.shared_table.as_mut().unwrap();
-        t.truncate(table.len() / 2);
-        let (filled, report) = decompress_chunked_salvage::<f32>(&broken, 2, 0.0_f32).unwrap();
-        assert_eq!(filled.len(), data.len());
-        assert!(!report.is_clean(), "table loss must surface as damage");
-    }
+    // Destroy the shared table: every shared-stream band is lost, the
+    // self-contained bands still recover, and the decode returns a report
+    // instead of panicking.
+    let shared = BandExecutor::new(2)
+        .compress(&data, &config, 4, Strategy::Shared)
+        .unwrap();
+    let mut broken = shared.clone();
+    let table = broken
+        .shared_table
+        .as_mut()
+        .expect("homogeneous bands share a table");
+    table.truncate(table.len() / 2);
+    let (filled, report) = BandExecutor::new(2)
+        .salvage::<f32>(&broken, 0.0_f32)
+        .unwrap();
+    assert_eq!(filled.len(), data.len());
+    assert!(!report.is_clean(), "table loss must surface as damage");
+    let streamed: Vec<usize> = (0..shared.chunks.len())
+        .filter(|&b| inspect(&shared.chunks[b]).unwrap().shared_stream)
+        .collect();
+    assert_eq!(
+        report.damaged.iter().map(|d| d.band).collect::<Vec<_>>(),
+        streamed,
+        "exactly the shared-stream bands are lost with the table"
+    );
 }

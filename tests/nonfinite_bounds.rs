@@ -3,8 +3,11 @@
 //! whose decode meets the bound on the finite values and reproduces the
 //! infinities bit for bit (the CLI's `--rel` is covered in the CLI tests).
 
-use szr::parallel::{compress_chunked, decompress_chunked};
-use szr::{compress, decompress, CodecSession, Config, ErrorBound, Tensor};
+use std::sync::Arc;
+
+use szr::parallel::{compress_chunked, decompress_chunked, BandExecutor, Strategy};
+use szr::server::{ArchiveService, Backpressure, ServiceConfig};
+use szr::{compress, decompress, CodecSession, Config, DecodePolicy, ErrorBound, Tensor};
 
 const REL: f64 = 1e-4;
 
@@ -57,4 +60,35 @@ fn relative_bound_with_infinities_compresses_on_every_entry_point() {
 
     let archive = compress_chunked(&data, &config, 4, 2).unwrap();
     assert_decodes("chunked", &data, &decompress_chunked(&archive, 2).unwrap());
+
+    for strategy in [
+        Strategy::Independent,
+        Strategy::Shared,
+        Strategy::Fused,
+        Strategy::Planned,
+    ] {
+        let executor = BandExecutor::new(2);
+        let archive = executor.compress(&data, &config, 4, strategy).unwrap();
+        let out = executor.decompress(&archive, DecodePolicy::Strict).unwrap();
+        assert_decodes(&format!("{strategy:?}"), &data, &out);
+    }
+
+    let svc = ArchiveService::<f32>::new(ServiceConfig {
+        workers: 2,
+        queue_jobs: 2,
+        backpressure: Backpressure::Block,
+        session_config: config,
+    })
+    .unwrap();
+    let bytes = svc
+        .submit_compress(Arc::new(data.clone()), config, 4, None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let out = svc
+        .submit_decompress(Arc::new(bytes), DecodePolicy::Strict, None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_decodes("service", &data, &out);
 }

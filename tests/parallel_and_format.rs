@@ -2,9 +2,7 @@
 
 use szr::datagen::{dataset, hurricane, DatasetKind, Scale};
 use szr::metrics::{max_abs_error, value_range};
-use szr::parallel::{
-    compress_chunked, compress_chunked_shared, decompress_chunked, ChunkedArchive,
-};
+use szr::parallel::{compress_chunked, decompress_chunked, BandExecutor, ChunkedArchive, Strategy};
 use szr::{compress, decompress, Config, ErrorBound, Tensor};
 
 #[test]
@@ -55,7 +53,9 @@ fn shared_table_chunked_roundtrip_on_real_datasets() {
         let config = Config::new(ErrorBound::Absolute(eb)).with_interval_bits(10);
 
         let per_band = compress_chunked(&data, &config, 16, 2).unwrap();
-        let shared = compress_chunked_shared(&data, &config, 16, 2).unwrap();
+        let shared = BandExecutor::new(2)
+            .compress(&data, &config, 16, Strategy::Shared)
+            .unwrap();
         assert!(
             shared.shared_table.is_some(),
             "{kind:?}: bands of one field should share a table"
@@ -74,7 +74,9 @@ fn shared_table_chunked_roundtrip_on_real_datasets() {
         let out: Tensor<f32> = decompress_chunked(&reread, 4).unwrap();
         assert_eq!(direct.as_slice(), out.as_slice());
 
-        let single = compress_chunked_shared(&data, &config, 16, 1).unwrap();
+        let single = BandExecutor::new(1)
+            .compress(&data, &config, 16, Strategy::Shared)
+            .unwrap();
         assert_eq!(single.chunks, shared.chunks, "{kind:?}: scheduling leak");
         assert_eq!(single.shared_table, shared.shared_table);
     }
@@ -143,8 +145,9 @@ fn chunked_bands_carry_escape_lz_framing() {
     for b in &mut damaged.chunks[1][n / 2..] {
         *b ^= 0xA5;
     }
-    let (recovered, report) =
-        szr::parallel::decompress_chunked_salvage::<f32>(&damaged, 2, f32::NAN).unwrap();
+    let (recovered, report) = BandExecutor::new(2)
+        .salvage::<f32>(&damaged, f32::NAN)
+        .unwrap();
     assert_eq!(
         report.damaged.iter().map(|d| d.band).collect::<Vec<_>>(),
         vec![1]

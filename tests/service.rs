@@ -11,14 +11,16 @@
 //!    archive (a counting global allocator, this binary only).
 //! 3. **Index/sequential equivalence** — an indexed (v2) container decodes
 //!    byte-identically through the sequential walk (index ignored), through
-//!    `read_bands` over the index, and from its legacy (v1, un-indexed)
+//!    a region read over the index, and from its legacy (v1, un-indexed)
 //!    serialization.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use szr::parallel::{band_index, compress_chunked, decompress_chunked, read_bands, ChunkedArchive};
+use szr::parallel::{
+    band_index, compress_chunked, decompress_chunked, decompress_chunked_region, ChunkedArchive,
+};
 use szr::server::{ArchiveService, Backpressure, ServiceConfig, ServiceError, SessionPool};
 use szr::{Config, DecodePolicy, ErrorBound, Tensor};
 
@@ -254,14 +256,14 @@ fn indexed_sequential_and_legacy_paths_decode_identically() {
     let index = band_index(&bytes).unwrap();
     assert!(index.from_index, "a fresh v2 archive must carry its index");
     let via_index: Tensor<f32> =
-        read_bands(&bytes, 0..index.bands(), 2, DecodePolicy::Strict).unwrap();
+        decompress_chunked_region(&bytes, 0..index.dims[0], 2, DecodePolicy::Strict).unwrap();
     assert!(
         sequential
             .as_slice()
             .iter()
             .zip(via_index.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "read_bands over the whole index must match the sequential walk"
+        "a region read over the whole index must match the sequential walk"
     );
 
     // Compatibility: the same container serialized without an index (v1)
@@ -306,6 +308,67 @@ fn roi_region_read_equals_the_full_decode_slice() {
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "region {rows:?} drifted from the full decode"
         );
+    }
+}
+
+/// A region read whose rows are exactly some bands' rows returns those
+/// bands, each decoded on its own and stacked in band order.
+#[test]
+fn band_aligned_region_reads_equal_the_decoded_bands() {
+    let svc = service(2, 8);
+    let bytes = Arc::new(
+        compress_chunked(&field(5), &config(), 12, 2)
+            .unwrap()
+            .to_bytes(),
+    );
+    let index = band_index(&bytes).unwrap();
+    for bands in [0..1usize, 3..7, 11..12, 0..12] {
+        let first_row: usize = index.entries[..bands.start].iter().map(|e| e.rows).sum();
+        let rows: usize = index.entries[bands.clone()].iter().map(|e| e.rows).sum();
+        let expected: Vec<f32> = bands
+            .clone()
+            .flat_map(|b| {
+                let band: Tensor<f32> =
+                    szr::decompress(index.band_slice(&bytes, b).unwrap()).unwrap();
+                band.as_slice().to_vec()
+            })
+            .collect();
+        let got = svc
+            .read_region(
+                Arc::clone(&bytes),
+                first_row..first_row + rows,
+                DecodePolicy::Strict,
+                None,
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(got.dims(), &[rows, 64]);
+        assert!(
+            got.as_slice()
+                .iter()
+                .zip(&expected)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "bands {bands:?} drifted from their standalone decodes"
+        );
+    }
+}
+
+/// A compress job under a config other than the pool's re-arms the session
+/// it runs on; the next job under the pool's config must not inherit it.
+#[test]
+fn a_job_config_does_not_leak_into_the_next_job() {
+    let svc = service(1, 4);
+    let data = Arc::new(field(2));
+    let other = Config::new(ErrorBound::Absolute(1e-2));
+    for config in [other, config()] {
+        let got = svc
+            .submit_compress(Arc::clone(&data), config, 4, None)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let reference = compress_chunked(&data, &config, 4, 1).unwrap().to_bytes();
+        assert_eq!(got, reference, "{config:?}");
     }
 }
 

@@ -230,33 +230,64 @@ fn fused_compress_reports_a_deflate_span() {
     assert!(report.counter(Counter::DeflateBlocks) > 0);
 }
 
-/// The chunked drivers give each worker a private sink and merge them into
-/// band order; the merged report must cover every point exactly once and
-/// the observed container must match the unobserved one byte for byte.
+/// The band executor gives each worker a private sink and merges them into
+/// band order under every strategy; the merged report must cover every
+/// point exactly once and the container must be byte-identical with and
+/// without a sink, at any thread count.
 #[test]
 fn chunked_telemetry_merges_per_worker_sinks_in_band_order() {
-    use szr::parallel::{compress_chunked, compress_chunked_telemetry};
+    use szr::parallel::{BandExecutor, Strategy};
     let data = Tensor::from_fn([64, 48], |ix| {
         ((ix[0] as f32) * 0.05).sin() * 30.0 + ((ix[1] as f32) * 0.11).cos() * 4.0
     });
     let config = Config::new(ErrorBound::Absolute(1e-3));
     let chunks = 7;
-    let threads = 3;
 
-    let plain = compress_chunked(&data, &config, chunks, threads).unwrap();
-    let sink = RecordingSink::new();
-    let observed =
-        compress_chunked_telemetry(&data, &config, chunks, threads, Some(&sink)).unwrap();
-    assert_eq!(plain.to_bytes(), observed.to_bytes());
+    for strategy in [
+        Strategy::Independent,
+        Strategy::Shared,
+        Strategy::Fused,
+        Strategy::Planned,
+    ] {
+        let reference = BandExecutor::new(1)
+            .compress(&data, &config, chunks, strategy)
+            .unwrap()
+            .to_bytes();
+        for threads in [1, 3] {
+            let plain = BandExecutor::new(threads)
+                .compress(&data, &config, chunks, strategy)
+                .unwrap();
+            assert_eq!(
+                plain.to_bytes(),
+                reference,
+                "{strategy:?}, {threads} threads"
+            );
+            let sink = RecordingSink::new();
+            let observed = BandExecutor {
+                threads,
+                sink: Some(&sink),
+            }
+            .compress(&data, &config, chunks, strategy)
+            .unwrap();
+            assert_eq!(
+                observed.to_bytes(),
+                reference,
+                "{strategy:?}, {threads} threads: a sink changed the bytes"
+            );
 
-    let report = sink.report();
-    assert_eq!(report.bands.len(), chunks);
-    for (i, band) in report.bands.iter().enumerate() {
-        assert_eq!(band.index, i as u64, "bands must merge in band order");
+            let report = sink.report();
+            assert_eq!(report.bands.len(), chunks, "{strategy:?}");
+            for (i, band) in report.bands.iter().enumerate() {
+                assert_eq!(
+                    band.index, i as u64,
+                    "{strategy:?}: bands must merge in band order"
+                );
+            }
+            let points: u64 = report.bands.iter().map(|b| b.points).sum();
+            assert_eq!(points as usize, data.len(), "{strategy:?}");
+            let band_bytes: u64 = report.bands.iter().map(|b| b.archive_bytes).sum();
+            let chunk_bytes: usize = observed.chunks.iter().map(Vec::len).sum();
+            assert_eq!(band_bytes as usize, chunk_bytes, "{strategy:?}");
+        }
     }
-    let points: u64 = report.bands.iter().map(|b| b.points).sum();
-    assert_eq!(points as usize, data.len());
-    let band_bytes: u64 = report.bands.iter().map(|b| b.archive_bytes).sum();
-    let chunk_bytes: usize = observed.chunks.iter().map(Vec::len).sum();
-    assert_eq!(band_bytes as usize, chunk_bytes);
 }
