@@ -1,29 +1,18 @@
-//! Decode-path benches — the fused streaming decoder against the staged
-//! oracle, and the explicit-SIMD row passes against the forced-scalar
-//! fallback.
+//! Decode-path bench — the fused streaming decoder against the staged
+//! oracle.
 //!
-//! Two layers of comparison:
-//!
-//! * `decode/*` — end-to-end decompression on the paper dataset families:
-//!   a warm `CodecSession::decompress` (Huffman symbols pulled straight
-//!   into row reconstruction, no intermediate symbol vector) vs
-//!   `decompress_staged` (the retained decode-all-then-reconstruct
-//!   oracle).
-//! * `row_pass/*` — the SIMD partial-sum/hit-test row engine vs the scalar
-//!   fallback (`force_scalar`), measured through the quantization scan that
-//!   both compression and the fused decoder share.
-//!
-//! A regression that drops the fused path back to staging, or the SIMD
-//! dispatch back to scalar, shows up here as the two variants converging.
+//! `decode/*` is end-to-end decompression on the paper dataset families: a
+//! warm `CodecSession::decompress` (Huffman symbols pulled straight into
+//! row reconstruction, no intermediate symbol vector) vs
+//! `szr_core::oracle::decompress_staged` (the retained
+//! decode-all-then-reconstruct oracle). A regression that drops the fused
+//! path back to staging shows up here as the two variants converging.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szr_bench::codecs::absolute_bound;
-use szr_core::{
-    compress, decompress_staged, force_scalar, quantize_slice_with_kernel, CodecSession, Config,
-    ErrorBound, ScanKernel,
-};
+use szr_core::oracle::decompress_staged;
+use szr_core::{compress, CodecSession, Config, ErrorBound};
 use szr_datagen::{dataset, DatasetKind, Scale};
-use szr_tensor::{Shape, Tensor};
 
 fn bench_decode(c: &mut Criterion) {
     for kind in [DatasetKind::Atm, DatasetKind::Aps, DatasetKind::Hurricane] {
@@ -48,36 +37,5 @@ fn bench_decode(c: &mut Criterion) {
     }
 }
 
-fn bench_row_pass(c: &mut Criterion) {
-    for (name, dims) in [
-        ("2d_512x512", vec![512usize, 512]),
-        ("3d_64x64x64", vec![64, 64, 64]),
-    ] {
-        let shape = Shape::new(&dims);
-        let data = Tensor::from_fn(&dims[..], |ix| {
-            let s: usize = ix.iter().sum();
-            (s as f32 * 0.013).sin() * 40.0
-        });
-        let values = data.as_slice();
-        let config = Config::new(ErrorBound::Relative(1e-4));
-        let mut kernel = ScanKernel::for_shape(config.layers, &shape);
-
-        let mut group = c.benchmark_group(format!("row_pass/{name}"));
-        group.throughput(Throughput::Elements(shape.len() as u64));
-        for (variant, scalar) in [("simd", false), ("scalar", true)] {
-            group.bench_with_input(BenchmarkId::new(variant, "quantize"), &(), |b, ()| {
-                force_scalar(scalar);
-                b.iter(|| {
-                    quantize_slice_with_kernel(values, &shape, &config, &mut kernel)
-                        .unwrap()
-                        .len()
-                });
-                force_scalar(false);
-            });
-        }
-        group.finish();
-    }
-}
-
-criterion_group!(benches, bench_decode, bench_row_pass);
+criterion_group!(benches, bench_decode);
 criterion_main!(benches);

@@ -7,17 +7,16 @@
 //!   walked in wavefront groups) vs the point visitor `ScanKernel::scan`,
 //!   prediction only.
 //! * `quantize/*` — the full first half of the pipeline:
-//!   `quantize_slice_with_kernel` (row path, batched hit test and code
-//!   emission) vs `quantize_slice_with_kernel_oracle` (point visitor).
+//!   `CodecSession::quantize` (row path, batched hit test and code
+//!   emission) vs `szr_core::oracle::quantize_slice_with_kernel_oracle`
+//!   (point visitor).
 //!
 //! A regression that drops the row fast path back to per-point dispatch
 //! shows up here as the two variants converging.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use szr_core::{
-    quantize_slice_with_kernel, quantize_slice_with_kernel_oracle, Config, ErrorBound, RowVisitor,
-    ScanKernel,
-};
+use szr_core::oracle::quantize_slice_with_kernel_oracle;
+use szr_core::{CodecSession, Config, ErrorBound, RowVisitor, ScanKernel};
 use szr_tensor::{Shape, Tensor};
 
 fn fields() -> [(&'static str, Vec<usize>); 2] {
@@ -157,16 +156,11 @@ fn bench_quantize(c: &mut Criterion) {
         for layers in 1..=2usize {
             let config = Config::new(ErrorBound::Relative(1e-4)).with_layers(layers);
             let mut kernel = ScanKernel::for_shape(layers, &shape);
+            let mut session = CodecSession::new(config).unwrap();
             group.bench_with_input(
                 BenchmarkId::new(format!("n{layers}"), "rows"),
                 &(),
-                |b, ()| {
-                    b.iter(|| {
-                        quantize_slice_with_kernel(values, &shape, &config, &mut kernel)
-                            .unwrap()
-                            .len()
-                    })
-                },
+                |b, ()| b.iter(|| session.quantize(values, &shape).unwrap().len()),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("n{layers}"), "oracle"),

@@ -1,8 +1,8 @@
 //! Session-engine throughput recorder: fresh-vs-reused `CodecSession`,
 //! staged-vs-fused encode, and the shared-table chunked + streaming
 //! scenarios on the datagen fields, writing `BENCH_session.json` — the
-//! perf-trajectory point for the session refactor (siblings: `bench_scan` /
-//! `BENCH_scan.json`, `bench_entropy` / `BENCH_entropy.json`).
+//! perf-trajectory point for the session refactor (sibling: `bench_entropy`
+//! / `BENCH_entropy.json`).
 //!
 //! ```text
 //! cargo run --release -p szr-bench --bin bench_session [-- --out DIR]
@@ -17,7 +17,8 @@
 
 use std::time::Instant;
 use szr_bench::codecs::absolute_bound;
-use szr_core::{compress, decompress_staged, CodecSession, Config, ErrorBound, StreamCompressor};
+use szr_core::oracle::decompress_staged;
+use szr_core::{compress, CodecSession, Config, ErrorBound, StreamCompressor};
 use szr_datagen::{dataset, DatasetKind, Scale};
 use szr_parallel::{BandExecutor, Strategy};
 use szr_tensor::Tensor;

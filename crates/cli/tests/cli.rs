@@ -311,3 +311,83 @@ fn relative_bound_over_infinities_compresses() {
         }
     }
 }
+
+/// `compress --auto` over a field holding ±Inf: the planner prices the
+/// finite values' range, so a target ratio plans (instead of panicking on
+/// an infinite error-bound ladder) and a relative bound resolves (instead
+/// of to an infinite eb). Each archive decodes within the bound it was
+/// planned at and keeps the infinities.
+#[test]
+fn auto_plans_over_infinities() {
+    let raw = tmp("auto_inf.bin");
+    let values: Vec<f32> = (0..64 * 64)
+        .map(|f| {
+            if f % 422 == 211 {
+                f32::NEG_INFINITY
+            } else if f % 211 == 0 {
+                f32::INFINITY
+            } else {
+                (f as f32 * 0.05).sin() * 30.0 + (f / 64) as f32
+            }
+        })
+        .collect();
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(&raw, bytes).unwrap();
+    for (name, goal) in [
+        ("ratio", ["--target-ratio", "8"]),
+        ("rel", ["--rel", "1e-4"]),
+    ] {
+        let packed = tmp(&format!("auto_inf_{name}.szr"));
+        let restored = tmp(&format!("auto_inf_{name}_out.bin"));
+        let comp = szr()
+            .args(["compress", "--input", raw.to_str().unwrap()])
+            .args(["--dims", "64x64", "--auto"])
+            .args(goal)
+            .args(["--output", packed.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let log = String::from_utf8_lossy(&comp.stderr);
+        assert!(comp.status.success(), "{name}: {log}");
+        // "auto: layers L / 2^M - 1 intervals at eb E (...)"
+        let eb: f64 = log
+            .split("at eb ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|e| e.parse().ok())
+            .unwrap_or_else(|| panic!("{name}: no planned eb in {log}"));
+        assert!(eb.is_finite() && eb > 0.0, "{name}: eb {eb}");
+        if name == "rel" {
+            let finite = values.iter().filter(|v| v.is_finite());
+            let range = finite.clone().cloned().fold(f32::NEG_INFINITY, f32::max)
+                - finite.cloned().fold(f32::INFINITY, f32::min);
+            assert!(
+                eb <= 1e-4 * range as f64,
+                "{name}: eb {eb} looser than --rel"
+            );
+        }
+        let dec = szr()
+            .args(["decompress", "--input", packed.to_str().unwrap()])
+            .args(["--output", restored.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            dec.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&dec.stderr)
+        );
+        let back: Vec<f32> = std::fs::read(&restored)
+            .unwrap()
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(back.len(), values.len());
+        for (x, y) in values.iter().zip(&back) {
+            if x.is_finite() {
+                let err = (*x as f64 - *y as f64).abs();
+                assert!(err <= eb, "{name}: error {err} > {eb}");
+            } else {
+                assert_eq!(x.to_bits(), y.to_bits(), "{name}: infinity lost");
+            }
+        }
+    }
+}

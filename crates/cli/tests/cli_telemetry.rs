@@ -127,7 +127,7 @@ fn compress_telemetry_json_lands_on_stdout() {
     std::fs::remove_file(&output).ok();
     let json = text.trim();
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-    for key in ["\"simd\"", "\"hit_rate\"", "\"spans\"", "\"bands\""] {
+    for key in ["\"hit_rate\"", "\"spans\"", "\"bands\""] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
 }

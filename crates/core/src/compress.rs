@@ -26,9 +26,8 @@ pub(crate) const MAGIC: [u8; 4] = *b"SZR1";
 pub(crate) const VERSION: u8 = 1;
 /// Version tag for band archives whose Huffman table lives *outside* the
 /// archive — the chunked driver shares one table across bands. Such an
-/// archive decodes only through
-/// [`crate::decompress_shared_with_kernel`] with the owning container's
-/// codec.
+/// archive decodes only through [`crate::CodecSession::decompress_shared`]
+/// with the owning container's codec.
 pub(crate) const VERSION_SHARED: u8 = 2;
 /// Checksummed self-contained archive: version 1's layout plus a CRC-32
 /// after the header fields and a `table CRC · payload CRC` trailer. This is
@@ -47,9 +46,46 @@ pub(crate) const VERSION_ESCLZ: u8 = 5;
 /// section).
 pub(crate) const VERSION_SHARED_ESCLZ: u8 = 6;
 
-/// Whether a version byte denotes a checksummed (v3-framed) archive.
-pub(crate) fn versioned_checksums(version: u8) -> bool {
-    version >= VERSION_V3
+/// The version byte a band writer emits. Writers always use the v3
+/// checksummed framing; the byte records whether the Huffman table lives in
+/// the container (`shared`) and whether the escape-LZ trial won
+/// (`escape_lz`).
+pub(crate) fn band_version(shared: bool, escape_lz: bool) -> u8 {
+    match (shared, escape_lz) {
+        (false, false) => VERSION_V3,
+        (false, true) => VERSION_ESCLZ,
+        (true, false) => VERSION_SHARED_V3,
+        (true, true) => VERSION_SHARED_ESCLZ,
+    }
+}
+
+/// The framing a band version byte stands for, read once by the parser.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BandFraming {
+    /// The Huffman table lives in the owning container (v2/v4/v6).
+    pub shared: bool,
+    /// Section checksums follow the header and the payload (v3 and later).
+    pub checksummed: bool,
+    /// The escape section is stored DEFLATE-compressed (v5/v6).
+    pub escape_lz: bool,
+}
+
+impl BandFraming {
+    /// The flags of a known version byte, `None` for any other byte.
+    pub fn parse(version: u8) -> Option<Self> {
+        let (shared, escape_lz) = match version {
+            VERSION | VERSION_V3 => (false, false),
+            VERSION_SHARED | VERSION_SHARED_V3 => (true, false),
+            VERSION_ESCLZ => (false, true),
+            VERSION_SHARED_ESCLZ => (true, true),
+            _ => return None,
+        };
+        Some(Self {
+            shared,
+            checksummed: version >= VERSION_V3,
+            escape_lz,
+        })
+    }
 }
 
 /// Per-run statistics reported alongside the archive.
@@ -130,38 +166,24 @@ pub fn compress_slice_with_stats<T: ScalarFloat>(
     compress_validated(values, shape, config, &mut kernel)
 }
 
-/// Compresses a flat slice using a caller-provided [`ScanKernel`].
-///
-/// A kernel is bound to a *(layer count, stride family)* and carries the
-/// specialized-dispatch decision plus the boundary-stencil cache, so callers
-/// compressing many same-family grids — `szr-parallel`'s chunked driver,
-/// the streaming compressor's bands — construct it once and reuse it here
-/// instead of paying setup per band.
-///
-/// # Errors
-/// In addition to [`compress_slice_with_stats`]'s errors, returns
-/// [`crate::SzError::InvalidConfig`] when the kernel's layer count or stride
-/// family does not match `config`/`shape`.
-pub fn compress_slice_with_kernel<T: ScalarFloat>(
+/// The pipeline body through a caller-provided kernel; `config` has already
+/// been validated by the caller (exactly once per public entry point).
+/// Fails with [`crate::SzError::InvalidConfig`] when the kernel's layer
+/// count or stride family does not match `config`/`shape`.
+pub(crate) fn compress_validated<T: ScalarFloat>(
     values: &[T],
     shape: &szr_tensor::Shape,
     config: &Config,
     kernel: &mut ScanKernel,
 ) -> Result<(Vec<u8>, CompressionStats)> {
-    config.validate()?;
-    compress_validated(values, shape, config, kernel)
-}
-
-/// The pipeline body; `config` has already been validated by the caller
-/// (exactly once per public entry point).
-fn compress_validated<T: ScalarFloat>(
-    values: &[T],
-    shape: &szr_tensor::Shape,
-    config: &Config,
-    kernel: &mut ScanKernel,
-) -> Result<(Vec<u8>, CompressionStats)> {
-    let band = quantize_validated(values, shape, config, kernel)?;
-    Ok(encode_quantized(&band, HuffmanTable::PerBand))
+    let band = quantize_validated_impl(values, shape, config, kernel, false, None)?;
+    let (bytes, stats, _) = encode_quantized_sink(
+        &band,
+        HuffmanTable::PerBand,
+        &mut EntropyScratch::default(),
+        None,
+    );
+    Ok((bytes, stats))
 }
 
 /// The predict→quantize half of the pipeline, detached from entropy coding.
@@ -169,7 +191,7 @@ fn compress_validated<T: ScalarFloat>(
 /// Holds everything the entropy stage needs — the quantization-code stream,
 /// the binary-representation escapes, and the header fields — so a
 /// multi-band driver can histogram codes *across* bands and entropy-code
-/// them under one shared Huffman table (see [`encode_quantized`]).
+/// them under one shared Huffman table (see [`crate::CodecSession::encode`]).
 pub struct QuantizedBand {
     meta: BandMeta,
     dims: Vec<usize>,
@@ -278,51 +300,6 @@ impl QuantBufs {
     }
 }
 
-/// Quantizes a flat slice using a caller-provided kernel — the first half
-/// of [`compress_slice_with_kernel`], exposed for drivers that entropy-code
-/// several bands together.
-///
-/// Runs the wavefront fast path ([`ScanKernel::scan_rows`]) except in
-/// decorrelation mode, which carries per-index dither state and stays on the
-/// point visitor.
-///
-/// # Errors
-/// Same conditions as [`compress_slice_with_kernel`].
-pub fn quantize_slice_with_kernel<T: ScalarFloat>(
-    values: &[T],
-    shape: &szr_tensor::Shape,
-    config: &Config,
-    kernel: &mut ScanKernel,
-) -> Result<QuantizedBand> {
-    config.validate()?;
-    quantize_validated(values, shape, config, kernel)
-}
-
-/// [`quantize_slice_with_kernel`] forced onto the per-point visitor — the
-/// slow-path oracle the row engine is property-tested against. Produces a
-/// band whose encoded archive is byte-identical to the row path's.
-///
-/// # Errors
-/// Same conditions as [`compress_slice_with_kernel`].
-pub fn quantize_slice_with_kernel_oracle<T: ScalarFloat>(
-    values: &[T],
-    shape: &szr_tensor::Shape,
-    config: &Config,
-    kernel: &mut ScanKernel,
-) -> Result<QuantizedBand> {
-    config.validate()?;
-    quantize_validated_impl(values, shape, config, kernel, true, None)
-}
-
-fn quantize_validated<T: ScalarFloat>(
-    values: &[T],
-    shape: &szr_tensor::Shape,
-    config: &Config,
-    kernel: &mut ScanKernel,
-) -> Result<QuantizedBand> {
-    quantize_validated_impl(values, shape, config, kernel, false, None)
-}
-
 /// The wavefront quantization visitor: each point's code is written at its
 /// flat index, an escape's reconstruction is returned at once (it feeds
 /// later predictions), and at `end_group` the group's escape bits are
@@ -379,7 +356,7 @@ pub(crate) fn encode_group_escapes<T: ScalarFloat>(
     unpred: &UnpredictableCodec,
     out: &mut BitWriter,
 ) -> usize {
-    let escapes = crate::simd::count_zeros(codes);
+    let escapes = count_escapes(codes);
     if escapes > 0 {
         for (&code, &value) in codes.iter().zip(values) {
             if code == 0 {
@@ -388,6 +365,18 @@ pub(crate) fn encode_group_escapes<T: ScalarFloat>(
         }
     }
     codes.len() - escapes
+}
+
+/// Number of escape (zero) codes in a scan group: a branch-free count the
+/// compiler vectorizes, so escape-free groups skip the escape walk cheaply.
+/// It counts in `u32` lanes, as wide as the codes (a `usize` count widens
+/// every compare), over chunks too short to overflow them.
+#[inline]
+pub(crate) fn count_escapes(codes: &[u32]) -> usize {
+    codes
+        .chunks(1 << 16)
+        .map(|chunk| chunk.iter().map(|&c| u32::from(c == 0)).sum::<u32>() as usize)
+        .sum()
 }
 
 /// Checks `values`/`shape`/`kernel` agreement and resolves the effective
@@ -411,7 +400,15 @@ pub(crate) fn resolve_range_eb<T: ScalarFloat>(
 
     // Resolve the relative bound against the actual value range (Metric 1).
     let range = value_range(values);
-    Ok((range, config.bound.effective(range)))
+    let eb = config.bound.effective(range);
+    // Decorrelation quantizes on half-width intervals, and half the
+    // smallest subnormal is zero.
+    if config.decorrelate && eb / 2.0 == 0.0 {
+        return Err(crate::SzError::InvalidConfig(
+            "error bound too small to halve for decorrelation",
+        ));
+    }
+    Ok((range, eb))
 }
 
 /// The value range `max − min` a relative bound scales (Metric 1), taken
@@ -806,7 +803,7 @@ pub enum HuffmanTable<'a> {
     PerBand,
     /// Encode through a caller-owned codec shared across bands. The archive
     /// (version 2) carries only the code stream and decodes exclusively via
-    /// [`crate::decompress_shared_with_kernel`] with the same codec.
+    /// [`crate::CodecSession::decompress_shared`] with the same codec.
     Shared(&'a HuffmanCodec),
 }
 
@@ -814,17 +811,7 @@ pub enum HuffmanTable<'a> {
 /// of the pipeline. The per-band table is built from the band's cached
 /// [`QuantizedBand::histogram`], so a band whose histogram a multi-band
 /// driver already forced (the shared-table merge) is not re-scanned here.
-pub fn encode_quantized(
-    band: &QuantizedBand,
-    table: HuffmanTable<'_>,
-) -> (Vec<u8>, CompressionStats) {
-    let (bytes, stats, _) =
-        encode_quantized_sink(band, table, &mut EntropyScratch::default(), None);
-    (bytes, stats)
-}
-
-/// [`encode_quantized`] with an optional telemetry sink: stage spans are
-/// recorded and the Huffman-table shape of the produced block is returned
+/// With a telemetry sink, stage spans are recorded and the Huffman-table shape of the produced block is returned
 /// alongside the stats (`None` when no sink observed the encode). The
 /// archive bytes are identical with or without a sink.
 pub(crate) fn encode_quantized_sink(
@@ -870,12 +857,11 @@ pub(crate) fn write_band_header(
     for &d in dims {
         out.write_varint(d as u64);
     }
-    if versioned_checksums(version) {
-        // v3 framing: the header section is sealed by a CRC-32 over exactly
-        // the bytes above, hashed in place from the output buffer.
-        let crc = szr_deflate::crc32(&out.as_bytes()[start..]);
-        out.write_u32(crc);
-    }
+    // v3 framing, which every writer emits: the header section is sealed by
+    // a CRC-32 over exactly the bytes above, hashed in place from the
+    // output buffer.
+    let crc = szr_deflate::crc32(&out.as_bytes()[start..]);
+    out.write_u32(crc);
 }
 
 /// Telemetry-only facts about an encoded band that [`CompressionStats`]
@@ -920,7 +906,7 @@ fn block_extra(huffman_block: &[u8]) -> Option<EncodeExtra> {
     Some(extra)
 }
 
-/// [`encode_quantized`] over loose parts: meta + dims + code/escape slices,
+/// [`encode_quantized_sink`] over loose parts: meta + dims + code/escape slices,
 /// with an optional precomputed histogram for the per-band table. This is
 /// the single archive writer behind every staged encode path. A sink adds
 /// entropy/DEFLATE/header spans and the block's table shape; the bytes are
@@ -951,12 +937,7 @@ pub(crate) fn encode_parts(
     // Bands where the flag is off — or the trial loses — emit v3/v4
     // byte-identically.
     let esc_commit = meta.escape_lz && escape_lz_trial(entropy, unpred_block, sink);
-    let version = match (shared, esc_commit) {
-        (false, false) => VERSION_V3,
-        (false, true) => VERSION_ESCLZ,
-        (true, false) => VERSION_SHARED_V3,
-        (true, true) => VERSION_SHARED_ESCLZ,
-    };
+    let version = band_version(shared, esc_commit);
     let EntropyScratch { deflater, escape } = entropy;
     let escape_section: &[u8] = if esc_commit { escape } else { unpred_block };
 
@@ -1239,10 +1220,9 @@ mod tests {
         });
         let config = Config::new(ErrorBound::Absolute(1e-3));
         let one_shot = compress(&data, &config).unwrap();
-        let mut kernel = ScanKernel::for_shape(config.layers, data.shape());
-        let band = quantize_slice_with_kernel(data.as_slice(), data.shape(), &config, &mut kernel)
-            .unwrap();
-        let (staged, stats) = encode_quantized(&band, HuffmanTable::PerBand);
+        let mut session = crate::CodecSession::new(config).unwrap();
+        let band = session.quantize(data.as_slice(), data.shape()).unwrap();
+        let (staged, stats) = session.encode(&band, HuffmanTable::PerBand);
         assert_eq!(staged, one_shot);
         assert_eq!(stats.compressed_bytes, one_shot.len());
     }
@@ -1253,26 +1233,23 @@ mod tests {
             ((ix[0] as f32) * 0.11).sin() + ((ix[1] as f32) * 0.05).cos()
         });
         let config = Config::new(ErrorBound::Absolute(1e-4));
-        let mut kernel = ScanKernel::for_shape(config.layers, data.shape());
-        let band = quantize_slice_with_kernel(data.as_slice(), data.shape(), &config, &mut kernel)
-            .unwrap();
+        let mut session = crate::CodecSession::new(config).unwrap();
+        let band = session.quantize(data.as_slice(), data.shape()).unwrap();
         // The band's cached histogram is the canonical frequency source —
         // no consumer re-scans `band.codes()`.
         let codec = szr_huffman::HuffmanCodec::from_frequencies(band.histogram());
-        let (bytes, _) = encode_quantized(&band, HuffmanTable::Shared(&codec));
+        let (bytes, _) = session.encode(&band, HuffmanTable::Shared(&codec));
         // Without the codec the archive must refuse, not misdecode.
         assert!(decompress::<f32>(&bytes).is_err());
         let info = crate::inspect(&bytes).unwrap();
         assert!(info.shared_stream);
         // With the codec it reconstructs within the bound.
-        let out: Tensor<f32> =
-            crate::decompress_shared_with_kernel(&bytes, &codec, &mut kernel).unwrap();
+        let out = session.decompress_shared(&bytes, &codec).unwrap();
         check_bound(data.as_slice(), out.as_slice(), 1e-4);
         // A self-contained archive fed through the shared entry point also
         // decodes (codec ignored).
-        let (plain, _) = encode_quantized(&band, HuffmanTable::PerBand);
-        let out2: Tensor<f32> =
-            crate::decompress_shared_with_kernel(&plain, &codec, &mut kernel).unwrap();
+        let (plain, _) = session.encode(&band, HuffmanTable::PerBand);
+        let out2 = session.decompress_shared(&plain, &codec).unwrap();
         assert_eq!(out.as_slice(), out2.as_slice());
     }
 

@@ -1,9 +1,6 @@
 //! Decompression: replay the prediction loop from reconstructed values.
 
-use crate::compress::{
-    versioned_checksums, MAGIC, VERSION, VERSION_ESCLZ, VERSION_SHARED, VERSION_SHARED_ESCLZ,
-    VERSION_SHARED_V3, VERSION_V3,
-};
+use crate::compress::{BandFraming, MAGIC};
 use crate::float::ScalarFloat;
 use crate::kernel::ScanKernel;
 use crate::quant::Quantizer;
@@ -166,23 +163,12 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
         return Err(SzError::Corrupt("bad magic bytes".into()));
     }
     let version = reader.read_u8()?;
-    if !matches!(
-        version,
-        VERSION
-            | VERSION_SHARED
-            | VERSION_V3
-            | VERSION_SHARED_V3
-            | VERSION_ESCLZ
-            | VERSION_SHARED_ESCLZ
-    ) {
-        return Err(SzError::Corrupt(format!("unsupported version {version}")));
-    }
-    let shared_stream = matches!(
-        version,
-        VERSION_SHARED | VERSION_SHARED_V3 | VERSION_SHARED_ESCLZ
-    );
-    let checksummed = versioned_checksums(version);
-    let escape_lz = matches!(version, VERSION_ESCLZ | VERSION_SHARED_ESCLZ);
+    let BandFraming {
+        shared: shared_stream,
+        checksummed,
+        escape_lz,
+    } = BandFraming::parse(version)
+        .ok_or_else(|| SzError::Corrupt(format!("unsupported version {version}")))?;
     let type_tag = reader.read_u8()?;
     let layers = reader.read_u8()? as usize;
     let interval_bits = reader.read_u8()? as u32;
@@ -194,6 +180,10 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
     let eb = reader.read_f64()?;
     if !(eb.is_finite() && eb > 0.0) {
         return Err(SzError::Corrupt("non-positive error bound".into()));
+    }
+    if decorrelate && eb / 2.0 == 0.0 {
+        // No writer emits it: half this bound, the quantizer's, is zero.
+        return Err(SzError::Corrupt("error bound too small to halve".into()));
     }
     if !(1..=8).contains(&layers) || !(2..=30).contains(&interval_bits) {
         return Err(SzError::Corrupt("implausible layer/interval fields".into()));
@@ -257,7 +247,7 @@ pub struct ArchiveInfo {
     pub decorrelated: bool,
     /// Shared-stream band archive: its Huffman table is shared and lives in
     /// the owning container, so it decodes only via
-    /// [`decompress_shared_with_kernel`].
+    /// [`crate::CodecSession::decompress_shared`].
     pub shared_stream: bool,
     /// v3 framing: the archive carries per-section CRC-32 checksums.
     pub checksummed: bool,
@@ -496,7 +486,7 @@ impl<T: ScalarFloat> Default for DecodeScratch<T> {
 ///
 /// Decoding is *fused*: Huffman symbols are pulled straight into row
 /// reconstruction without materializing the symbol vector (see
-/// [`decompress_staged`] for the staged oracle).
+/// [`crate::oracle::decompress_staged`] for the staged oracle).
 pub fn decompress<T: ScalarFloat>(bytes: &[u8]) -> Result<Tensor<T>> {
     decompress_with_policy(bytes, DecodePolicy::Strict)
 }
@@ -527,14 +517,14 @@ pub fn decompress_with_policy<T: ScalarFloat>(
     )
 }
 
-/// The staged decode pipeline: the whole symbol stream is Huffman-decoded
-/// into a vector first, then reconstruction replays over it — the original
-/// (pre-fusion) decode path, kept as the equivalence oracle for
-/// [`decompress`] and exercised against it by the property tests. Output is
-/// bit-identical to [`decompress`] on every archive; corrupt archives fail
-/// on both paths (possibly with different messages, since the fused path
-/// stops at the first bad row).
-pub fn decompress_staged<T: ScalarFloat>(bytes: &[u8]) -> Result<Tensor<T>> {
+/// The staged decode pipeline behind [`crate::oracle::decompress_staged`]
+/// and [`crate::oracle::decompress_staged_shared`]: the whole symbol
+/// stream is Huffman-decoded into a vector first, then reconstruction
+/// replays over it. Version-2 shared-stream bands decode through `codec`.
+pub(crate) fn decompress_staged<T: ScalarFloat>(
+    bytes: &[u8],
+    codec: Option<&HuffmanCodec>,
+) -> Result<Tensor<T>> {
     let mut reader = ByteReader::new(bytes);
     let header = parse_header(bytes, &mut reader)?;
     let mut kernel = ScanKernel::for_shape(header.layers, &header.shape);
@@ -543,37 +533,7 @@ pub fn decompress_staged<T: ScalarFloat>(bytes: &[u8]) -> Result<Tensor<T>> {
         reader,
         bytes.len(),
         &mut kernel,
-        None,
-        &mut DecodeScratch::default(),
-        true,
-        DecodePolicy::Strict,
-        None,
-    )
-}
-
-/// Staged-pipeline mirror of [`decompress_shared_with_kernel`]: the oracle
-/// for fused shared-stream decoding.
-///
-/// # Errors
-/// Same conditions as [`decompress_shared_with_kernel`].
-pub fn decompress_staged_shared_with_kernel<T: ScalarFloat>(
-    bytes: &[u8],
-    codec: &HuffmanCodec,
-    kernel: &mut ScanKernel,
-) -> Result<Tensor<T>> {
-    let mut reader = ByteReader::new(bytes);
-    let header = parse_header(bytes, &mut reader)?;
-    if kernel.layers() != header.layers || !kernel.matches(&header.shape) {
-        return Err(SzError::InvalidConfig(
-            "kernel does not match archive shape and layer count",
-        ));
-    }
-    decompress_parsed(
-        header,
-        reader,
-        bytes.len(),
-        kernel,
-        Some(codec),
+        codec,
         &mut DecodeScratch::default(),
         true,
         DecodePolicy::Strict,
@@ -632,76 +592,6 @@ pub(crate) fn decompress_cached<T: ScalarFloat>(
     )
 }
 
-/// Decompresses an archive using a caller-provided [`ScanKernel`] — the
-/// decompression mirror of [`crate::compress_slice_with_kernel`].
-///
-/// A kernel is bound to a *(layer count, stride family)*, so callers
-/// decoding many same-family archives — `szr-parallel`'s chunked driver
-/// stitching band archives — construct it once (per layer count seen) and
-/// reuse it here instead of paying setup per archive. Use [`inspect`] to
-/// read an archive's layer count and dims cheaply before picking a kernel.
-///
-/// # Errors
-/// In addition to [`decompress`]'s errors, returns
-/// [`SzError::InvalidConfig`] when the kernel's layer count or stride family
-/// does not match the archive header.
-pub fn decompress_with_kernel<T: ScalarFloat>(
-    bytes: &[u8],
-    kernel: &mut ScanKernel,
-) -> Result<Tensor<T>> {
-    let mut reader = ByteReader::new(bytes);
-    let header = parse_header(bytes, &mut reader)?;
-    if kernel.layers() != header.layers || !kernel.matches(&header.shape) {
-        return Err(SzError::InvalidConfig(
-            "kernel does not match archive shape and layer count",
-        ));
-    }
-    decompress_parsed(
-        header,
-        reader,
-        bytes.len(),
-        kernel,
-        None,
-        &mut DecodeScratch::default(),
-        false,
-        DecodePolicy::Strict,
-        None,
-    )
-}
-
-/// Decompresses a version-2 band archive whose Huffman table is shared:
-/// `codec` is the container-owned table every shared band was encoded with
-/// (see [`crate::HuffmanTable::Shared`]). Self-contained version-1 archives
-/// also decode through this entry point (the codec is simply ignored), so a
-/// chunked driver can feed mixed bands through one call.
-///
-/// # Errors
-/// Same conditions as [`decompress_with_kernel`].
-pub fn decompress_shared_with_kernel<T: ScalarFloat>(
-    bytes: &[u8],
-    codec: &HuffmanCodec,
-    kernel: &mut ScanKernel,
-) -> Result<Tensor<T>> {
-    let mut reader = ByteReader::new(bytes);
-    let header = parse_header(bytes, &mut reader)?;
-    if kernel.layers() != header.layers || !kernel.matches(&header.shape) {
-        return Err(SzError::InvalidConfig(
-            "kernel does not match archive shape and layer count",
-        ));
-    }
-    decompress_parsed(
-        header,
-        reader,
-        bytes.len(),
-        kernel,
-        Some(codec),
-        &mut DecodeScratch::default(),
-        false,
-        DecodePolicy::Strict,
-        None,
-    )
-}
-
 /// Payload decode shared by every decompress entry point; `reader` is
 /// positioned just past the header, `kernel` matches it, `codec` is the
 /// shared Huffman table (required for version-2 archives, ignored
@@ -711,7 +601,7 @@ pub fn decompress_shared_with_kernel<T: ScalarFloat>(
 /// With `staged` false (the production path) Huffman symbols are pulled
 /// straight into row reconstruction through a [`SymbolDecoder`] — the
 /// intermediate symbol vector is never materialized, and the per-group
-/// offset/escape work runs through the SIMD batch kernels. With `staged`
+/// offset/escape work runs as batched passes over each group. With `staged`
 /// true (the oracle path, and always in decorrelation mode) the whole
 /// stream decodes into `scratch.codes` first.
 #[allow(clippy::too_many_arguments)]
@@ -914,7 +804,6 @@ fn decompress_parsed<T: ScalarFloat>(
                 visitor.recon_nanos,
                 std::mem::size_of_val(recon.as_slice()) as u64,
             );
-            sink.simd_path(crate::simd::level_name());
         }
         return Ok(Tensor::from_vec(header.shape, recon));
     }
@@ -993,7 +882,12 @@ fn decompress_parsed<T: ScalarFloat>(
 /// Rejects a scan group holding a code outside the alphabet, naming the
 /// first such code in scan order.
 fn check_alphabet(codes: &[u32], alphabet: u32) -> Result<()> {
-    if crate::simd::codes_max(codes) >= alphabet {
+    // The alphabet is a power of two, so a code is outside it exactly when
+    // it sets a bit at or above the alphabet's: an OR over the group tests
+    // them all with one vector instruction per lane group, where an
+    // unsigned max has no baseline x86-64 instruction.
+    debug_assert!(alphabet.is_power_of_two());
+    if codes.iter().fold(0, |bits, &c| bits | c) >= alphabet {
         let bad = codes
             .iter()
             .find(|&&c| c >= alphabet)
@@ -1015,7 +909,7 @@ fn decode_group_escapes<T: ScalarFloat>(
     if out.len() < codes.len() {
         out.resize(codes.len(), T::from_f64(0.0));
     }
-    if crate::simd::count_zeros(codes) > 0 {
+    if crate::compress::count_escapes(codes) > 0 {
         for (slot, &code) in out.iter_mut().zip(codes) {
             if code == 0 {
                 *slot = unpred.decode(bits)?;
@@ -1064,7 +958,7 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowDecoder<'_, '_, T> {
 /// The fused decode visitor: a pull-based [`SymbolDecoder`] feeds
 /// reconstruction directly, so no band-sized symbol vector ever exists.
 /// Each group pulls its symbol run into a group-sized scratch at
-/// `begin_group`, batch-validates it ([`crate::simd::codes_max`]),
+/// `begin_group`, batch-validates it (`check_alphabet`),
 /// precomputes reconstruction offsets ([`Quantizer::recon_offsets`],
 /// bit-identical to the staged per-point [`Quantizer::reconstruct`]) and
 /// decodes its escapes; the wavefront then only adds offsets. The first bad
@@ -1188,6 +1082,39 @@ mod tests {
         }
     }
 
+    /// The OR-reduced alphabet check flags exactly the groups holding a
+    /// code at or above the alphabet, and names the first one.
+    #[test]
+    fn alphabet_check_names_the_first_code_outside() {
+        assert!(check_alphabet(&[1, 255, 0, 128], 256).is_ok());
+        assert!(check_alphabet(&[], 256).is_ok());
+        for (codes, bad) in [(vec![1u32, 256, 3], 256u32), (vec![7, 300, 1 << 31], 300)] {
+            match check_alphabet(&codes, 256) {
+                Err(SzError::Corrupt(msg)) => assert!(msg.contains(&bad.to_string()), "{msg}"),
+                other => panic!("{codes:?}: {other:?}"),
+            }
+        }
+    }
+
+    /// The smallest subnormal bound cannot be halved for decorrelation: a
+    /// typed error on both sides, never the quantizer's assert.
+    #[test]
+    fn unhalvable_decorrelation_bound_is_a_typed_error() {
+        let data = Tensor::from_fn([8, 8], |ix| (ix[0] + ix[1]) as f64);
+        let tiny = ErrorBound::Absolute(f64::from_bits(1));
+        assert!(matches!(
+            compress(&data, &Config::new(tiny).with_decorrelation()),
+            Err(SzError::InvalidConfig(_))
+        ));
+        let config = Config::new(ErrorBound::Absolute(1.0)).with_decorrelation();
+        let mut bytes = compress(&data, &config).unwrap();
+        bytes[9..17].copy_from_slice(&f64::from_bits(1).to_le_bytes());
+        assert!(matches!(
+            decompress::<f64>(&bytes),
+            Err(SzError::Corrupt(_))
+        ));
+    }
+
     #[test]
     fn unsupported_version_is_rejected() {
         let mut bytes = sample_archive();
@@ -1199,29 +1126,47 @@ mod tests {
     fn reused_kernel_decodes_same_family_archives() {
         let config = Config::new(ErrorBound::Absolute(0.01));
         // Same inner extent, different leading extents: one kernel serves all.
-        let mut kernel = ScanKernel::new(1, &[16, 1]);
+        let mut kernels = Vec::new();
+        let mut scratch = DecodeScratch::default();
         for rows in [3usize, 16, 31] {
             let data = Tensor::from_fn([rows, 16], |ix| (ix[0] * 2 + ix[1]) as f32 * 0.3);
             let bytes = compress(&data, &config).unwrap();
             let fresh: Tensor<f32> = decompress(&bytes).unwrap();
-            let reused: Tensor<f32> = decompress_with_kernel(&bytes, &mut kernel).unwrap();
+            let reused: Tensor<f32> = decompress_cached(
+                &bytes,
+                None,
+                &mut kernels,
+                &mut scratch,
+                DecodePolicy::Strict,
+                None,
+            )
+            .unwrap();
             assert_eq!(fresh.as_slice(), reused.as_slice(), "rows {rows}");
         }
+        assert_eq!(kernels.len(), 1);
     }
 
+    /// A cached kernel of another stride family or layer count is never
+    /// used to decode: the cache passes it over and builds a matching one.
     #[test]
     fn mismatched_kernel_is_rejected() {
         let bytes = sample_archive(); // 16x16, 1 layer
-        let mut wrong_strides = ScanKernel::new(1, &[32, 1]);
-        assert!(matches!(
-            decompress_with_kernel::<f32>(&bytes, &mut wrong_strides),
-            Err(SzError::InvalidConfig(_))
-        ));
-        let mut wrong_layers = ScanKernel::new(2, &[16, 1]);
-        assert!(matches!(
-            decompress_with_kernel::<f32>(&bytes, &mut wrong_layers),
-            Err(SzError::InvalidConfig(_))
-        ));
+        let mut kernels = vec![ScanKernel::new(1, &[32, 1]), ScanKernel::new(2, &[16, 1])];
+        let decoded: Tensor<f32> = decompress_cached(
+            &bytes,
+            None,
+            &mut kernels,
+            &mut DecodeScratch::default(),
+            DecodePolicy::Strict,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            decoded.as_slice(),
+            decompress::<f32>(&bytes).unwrap().as_slice()
+        );
+        assert_eq!(kernels.len(), 3);
+        assert!(kernels[2].layers() == 1 && kernels[2].matches(decoded.shape()));
     }
 }
 
@@ -1256,6 +1201,7 @@ mod inspect_tests {
 #[cfg(test)]
 mod escape_lz_tests {
     use super::*;
+    use crate::compress::{VERSION_ESCLZ, VERSION_V3};
     use crate::{compress, Config, ErrorBound};
 
     /// Values from a tiny alphabet of wildly separated magnitudes: nearly

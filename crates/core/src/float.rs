@@ -27,36 +27,6 @@ pub trait ScalarFloat: Copy + PartialOrd + 'static {
     fn to_bits_u64(self) -> u64;
     /// Reconstructs from raw bits (low `BITS` bits of the argument).
     fn from_bits_u64(bits: u64) -> Self;
-
-    // Slice kernels for the scan hot paths. The defaults are the scalar
-    // reference loops; the f32/f64 impls dispatch to the runtime-detected
-    // SIMD kernels in `crate::simd`, which are bit-identical to these
-    // defaults (pinned by that module's tests). Internal plumbing, not API.
-
-    /// `dst[i] = c · src[i]` (widened).
-    #[doc(hidden)]
-    fn simd_term_set(dst: &mut [f64], src: &[Self], c: f64) {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = c * v.to_f64();
-        }
-    }
-
-    /// `dst[i] += c · src[i]` (widened).
-    #[doc(hidden)]
-    fn simd_term_add(dst: &mut [f64], src: &[Self], c: f64) {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d += c * v.to_f64();
-        }
-    }
-
-    /// `ks[i] = |round((vals[i] − preds[i]) / two_eb)|` — the sampler's
-    /// hit-test interval magnitude.
-    #[doc(hidden)]
-    fn simd_k_pass(ks: &mut [f64], vals: &[Self], preds: &[f64], two_eb: f64) {
-        for i in 0..ks.len() {
-            ks[i] = ((vals[i].to_f64() - preds[i]) / two_eb).round().abs();
-        }
-    }
 }
 
 impl ScalarFloat for f32 {
@@ -83,16 +53,6 @@ impl ScalarFloat for f32 {
     fn from_bits_u64(bits: u64) -> Self {
         f32::from_bits(bits as u32)
     }
-
-    fn simd_term_set(dst: &mut [f64], src: &[Self], c: f64) {
-        <f32 as crate::simd::FloatSimd>::term_set(dst, src, c);
-    }
-    fn simd_term_add(dst: &mut [f64], src: &[Self], c: f64) {
-        <f32 as crate::simd::FloatSimd>::term_add(dst, src, c);
-    }
-    fn simd_k_pass(ks: &mut [f64], vals: &[Self], preds: &[f64], two_eb: f64) {
-        <f32 as crate::simd::FloatSimd>::k_pass(ks, vals, preds, two_eb);
-    }
 }
 
 impl ScalarFloat for f64 {
@@ -118,16 +78,6 @@ impl ScalarFloat for f64 {
     #[inline]
     fn from_bits_u64(bits: u64) -> Self {
         f64::from_bits(bits)
-    }
-
-    fn simd_term_set(dst: &mut [f64], src: &[Self], c: f64) {
-        <f64 as crate::simd::FloatSimd>::term_set(dst, src, c);
-    }
-    fn simd_term_add(dst: &mut [f64], src: &[Self], c: f64) {
-        <f64 as crate::simd::FloatSimd>::term_add(dst, src, c);
-    }
-    fn simd_k_pass(ks: &mut [f64], vals: &[Self], preds: &[f64], two_eb: f64) {
-        <f64 as crate::simd::FloatSimd>::k_pass(ks, vals, preds, two_eb);
     }
 }
 

@@ -752,10 +752,10 @@ impl ScanKernel {
     /// for every sampled interior point, in the same order as
     /// [`ScanKernel::sample_interior`].
     ///
-    /// On the dense row-engine path the divide/round/abs chain runs as a
-    /// batched SIMD pass over each materialized prediction row
-    /// ([`ScalarFloat::simd_k_pass`], pinned bit-identical to the scalar
-    /// expression); elsewhere it falls back to the scalar formula per point.
+    /// On the dense row-engine path the divide/round/abs chain runs as one
+    /// batched pass over each materialized prediction row (`k_pass`,
+    /// pinned bit-identical to the per-point formula); elsewhere it runs
+    /// the formula per point.
     ///
     /// # Panics
     /// Same contract as [`ScanKernel::sample_interior`].
@@ -772,10 +772,10 @@ impl ScanKernel {
     {
         let stride_eff = stride.max(1);
         if !(stride_eff <= 4 && matches!(self.kind, KernelKind::Specialized { .. })) {
-            // Sparse or generic sampling: per-point scalar formula on top of
+            // Sparse or generic sampling: the per-point formula on top of
             // the point-path traversal.
             self.sample_interior(shape, data, stride, |flat, pred| {
-                visit(((data[flat].to_f64() - pred) / two_eb).round().abs());
+                visit(round_abs((data[flat].to_f64() - pred) / two_eb));
             });
             return;
         }
@@ -806,7 +806,7 @@ impl ScanKernel {
         let mut per_row = |base: usize, scratch: &mut [f64], ks: &mut [f64]| {
             let seg = base + n;
             fill_partials(&plan.terms, data, seg, &mut scratch[..len]);
-            T::simd_k_pass(
+            k_pass(
                 &mut ks[..len],
                 &data[seg..seg + len],
                 &scratch[..len],
@@ -1246,9 +1246,9 @@ impl Group<'_> {
 /// Accumulates `terms` into `out` for the row segment starting at
 /// `seg_start`: `out[i] = Σ_t coeff_t · buf[seg_start + i − off_t]`, summed
 /// in canonical term order — the read-only row pass and the dense
-/// sampler's predictions. Term-major, one tight slice pass per term; each
-/// pass dispatches through the runtime-detected SIMD kernels
-/// (`crate::simd`), which are pinned bit-identical to the scalar loops.
+/// sampler's predictions. Term-major, one tight slice pass per term, each
+/// a plain multiply-then-add loop the compiler vectorizes (no FMA
+/// contraction, so every lane rounds as the per-point predictors do).
 fn fill_partials<T: ScalarFloat>(
     terms: &[(usize, f64)],
     buf: &[T],
@@ -1260,11 +1260,49 @@ fn fill_partials<T: ScalarFloat>(
     match terms.split_first() {
         None => out.fill(0.0),
         Some((&(o0, c0), rest)) => {
-            T::simd_term_set(out, src(o0), c0);
+            for (d, &v) in out.iter_mut().zip(src(o0)) {
+                *d = c0 * v.to_f64();
+            }
             for &(off, coeff) in rest {
-                T::simd_term_add(out, src(off), coeff);
+                for (d, &v) in out.iter_mut().zip(src(off)) {
+                    *d += coeff * v.to_f64();
+                }
             }
         }
+    }
+}
+
+/// The sampler's hit-test magnitudes over one prediction row:
+/// `ks[i] = |round((vals[i] − preds[i]) / two_eb)|`, bit-identical to the
+/// per-point formula (see [`round_abs`]).
+fn k_pass<T: ScalarFloat>(ks: &mut [f64], vals: &[T], preds: &[f64], two_eb: f64) {
+    for ((k, &v), &p) in ks.iter_mut().zip(vals).zip(preds) {
+        *k = round_abs((v.to_f64() - p) / two_eb);
+    }
+}
+
+/// `|round(y)|`, ties away from zero, equal to `y.round().abs()` for every
+/// input (NaN stays NaN, ∞ stays ∞) but built from adds, compares and
+/// selects: `f64::round` is a libm call on targets without SSE4.1, which
+/// would cost a call per sampled point and keep [`k_pass`] from
+/// vectorizing.
+#[inline(always)]
+fn round_abs(y: f64) -> f64 {
+    /// 2^52: from here on every double is an integer.
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+    let a = y.abs();
+    // For a < 2^52, a + 2^52 lands where the spacing is 1, so the add
+    // rounds a to the nearest integer (ties to even) and the subtract is
+    // exact.
+    let even = (a + INTEGRAL) - INTEGRAL;
+    // a − even is exact; a tie that went down to the even neighbour goes
+    // up instead.
+    let rounded = if a - even == 0.5 { even + 1.0 } else { even };
+    // Large, infinite and NaN inputs are their own rounding.
+    if a < INTEGRAL {
+        rounded
+    } else {
+        a
     }
 }
 
@@ -1542,7 +1580,7 @@ fn readonly_3d_n1<T, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{compress_slice_with_kernel, compress_slice_with_stats};
+    use crate::compress::{compress_slice_with_stats, compress_validated};
     use crate::{decompress, Config, ErrorBound};
     use szr_tensor::Tensor;
 
@@ -1551,6 +1589,75 @@ mod tests {
         (0..len)
             .map(|f| ((f as f32) * 0.37).sin() * 8.0 + ((f as f32) * 0.011).cos() * 3.0)
             .collect()
+    }
+
+    /// The add/compare/select rounding agrees with `round().abs()` on
+    /// ties, their neighbours, both sides of 2^52, and the specials.
+    #[test]
+    fn round_abs_matches_libm_round() {
+        let mut ys = vec![0.0, -0.0, 1e-300, f64::NAN, f64::INFINITY, 1e300];
+        for n in [
+            0.0,
+            1.0,
+            2.0,
+            3.0,
+            1e6,
+            2f64.powi(51),
+            2f64.powi(52),
+            2f64.powi(53),
+        ] {
+            for y in [n - 0.5, n + 0.5, n, n + 0.25, n - 0.25, n + 0.75] {
+                ys.extend([y, y.next_up(), y.next_down()]);
+            }
+        }
+        let mut h = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            ys.push(f64::from_bits(h));
+        }
+        for y in ys {
+            for y in [y, -y] {
+                let (got, want) = (round_abs(y), y.round().abs());
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "round_abs({y:e}) = {got:e}, want {want:e}"
+                );
+            }
+        }
+    }
+
+    /// The batched row passes equal their per-point formulas lane for lane
+    /// over lengths around every vector width.
+    #[test]
+    fn row_passes_match_the_point_formulas() {
+        fn check<T: ScalarFloat>(buf: &[T], n: usize) {
+            let terms = [(1usize, 0.75), (2, -1.5), (3, 2.25)];
+            let mut out = vec![0.125; n];
+            fill_partials(&terms, buf, 3, &mut out);
+            for (i, &got) in out.iter().enumerate() {
+                let f = 3 + i;
+                let want = 0.75 * buf[f - 1].to_f64()
+                    + -1.5 * buf[f - 2].to_f64()
+                    + 2.25 * buf[f - 3].to_f64();
+                assert_eq!(got.to_bits(), want.to_bits(), "fill_partials n={n} i={i}");
+            }
+            let vals = &buf[..n];
+            let mut ks = vec![0.0; n];
+            k_pass(&mut ks, vals, &out, 2e-3);
+            for i in 0..n {
+                let want = ((vals[i].to_f64() - out[i]) / 2e-3).round().abs();
+                assert_eq!(ks[i].to_bits(), want.to_bits(), "k_pass n={n} i={i}");
+            }
+        }
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33] {
+            let buf: Vec<f32> = wavy(&[n + 3]);
+            check(&buf, n);
+            // f64 values off the f32 grid, so the f64 loops see full mantissas.
+            let buf64: Vec<f64> = buf.iter().map(|&v| v as f64 * (1.0 + 1e-12)).collect();
+            check(&buf64, n);
+        }
     }
 
     #[test]
@@ -1999,8 +2106,7 @@ mod tests {
             let dims = vec![rows, 32];
             let shape = Shape::new(&dims);
             let data = wavy(&dims);
-            let (reused, _) =
-                compress_slice_with_kernel(&data, &shape, &config, &mut shared).unwrap();
+            let (reused, _) = compress_validated(&data, &shape, &config, &mut shared).unwrap();
             let (fresh, _) = compress_slice_with_stats(&data, &shape, &config).unwrap();
             assert_eq!(reused, fresh, "rows {rows}");
         }
@@ -2013,10 +2119,10 @@ mod tests {
         let data = wavy(&[8, 8]);
         // Wrong stride family.
         let mut kernel = ScanKernel::new(1, &[16, 1]);
-        assert!(compress_slice_with_kernel(&data, &shape, &config, &mut kernel).is_err());
+        assert!(compress_validated(&data, &shape, &config, &mut kernel).is_err());
         // Wrong layer count.
         let mut kernel = ScanKernel::new(2, &[8, 1]);
-        assert!(compress_slice_with_kernel(&data, &shape, &config, &mut kernel).is_err());
+        assert!(compress_validated(&data, &shape, &config, &mut kernel).is_err());
     }
 
     mod proptests {
@@ -2056,21 +2162,23 @@ mod tests {
             data: &[T],
             config: &Config,
         ) -> Result<(), crate::SzError> {
-            use crate::compress::{encode_quantized, HuffmanTable};
-            use crate::quantize_slice_with_kernel_oracle;
+            use crate::compress::HuffmanTable;
+            use crate::oracle::quantize_slice_with_kernel_oracle;
+            use crate::CodecSession;
 
             let shape = Shape::new(dims);
             let mut spec = ScanKernel::for_shape(config.layers, &shape);
             assert_ne!(spec.kind(), KernelKind::Generic);
             let mut generic = ScanKernel::generic(config.layers, shape.strides());
-            let (a, sa) = compress_slice_with_kernel(data, &shape, config, &mut spec)?;
-            let (b, sb) = compress_slice_with_kernel(data, &shape, config, &mut generic)?;
+            let (a, sa) = compress_validated(data, &shape, config, &mut spec)?;
+            let (b, sb) = compress_validated(data, &shape, config, &mut generic)?;
             assert_eq!(a, b, "archives diverge for dims {dims:?}");
             assert_eq!(sa, sb);
             // The row engine vs the retained point-visitor oracle: archive
             // bytes AND stats (hit counts, section sizes) must be identical.
             let band = quantize_slice_with_kernel_oracle(data, &shape, config, &mut spec)?;
-            let (oracle, so) = encode_quantized(&band, HuffmanTable::PerBand);
+            let mut session = CodecSession::<T>::new(*config)?;
+            let (oracle, so) = session.encode(&band, HuffmanTable::PerBand);
             assert_eq!(a, oracle, "row path diverges from point oracle {dims:?}");
             assert_eq!(sa, so);
             let out: Tensor<T> = decompress(&a)?;

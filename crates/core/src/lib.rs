@@ -65,7 +65,7 @@
 //! }
 //! ```
 //!
-//! ## Streaming decode and SIMD dispatch
+//! ## Streaming decode
 //!
 //! Decompression is *fused*: a pull-based Huffman symbol decoder
 //! (`szr_huffman::SymbolDecoder`) feeds quantization codes straight into
@@ -73,22 +73,24 @@
 //! time — no band-sized symbol vector is ever materialized, each group's
 //! symbols are validated and its escapes decoded before its points are
 //! visited, and a warm session's only steady-state allocation is the output
-//! tensor itself. The staged decode-all-then-reconstruct path
-//! is retained behind [`decompress_staged`] /
-//! [`decompress_staged_shared_with_kernel`] as the property-test oracle:
-//! the fused path is pinned bit-identical to it, including which damaged
-//! archives are rejected.
+//! tensor itself.
 //!
 //! The batched passes — code→offset reconstruction, the decoder's alphabet
-//! and escape counts, the sampler's predictions and hit test, the batched
-//! prior of the 3-D two-layer rows — dispatch at runtime to
-//! explicit SSE2/AVX2 kernels on x86-64 and to scalar reference loops
-//! elsewhere. Every SIMD kernel is bit-identical to its scalar reference
-//! (no FMA contraction, fixed association order, round-half-away-from-zero
-//! emulation), so archives and reconstructions do not depend on the
-//! dispatch decision. Setting `SZR_FORCE_SCALAR=1` (or calling the
-//! test-oriented [`force_scalar`]) pins the scalar fallback; CI runs the
-//! full kernel/quant/decode test surface that way on every push.
+//! and escape counts, the sampler's predictions and hit test — are plain
+//! loops the compiler vectorizes at the baseline target. There is one
+//! implementation of each, with no runtime dispatch: each keeps the
+//! per-point expression's operation order (no FMA contraction), so
+//! archives and reconstructions do not depend on the machine.
+//!
+//! ## One way to run the codec on caller-owned state
+//!
+//! The free functions ([`compress`], [`decompress`], …) build their state
+//! per call. Reusing kernels, buffers and tables across calls goes through
+//! [`CodecSession`] — `compress_slice`, `quantize` / `encode` for staged
+//! cross-band drivers, `decompress` / `decompress_shared` — and nothing
+//! else. The reference paths the fast paths are pinned against (the
+//! per-point quantizer, the staged decode) live in [`oracle`], which is
+//! for tests and benches and outside the supported API.
 //!
 //! ## Archive integrity (v3 framing) and escape-LZ (v5/v6)
 //!
@@ -144,36 +146,32 @@ mod config;
 mod decompress;
 mod float;
 mod kernel;
+#[doc(hidden)]
+pub mod oracle;
 mod predict;
 mod pwrel;
 mod quant;
 mod session;
-mod simd;
 mod stats;
 mod stream;
 mod unpred;
 
 pub use compress::{
-    compress, compress_slice_with_kernel, compress_slice_with_stats, compress_with_stats,
-    encode_quantized, escape_lz_trial_ratio, quantize_slice_with_kernel,
-    quantize_slice_with_kernel_oracle, value_range, CompressionStats, HuffmanTable, QuantizedBand,
+    compress, compress_slice_with_stats, compress_with_stats, escape_lz_trial_ratio, value_range,
+    CompressionStats, HuffmanTable, QuantizedBand,
 };
 pub use config::{Config, ErrorBound, IntervalMode};
 pub use decompress::{
-    check_declared_len, decompress, decompress_shared_with_kernel, decompress_staged,
-    decompress_staged_shared_with_kernel, decompress_with_kernel, decompress_with_policy, inspect,
-    inspect_layout, ArchiveInfo, BandDamage, BandLayout, DecodePolicy, SalvageReport,
+    check_declared_len, decompress, decompress_with_policy, inspect, inspect_layout, ArchiveInfo,
+    BandDamage, BandLayout, DecodePolicy, SalvageReport,
 };
 pub use float::ScalarFloat;
 pub use kernel::{KernelKind, RowVisitor, ScanKernel};
 pub use predict::{layer_coefficients, predict_at, Stencil, StencilSet};
 pub use pwrel::{compress_pointwise_rel, decompress_pointwise_rel, verify_pointwise_rel};
-pub use quant::{choose_interval_bits, choose_interval_bits_with_kernel, Quantizer};
+pub use quant::choose_interval_bits;
 pub use session::{covering_codec, CodecSession};
-pub use simd::{force_scalar, level_name as simd_level_name};
-pub use stats::{
-    hit_rate_by_layer, quantization_histogram, quantization_histogram_with_kernel, PredictionBasis,
-};
+pub use stats::{hit_rate_by_layer, quantization_histogram, PredictionBasis};
 pub use stream::{StreamCompressor, StreamDecompressor};
 pub use unpred::UnpredictableCodec;
 

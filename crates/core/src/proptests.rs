@@ -248,13 +248,12 @@ proptest! {
             let (reused, reused_stats) = session.compress_with_stats(grid).unwrap();
             prop_assert_eq!(&reused, &fresh);
             prop_assert_eq!(reused_stats, fresh_stats);
-            // Shared-table path: same codec, session vs free staging.
-            let mut kernel = crate::ScanKernel::for_shape(config.layers, grid.shape());
-            let band_fresh = crate::quantize_slice_with_kernel(
-                grid.as_slice(), grid.shape(), &config, &mut kernel).unwrap();
+            // Shared-table path: same codec, reused session vs a fresh one.
+            let mut fresh_session = CodecSession::<f32>::new(config).unwrap();
+            let band_fresh = fresh_session.quantize(grid.as_slice(), grid.shape()).unwrap();
             let codec = szr_huffman::HuffmanCodec::from_frequencies(band_fresh.histogram());
             let (shared_fresh, _) =
-                crate::encode_quantized(&band_fresh, crate::HuffmanTable::Shared(&codec));
+                fresh_session.encode(&band_fresh, crate::HuffmanTable::Shared(&codec));
             let band_sess = session.quantize(grid.as_slice(), grid.shape()).unwrap();
             let (shared_sess, _) = session.encode(&band_sess, crate::HuffmanTable::Shared(&codec));
             prop_assert_eq!(&shared_sess, &shared_fresh);
@@ -263,7 +262,7 @@ proptest! {
             let sess_out = session.decompress(&reused).unwrap();
             prop_assert_eq!(free_out.as_slice(), sess_out.as_slice());
             let free_shared: Tensor<f32> =
-                crate::decompress_shared_with_kernel(&shared_fresh, &codec, &mut kernel).unwrap();
+                fresh_session.decompress_shared(&shared_fresh, &codec).unwrap();
             let sess_shared = session.decompress_shared(&shared_sess, &codec).unwrap();
             prop_assert_eq!(free_shared.as_slice(), sess_shared.as_slice());
         }
@@ -349,22 +348,20 @@ proptest! {
         let config = Config::new(ErrorBound::Absolute(eb)).with_layers(layers);
         let bytes = compress(&grid, &config).unwrap();
         let fused: Tensor<f32> = decompress(&bytes).unwrap();
-        let staged: Tensor<f32> = crate::decompress_staged(&bytes).unwrap();
+        let staged: Tensor<f32> = crate::oracle::decompress_staged(&bytes).unwrap();
         prop_assert_eq!(fused.dims(), staged.dims());
         for (a, b) in fused.as_slice().iter().zip(staged.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         // Shared-table band archives: same equivalence through the
         // shared-stream entry points.
-        let mut kernel = crate::ScanKernel::for_shape(config.layers, grid.shape());
-        let band = crate::quantize_slice_with_kernel(
-            grid.as_slice(), grid.shape(), &config, &mut kernel).unwrap();
+        let mut session = CodecSession::<f32>::new(config).unwrap();
+        let band = session.quantize(grid.as_slice(), grid.shape()).unwrap();
         let codec = szr_huffman::HuffmanCodec::from_frequencies(band.histogram());
-        let (shared, _) = crate::encode_quantized(&band, crate::HuffmanTable::Shared(&codec));
-        let fused_s: Tensor<f32> =
-            crate::decompress_shared_with_kernel(&shared, &codec, &mut kernel).unwrap();
+        let (shared, _) = session.encode(&band, crate::HuffmanTable::Shared(&codec));
+        let fused_s = session.decompress_shared(&shared, &codec).unwrap();
         let staged_s: Tensor<f32> =
-            crate::decompress_staged_shared_with_kernel(&shared, &codec, &mut kernel).unwrap();
+            crate::oracle::decompress_staged_shared(&shared, &codec).unwrap();
         for (a, b) in fused_s.as_slice().iter().zip(staged_s.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -396,7 +393,7 @@ proptest! {
         let config = Config::new(ErrorBound::Absolute(eb));
         let bytes = compress(&grid, &config).unwrap();
         let fused: Tensor<f64> = decompress(&bytes).unwrap();
-        let staged: Tensor<f64> = crate::decompress_staged(&bytes).unwrap();
+        let staged: Tensor<f64> = crate::oracle::decompress_staged(&bytes).unwrap();
         for (x, y) in fused.as_slice().iter().zip(staged.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -417,11 +414,11 @@ proptest! {
         let bytes = compress(&grid, &config).unwrap();
         let cut = ((bytes.len() as f64 * cut_frac) as usize).min(bytes.len() - 1);
         prop_assert!(decompress::<f32>(&bytes[..cut]).is_err(), "fused cut {cut}");
-        prop_assert!(crate::decompress_staged::<f32>(&bytes[..cut]).is_err(), "staged cut {cut}");
+        prop_assert!(crate::oracle::decompress_staged::<f32>(&bytes[..cut]).is_err(), "staged cut {cut}");
         let mut copy = bytes.clone();
         let pos = ((copy.len() - 1) as f64 * flip_frac) as usize;
         copy[pos] ^= flip_mask;
-        match (decompress::<f32>(&copy), crate::decompress_staged::<f32>(&copy)) {
+        match (decompress::<f32>(&copy), crate::oracle::decompress_staged::<f32>(&copy)) {
             (Ok(f), Ok(s)) => {
                 for (x, y) in f.as_slice().iter().zip(s.as_slice()) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());

@@ -14,8 +14,7 @@ use szr_tensor::Shape;
 /// and reconstructs to the interval center — which is within `eb` by
 /// construction. Code 0 is reserved for unpredictable data.
 #[derive(Debug, Clone, Copy)]
-pub struct Quantizer {
-    eb: f64,
+pub(crate) struct Quantizer {
     /// `2·eb`, the interval width.
     two_eb: f64,
     /// Precomputed `1 / (2·eb)`: the interval search multiplies instead of
@@ -29,7 +28,6 @@ pub struct Quantizer {
     limit: f64,
     /// 2^{m−1}: the code of the zero-offset interval.
     half: i64,
-    bits: u32,
 }
 
 impl Quantizer {
@@ -37,15 +35,17 @@ impl Quantizer {
     /// (`2^m − 1` intervals).
     ///
     /// # Panics
-    /// Panics if `bits` is outside `2..=30` or `eb` is not positive/finite
-    /// (validated earlier by [`crate::Config`]).
+    /// Panics if `bits` is outside `2..=30` or `eb` is not positive/finite.
+    /// The codec entry points reject such input first
+    /// ([`crate::Config::validate`], `resolve_range_eb` for a decorrelation
+    /// bound too small to halve, `parse_header` for archives); the analysis
+    /// helpers document the condition.
     pub fn new(eb: f64, bits: u32) -> Self {
         assert!((2..=30).contains(&bits), "interval bits must be in 2..=30");
         assert!(eb.is_finite() && eb > 0.0, "error bound must be positive");
         let inv = 1.0 / (2.0 * eb);
         let half = 1i64 << (bits - 1);
         Self {
-            eb,
             two_eb: 2.0 * eb,
             // A subnormal reciprocal would quantize a zero offset to NaN
             // (0 · ∞) or lose precision; those degenerate bounds keep the
@@ -57,7 +57,6 @@ impl Quantizer {
             },
             limit: half as f64 - 0.5,
             half,
-            bits,
         }
     }
 
@@ -72,24 +71,10 @@ impl Quantizer {
         }
     }
 
-    /// The `m` in `2^m − 1` intervals.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Number of quantization intervals (`2^m − 1`).
-    pub fn interval_count(&self) -> u32 {
-        (1u32 << self.bits) - 1
-    }
-
-    /// Alphabet size for the entropy coder (intervals + the escape code 0).
+    /// Alphabet size for the entropy coder: the `2^m − 1` intervals plus
+    /// the escape code 0.
     pub fn alphabet(&self) -> usize {
-        1usize << self.bits
-    }
-
-    /// Absolute error bound.
-    pub fn error_bound(&self) -> f64 {
-        self.eb
+        2 * self.half as usize
     }
 
     /// Quantizes `value` against `pred`.
@@ -134,10 +119,15 @@ impl Quantizer {
     /// so `pred + out[i]` equals [`Quantizer::reconstruct`] bit for bit
     /// (same `f64` expression tree — the offset factor is a single rounding
     /// step in both). Escape codes (0) produce a garbage offset the fused
-    /// decoder never reads. Runs through the runtime-detected SIMD kernels.
+    /// decoder never reads. The caller has checked every code against the
+    /// alphabet (below 2^30), so `code − half` is exact in `i32`, whose
+    /// conversion to `f64` vectorizes where the `i64` one does not.
     #[inline]
     pub(crate) fn recon_offsets(&self, codes: &[u32], out: &mut [f64]) {
-        crate::simd::codes_to_offsets(codes, out, self.two_eb, self.half);
+        let half = self.half as i32;
+        for (o, &c) in out.iter_mut().zip(codes) {
+            *o = self.two_eb * f64::from((c as i32).wrapping_sub(half));
+        }
     }
 
     /// Quantizes `value` against `pred` and narrows the reconstruction to
@@ -195,31 +185,14 @@ pub fn choose_interval_bits<T: ScalarFloat>(
     max_bits: u32,
 ) -> u32 {
     let mut kernel = ScanKernel::for_shape(n, shape);
-    choose_interval_bits_with_kernel(data, shape, &mut kernel, eb, theta, stride, max_bits)
+    choose_interval_bits_counted(data, shape, &mut kernel, eb, theta, stride, max_bits).0
 }
 
-/// [`choose_interval_bits`] with a caller-provided [`ScanKernel`], so the
-/// compressor samples through the same kernel instance it then compresses
-/// with (and chunked callers amortize kernel setup across bands).
-///
-/// # Panics
-/// Panics if the kernel's stride family does not match `shape` (the
-/// kernel's own scan-time check; see [`ScanKernel::sample_interior`]).
-pub fn choose_interval_bits_with_kernel<T: ScalarFloat>(
-    data: &[T],
-    shape: &Shape,
-    kernel: &mut ScanKernel,
-    eb: f64,
-    theta: f64,
-    stride: usize,
-    max_bits: u32,
-) -> u32 {
-    choose_interval_bits_counted(data, shape, kernel, eb, theta, stride, max_bits).0
-}
-
-/// [`choose_interval_bits_with_kernel`] plus the number of candidate
-/// bit-widths the cumulative hit-rate scan examined before settling — the
-/// telemetry layer's `interval_search_iterations` counter.
+/// [`choose_interval_bits`] through a caller-provided [`ScanKernel`] (the
+/// compressor samples through the kernel it then compresses with), plus
+/// the number of candidate bit-widths the cumulative hit-rate scan
+/// examined before settling — the telemetry layer's
+/// `interval_search_iterations` counter.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn choose_interval_bits_counted<T: ScalarFloat>(
     data: &[T],
@@ -237,7 +210,7 @@ pub(crate) fn choose_interval_bits_counted<T: ScalarFloat>(
     // would bias the estimate pessimistically on thin shells.
     let mut need = vec![0u64; (max_bits + 2) as usize];
     let mut samples = 0u64;
-    // The divide/round/abs hit-test runs as a batched SIMD pass on the dense
+    // The divide/round/abs hit-test runs as a batched pass on the dense
     // row-engine path (`sample_interior_ks`); bucketing stays scalar — it is
     // branchy, order-independent, and off the critical path.
     kernel.sample_interior_ks(shape, data, stride, 2.0 * eb, |k| {
@@ -282,7 +255,7 @@ mod tests {
         let pred = 5.0;
         for value in [5.0, 5.005, 4.98, 5.02, 7.0, 3.5] {
             let (code, recon) = q.quantize(value, pred).unwrap();
-            assert!(code >= 1 && code <= q.interval_count());
+            assert!(code >= 1 && (code as usize) < q.alphabet());
             assert!(
                 (value - recon).abs() <= 0.01 + 1e-15,
                 "value {value} recon {recon}"
@@ -327,7 +300,7 @@ mod tests {
             if k.is_nan() || k.abs() >= q.half as f64 {
                 return None;
             }
-            Some(((q.half + k as i64) as u32, pred + 2.0 * q.eb * k))
+            Some(((q.half + k as i64) as u32, pred + q.two_eb * k))
         };
         let mut h = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
@@ -380,6 +353,35 @@ mod tests {
         }
     }
 
+    /// The batched decode helpers agree with their per-point formulas:
+    /// offsets with [`Quantizer::reconstruct`] at both ends of every
+    /// alphabet, escape counts with a filter over lengths around every
+    /// vector width.
+    #[test]
+    fn batched_helpers_match_per_point_formulas() {
+        for bits in [2u32, 8, 16, 30] {
+            let q = Quantizer::new(1e-3, bits);
+            let top = q.alphabet() as u32 - 1;
+            let codes: Vec<u32> = (0..37u32)
+                .map(|i| 1 + i.wrapping_mul(2_654_435_761) % top)
+                .chain([1, top, q.half as u32])
+                .collect();
+            let mut out = vec![0.0; codes.len()];
+            q.recon_offsets(&codes, &mut out);
+            for (&c, &o) in codes.iter().zip(&out) {
+                let want = q.reconstruct(c, 0.5);
+                assert_eq!((0.5 + o).to_bits(), want.to_bits(), "bits {bits} code {c}");
+            }
+        }
+        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33] {
+            let codes: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) % 5)
+                .collect();
+            let want = codes.iter().filter(|&&c| c == 0).count();
+            assert_eq!(crate::compress::count_escapes(&codes), want, "n {n}");
+        }
+    }
+
     /// The exponent read-off agrees with testing each width in turn.
     #[test]
     fn bits_needed_matches_the_width_scan() {
@@ -418,7 +420,7 @@ mod tests {
             (12, 4095),
             (16, 65535),
         ] {
-            assert_eq!(Quantizer::new(0.1, bits).interval_count(), intervals);
+            assert_eq!(Quantizer::new(0.1, bits).alphabet() - 1, intervals as usize);
         }
     }
 

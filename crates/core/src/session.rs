@@ -43,10 +43,10 @@
 //! [`crate::decompress`] reads them.
 
 use crate::compress::{
-    encode_group_escapes, encode_parts, encode_quantized_sink, escape_lz_trial, quantize_into,
-    quantize_validated_impl, resolve_band_params, resolve_range_eb, write_band_header,
-    write_post_passed, BandMeta, CompressionStats, EncodeExtra, EntropyScratch, HuffmanTable,
-    QuantBufs, QuantizedBand, VERSION_ESCLZ, VERSION_SHARED_ESCLZ, VERSION_SHARED_V3, VERSION_V3,
+    band_version, encode_group_escapes, encode_parts, encode_quantized_sink, escape_lz_trial,
+    quantize_into, quantize_validated_impl, resolve_band_params, resolve_range_eb,
+    write_band_header, write_post_passed, BandMeta, CompressionStats, EncodeExtra, EntropyScratch,
+    HuffmanTable, QuantBufs, QuantizedBand,
 };
 use crate::config::Config;
 use crate::decompress::{decompress_cached, DecodePolicy, DecodeScratch};
@@ -309,6 +309,10 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// The real-pipeline quantization-code histogram of `data` (see
     /// [`crate::quantization_histogram`]), through the session's cached
     /// kernel and reconstruction scratch.
+    ///
+    /// # Panics
+    /// Panics unless `eb` is finite and positive and `interval_bits` is in
+    /// `2..=30`.
     pub fn quantization_histogram(
         &mut self,
         data: &Tensor<T>,
@@ -327,7 +331,7 @@ impl<T: ScalarFloat> CodecSession<T> {
     }
 
     /// The §IV-B adaptive interval-bits choice through the session's cached
-    /// kernel (see [`crate::choose_interval_bits_with_kernel`]).
+    /// kernel (see [`crate::choose_interval_bits`]).
     #[allow(clippy::too_many_arguments)]
     pub fn choose_interval_bits(
         &mut self,
@@ -340,7 +344,7 @@ impl<T: ScalarFloat> CodecSession<T> {
         max_bits: u32,
     ) -> u32 {
         let i = self.kernel_index(layers, shape);
-        crate::quant::choose_interval_bits_with_kernel(
+        crate::quant::choose_interval_bits_counted(
             values,
             shape,
             &mut self.kernels[i],
@@ -349,6 +353,7 @@ impl<T: ScalarFloat> CodecSession<T> {
             sample_stride,
             max_bits,
         )
+        .0
     }
 
     fn active_config(&self) -> Result<Config> {
@@ -433,7 +438,6 @@ impl<T: ScalarFloat> CodecSession<T> {
                 pq_nanos,
                 std::mem::size_of_val(values) as u64,
             );
-            sink.simd_path(crate::simd::level_name());
             emit_band(
                 sink,
                 self.band_index,
@@ -556,7 +560,6 @@ impl<T: ScalarFloat> CodecSession<T> {
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
-            sink.simd_path(crate::simd::level_name());
             let mut extra = EncodeExtra::from_lengths(reuse.codec.lengths());
             extra.code_stream_bits = (code_bytes.len() as u64) * 8;
             extra.table_bytes = (reuse.table_rle.len() + ByteWriter::varint_len(reuse.used)) as u64;
@@ -664,7 +667,6 @@ impl<T: ScalarFloat> CodecSession<T> {
                 stats.huffman_bytes as u64,
             );
             sink.counter(Counter::FusedDemotions, demoted as u64);
-            sink.simd_path(crate::simd::level_name());
             let mut extra = EncodeExtra::from_lengths(codec.lengths());
             extra.code_stream_bits = (code_bytes.len() as u64) * 8;
             emit_band(
@@ -684,7 +686,7 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// session's cached kernel.
     ///
     /// # Errors
-    /// Same conditions as [`crate::quantize_slice_with_kernel`].
+    /// Same conditions as [`CodecSession::compress_slice`].
     pub fn quantize(&mut self, values: &[T], shape: &Shape) -> Result<QuantizedBand> {
         let config = self.active_config()?;
         let sink = self.active_sink();
@@ -705,12 +707,12 @@ impl<T: ScalarFloat> CodecSession<T> {
                 nanos,
                 std::mem::size_of_val(values) as u64,
             );
-            sink.simd_path(crate::simd::level_name());
         }
         band
     }
 
-    /// Entropy-codes a quantized band (see [`crate::encode_quantized`]).
+    /// Entropy-codes a quantized band (§IV) under a per-band or shared
+    /// Huffman table.
     pub fn encode(
         &mut self,
         band: &QuantizedBand,
@@ -720,7 +722,6 @@ impl<T: ScalarFloat> CodecSession<T> {
         let (bytes, stats, extra) =
             encode_quantized_sink(band, table, &mut self.entropy, sink.as_deref());
         if let Some(sink) = sink.as_deref() {
-            sink.simd_path(crate::simd::level_name());
             emit_band(
                 sink,
                 self.band_index,
@@ -738,7 +739,7 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// [`CodecSession::decompress_shared`].
     ///
     /// Decoding is fused (symbols pull straight into row reconstruction;
-    /// see [`crate::decompress_staged`] for the staged oracle), and in
+    /// see [`crate::oracle::decompress_staged`] for the staged oracle), and in
     /// steady state — same grid family, same producer table — allocates
     /// nothing but the output tensor: the row scratch, the codec cache, and
     /// its decode LUT all live in the session.
@@ -756,9 +757,7 @@ impl<T: ScalarFloat> CodecSession<T> {
 
     /// Decompresses a band archive whose Huffman table may live in its
     /// container: version-2 bands decode through `codec`, self-contained
-    /// archives ignore it — the session mirror of
-    /// [`crate::decompress_shared_with_kernel`]. Fused like
-    /// [`CodecSession::decompress`].
+    /// archives ignore it. Fused like [`CodecSession::decompress`].
     pub fn decompress_shared(&mut self, bytes: &[u8], codec: &HuffmanCodec) -> Result<Tensor<T>> {
         let sink = self.active_sink();
         decompress_cached(
@@ -964,12 +963,7 @@ fn write_fused_archive(
     let (esc_commit, mut deflate_nanos) = timed(sink.is_some(), || {
         meta.escape_lz && escape_lz_trial(entropy, unpred_bytes, sink)
     });
-    let version = match (shared, esc_commit) {
-        (false, false) => VERSION_V3,
-        (false, true) => VERSION_ESCLZ,
-        (true, false) => VERSION_SHARED_V3,
-        (true, true) => VERSION_SHARED_ESCLZ,
-    };
+    let version = band_version(shared, esc_commit);
     let EntropyScratch { deflater, escape } = entropy;
     let escape_section: &[u8] = if esc_commit { escape } else { unpred_bytes };
     let table_len = table.map_or(0, |(rle, used)| ByteWriter::varint_len(used) + rle.len());
@@ -1028,6 +1022,7 @@ fn write_fused_archive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::VERSION_ESCLZ;
     use crate::{compress_slice_with_stats, decompress, Config, ErrorBound};
 
     fn wavy(rows: usize, cols: usize) -> Tensor<f32> {

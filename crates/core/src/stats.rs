@@ -117,6 +117,10 @@ impl<T: ScalarFloat> RowVisitor<T> for HitRateRows<'_, T> {
 /// Runs the real pipeline and returns the quantization-code histogram
 /// (Figure 3): `hist[c]` counts code `c`; index 0 is the unpredictable
 /// escape code.
+///
+/// # Panics
+/// Panics unless `eb` is finite and positive and `interval_bits` is in
+/// `2..=30`.
 pub fn quantization_histogram<T: ScalarFloat>(
     data: &Tensor<T>,
     layers: usize,
@@ -124,30 +128,13 @@ pub fn quantization_histogram<T: ScalarFloat>(
     interval_bits: u32,
 ) -> Vec<u64> {
     let mut kernel = ScanKernel::for_shape(layers, data.shape());
-    quantization_histogram_with_kernel(data, &mut kernel, eb, interval_bits)
+    quantization_histogram_buffered(data, &mut kernel, eb, interval_bits, &mut Vec::new())
 }
 
-/// [`quantization_histogram`] with a caller-provided kernel, so repeated
-/// measurements over the same grid family — the planner prices many
-/// `(layers, eb, bits)` configurations against one sample — reuse one
-/// kernel and its scratch-row allocation instead of rebuilding per call.
-///
-/// # Panics
-/// Panics if the kernel's stride family does not match `data`'s shape (the
-/// kernel's own scan-time check); the layer count is the kernel's.
-pub fn quantization_histogram_with_kernel<T: ScalarFloat>(
-    data: &Tensor<T>,
-    kernel: &mut ScanKernel,
-    eb: f64,
-    interval_bits: u32,
-) -> Vec<u64> {
-    quantization_histogram_buffered(data, kernel, eb, interval_bits, &mut Vec::new())
-}
-
-/// [`quantization_histogram_with_kernel`] with a caller-owned
+/// [`quantization_histogram`] through a caller-provided kernel and
 /// reconstruction scratch buffer — the body behind
 /// [`crate::CodecSession::quantization_histogram`], where the planner's
-/// repeated pricing passes reuse one allocation.
+/// repeated pricing passes reuse one kernel and one allocation.
 pub(crate) fn quantization_histogram_buffered<T: ScalarFloat>(
     data: &Tensor<T>,
     kernel: &mut ScanKernel,

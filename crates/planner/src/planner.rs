@@ -7,7 +7,7 @@ use crate::report::{Candidate, Estimate, Goal, PlanReport, PlannedCodec};
 use crate::{PlanError, Result};
 use std::cell::OnceCell;
 use szr_core::ScalarFloat;
-use szr_metrics::{value_range, ErrorStats, Real};
+use szr_metrics::{ErrorStats, Real};
 use szr_tensor::{Shape, Tensor};
 
 /// Estimated constant overhead of a non-SZ archive (magic + dims + mode
@@ -112,7 +112,10 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
             sample,
             shape: Shape::new(shape.dims()),
             total_len: shape.len(),
-            range: value_range(values),
+            // Finite values only, as the compressor resolves a relative
+            // bound: an infinity would make every relative bound and the
+            // target-ratio ladder unusable.
+            range: szr_core::value_range(values),
             opts,
         }
     }
@@ -153,7 +156,13 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
                 if !(ratio.is_finite() && ratio > 0.0) {
                     return Err(PlanError::Invalid(format!("unusable target ratio {ratio}")));
                 }
-                self.plan_target_ratio(ratio)
+                let ladder = self.eb_ladder().ok_or_else(|| {
+                    PlanError::Invalid(format!(
+                        "value range {:e} leaves no usable error-bound ladder",
+                        self.range
+                    ))
+                })?;
+                self.plan_target_ratio(ratio, &ladder)
             }
         };
         rank(&mut candidates, goal);
@@ -372,11 +381,11 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
 
     // ----- Goal::TargetRatio ----------------------------------------------
 
-    fn plan_target_ratio(&self, target: f64) -> Vec<Candidate> {
+    fn plan_target_ratio(&self, target: f64, ladder: &[f64]) -> Vec<Candidate> {
         let mut candidates = Vec::new();
         if self.opts.codecs.contains(&CodecKind::Sz14) {
             for &layers in &self.opts.layers {
-                candidates.push(self.sz_target_search(layers, target));
+                candidates.push(self.sz_target_search(layers, target, ladder));
             }
         }
         for &kind in &self.opts.codecs {
@@ -384,7 +393,7 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
                 continue;
             };
             candidates.push(if adapter.lossy() {
-                self.black_box_target_search(&*adapter, target)
+                self.black_box_target_search(&*adapter, target, ladder)
             } else {
                 // Lossless: one fixed operating point.
                 match self.trial_adapter(&*adapter, 0.0) {
@@ -408,23 +417,28 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
         candidates
     }
 
-    /// Error-bound ladder as absolute bounds (ascending).
-    fn eb_ladder(&self) -> Vec<f64> {
+    /// Error-bound ladder as absolute bounds, or `None` when the value
+    /// range is too close to the subnormals for a strictly ascending,
+    /// positive ladder ([`Planner::sz_size_curve`]'s contract).
+    fn eb_ladder(&self) -> Option<Vec<f64>> {
         let range = if self.range > 0.0 { self.range } else { 1.0 };
         let (lo, hi) = (range * LADDER_LO, range * LADDER_HI);
         let step = (hi / lo).powf(1.0 / (LADDER_POINTS - 1) as f64);
-        (0..LADDER_POINTS)
+        let ladder: Vec<f64> = (0..LADDER_POINTS)
             .map(|i| lo * step.powi(i as i32))
-            .collect()
+            .collect();
+        let usable = ladder.iter().all(|eb| eb.is_finite())
+            && ladder[0] > 0.0
+            && ladder.windows(2).all(|w| w[0] < w[1]);
+        usable.then_some(ladder)
     }
 
     /// Model-guided search for the smallest SZ error bound reaching
     /// `target`, trial-refined when `opts.refine` is set.
-    fn sz_target_search(&self, layers: usize, target: f64) -> Candidate {
+    fn sz_target_search(&self, layers: usize, target: f64, ladder: &[f64]) -> Candidate {
         let theta = self.opts.thetas.first().copied().unwrap_or(0.99);
         let model = self.model();
-        let ladder = self.eb_ladder();
-        let curve = self.sz_size_curve(layers, theta, &ladder);
+        let curve = self.sz_size_curve(layers, theta, ladder);
         let eval = |eb: f64| -> (u32, Estimate) {
             let bits = model.choose_bits(layers, eb, theta, self.opts.max_interval_bits);
             let est = if self.opts.refine {
@@ -493,8 +507,12 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
 
     /// Pure black-box bisection for an alternative backend: smallest bound
     /// whose sampled trial reaches `target`.
-    fn black_box_target_search(&self, adapter: &dyn CodecAdapter<T>, target: f64) -> Candidate {
-        let ladder = self.eb_ladder();
+    fn black_box_target_search(
+        &self,
+        adapter: &dyn CodecAdapter<T>,
+        target: f64,
+        ladder: &[f64],
+    ) -> Candidate {
         let (mut lo, hi) = (ladder[0], *ladder.last().unwrap());
         // A compress failure (e.g. ISABELA declining a tight bound) counts
         // as "target not reached" so bisection walks away from it.
@@ -580,18 +598,22 @@ fn failed_candidate(codec: PlannedCodec, msg: String) -> Candidate {
 
 /// Orders candidates: feasible first, then by the goal's figure of merit —
 /// smallest size for [`Goal::MaxError`], smallest error (ties: larger
-/// ratio) for [`Goal::TargetRatio`].
+/// ratio) for [`Goal::TargetRatio`]. A non-finite figure ranks as +∞, so
+/// the order is total and such estimates come last.
 fn rank(candidates: &mut [Candidate], goal: &Goal) {
+    let last_if_not_finite = |x: f64| if x.is_finite() { x } else { f64::INFINITY };
     let key = |c: &Candidate| -> (bool, f64, f64) {
-        match goal {
-            Goal::MaxError { .. } => (!c.feasible, c.estimate.bits_per_value, 0.0),
-            Goal::TargetRatio { .. } => (!c.feasible, c.estimate.max_abs_error, -c.estimate.ratio),
-        }
+        let (a, b) = match goal {
+            Goal::MaxError { .. } => (c.estimate.bits_per_value, 0.0),
+            Goal::TargetRatio { .. } => (c.estimate.max_abs_error, -c.estimate.ratio),
+        };
+        (!c.feasible, last_if_not_finite(a), last_if_not_finite(b))
     };
     candidates.sort_by(|a, b| {
-        key(a)
-            .partial_cmp(&key(b))
-            .unwrap_or(std::cmp::Ordering::Equal)
+        let (ka, kb) = (key(a), key(b));
+        ka.0.cmp(&kb.0)
+            .then(ka.1.total_cmp(&kb.1))
+            .then(ka.2.total_cmp(&kb.2))
     });
 }
 
@@ -833,6 +855,122 @@ mod tests {
         let calm = smooth([64, 64]);
         let config = plan_band_config(calm.as_slice(), calm.shape(), 1e-3);
         assert!(!config.escape_lz, "smooth data must not arm the flag");
+    }
+
+    /// 64×64, every 211th value +Inf and every 422nd −Inf instead.
+    fn with_infinities<T: ScalarFloat>() -> Tensor<T> {
+        Tensor::from_fn([64, 64], |ix| {
+            let f = ix[0] * 64 + ix[1];
+            T::from_f64(if f % 422 == 211 {
+                f64::NEG_INFINITY
+            } else if f % 211 == 0 {
+                f64::INFINITY
+            } else {
+                (f as f64 * 0.05).sin() * 30.0 + ix[0] as f64
+            })
+        })
+    }
+
+    /// A target ratio over a field holding ±Inf plans against the finite
+    /// values' range, and the chosen SZ config meets its own bound.
+    fn target_ratio_plans_over_infinities<T: ScalarFloat + Real>() {
+        let data = with_infinities::<T>();
+        let planner = Planner::with_options(&data, PlannerOptions::default().sz_only());
+        assert!(planner.range().is_finite());
+        let report = planner.plan(&Goal::TargetRatio { ratio: 8.0 }).unwrap();
+        let config = report.chosen().codec.sz_config().unwrap();
+        let szr_core::ErrorBound::Absolute(eb) = config.bound else {
+            panic!("planned configs pin an absolute bound");
+        };
+        let bytes = szr_core::compress(&data, &config).unwrap();
+        let out: Tensor<T> = szr_core::decompress(&bytes).unwrap();
+        for (x, y) in data.as_slice().iter().zip(out.as_slice()) {
+            let (x, y) = (ScalarFloat::to_f64(*x), ScalarFloat::to_f64(*y));
+            if x.is_finite() {
+                let err = (x - y).abs();
+                assert!(err <= eb, "{} error {err} > {eb}", T::NAME);
+            } else {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn target_ratio_plans_over_infinities_f32() {
+        target_ratio_plans_over_infinities::<f32>();
+    }
+
+    #[test]
+    fn target_ratio_plans_over_infinities_f64() {
+        target_ratio_plans_over_infinities::<f64>();
+    }
+
+    /// A range too close to the subnormals for an error-bound ladder is a
+    /// typed error, not a panic.
+    #[test]
+    fn subnormal_range_is_a_typed_error() {
+        let data = Tensor::from_fn([16, 16], |ix| f64::from_bits((ix[0] * 16 + ix[1]) as u64));
+        let planner = Planner::with_options(&data, PlannerOptions::default().sz_only());
+        assert!(matches!(
+            planner.plan(&Goal::TargetRatio { ratio: 8.0 }),
+            Err(PlanError::Invalid(_))
+        ));
+    }
+
+    /// NaN and infinite estimates rank after every finite one, in a total
+    /// order (a partial one lets the sort panic or scatter them).
+    #[test]
+    fn rank_puts_non_finite_estimates_last() {
+        let candidate = |bpv: f64, err: f64, ratio: f64| Candidate {
+            codec: PlannedCodec::Sz {
+                eb_abs: 1e-3,
+                layers: 1,
+                interval_bits: 8,
+            },
+            estimate: Estimate {
+                bits_per_value: bpv,
+                ratio,
+                max_abs_error: err,
+                psnr_db: 0.0,
+            },
+            feasible: true,
+            note: String::new(),
+        };
+        let figures = [
+            f64::NAN,
+            3.0,
+            f64::INFINITY,
+            1.0,
+            -f64::NAN,
+            2.0,
+            f64::NEG_INFINITY,
+            0.5,
+            f64::NAN,
+            4.0,
+        ];
+        for goal in [
+            Goal::MaxError {
+                bound: ErrorBound::Absolute(1e-3),
+            },
+            Goal::TargetRatio { ratio: 4.0 },
+        ] {
+            let mut candidates: Vec<Candidate> = (0..40)
+                .map(|i| {
+                    let x = figures[(i * 7) % figures.len()];
+                    candidate(x, x, 10.0)
+                })
+                .collect();
+            rank(&mut candidates, &goal);
+            let merit = |c: &Candidate| match goal {
+                Goal::MaxError { .. } => c.estimate.bits_per_value,
+                Goal::TargetRatio { .. } => c.estimate.max_abs_error,
+            };
+            let finite = candidates.iter().filter(|c| merit(c).is_finite()).count();
+            assert!(candidates[..finite].iter().all(|c| merit(c).is_finite()));
+            assert!(candidates[..finite]
+                .windows(2)
+                .all(|w| merit(&w[0]) <= merit(&w[1])));
+        }
     }
 
     #[test]

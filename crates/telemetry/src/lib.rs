@@ -18,8 +18,7 @@
 //! * **Events** — per-stage [`Stage`] spans (monotonic nanoseconds + a byte
 //!   volume), scalar [`Counter`]s (cache hits, interval-search iterations,
 //!   fused-path demotions), flat per-band [`BandRecord`]s (hit/escape
-//!   counts, stream split, Huffman table shape, planner estimate), and the
-//!   SIMD dispatch path actually taken.
+//!   counts, stream split, Huffman table shape, planner estimate).
 //! * **Reports** — [`RecordingSink::report`] freezes the accumulated state
 //!   into a [`TelemetryReport`] with the same hand-rolled line-oriented
 //!   `key=value` text format the planner's `PlanReport` uses
@@ -347,11 +346,6 @@ pub trait TelemetrySink: Send + Sync {
     /// One compressed band's full statistics.
     #[inline]
     fn band(&self, _record: &BandRecord) {}
-
-    /// The SIMD dispatch level the codec resolved (`"scalar"`, `"sse2"`,
-    /// `"avx2"`).
-    #[inline]
-    fn simd_path(&self, _path: &'static str) {}
 }
 
 /// A sink that ignores everything — for measuring the cost of having
@@ -367,7 +361,6 @@ struct Inner {
     spans: [SpanStat; Stage::COUNT],
     counters: [u64; Counter::COUNT],
     bands: Vec<BandRecord>,
-    simd_path: Option<&'static str>,
 }
 
 /// Accumulating sink: everything delivered is folded into per-stage span
@@ -408,16 +401,12 @@ impl RecordingSink {
         }
         inner.bands.extend_from_slice(&other.bands);
         inner.bands.sort_by_key(|b| b.index);
-        if inner.simd_path.is_none() {
-            inner.simd_path = other.simd_path;
-        }
     }
 
     /// Freezes the accumulated state into a serializable report.
     pub fn report(&self) -> TelemetryReport {
         let inner = self.inner.lock().unwrap();
         TelemetryReport {
-            simd_path: inner.simd_path.unwrap_or("unknown").to_string(),
             spans: Stage::ALL
                 .iter()
                 .filter(|s| inner.spans[s.index()].calls > 0)
@@ -454,10 +443,6 @@ impl TelemetrySink for RecordingSink {
     fn band(&self, record: &BandRecord) {
         self.inner.lock().unwrap().bands.push(*record);
     }
-
-    fn simd_path(&self, path: &'static str) {
-        self.inner.lock().unwrap().simd_path = Some(path);
-    }
 }
 
 /// Runs `f`, timing it through [`time_it`]'s monotonic clock only when
@@ -479,9 +464,6 @@ pub fn timed<R>(enabled: bool, f: impl FnOnce() -> R) -> (R, u64) {
 /// accumulated over one compression or decompression run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
-    /// SIMD dispatch level the codec resolved (`"unknown"` if no
-    /// instrumented stage ran).
-    pub simd_path: String,
     /// Per-stage span stats, stages with at least one call only.
     pub spans: Vec<(Stage, SpanStat)>,
     /// Nonzero counters only.
@@ -574,7 +556,6 @@ impl TelemetryReport {
     /// [`TelemetryReport::from_text`].
     pub fn to_text(&self) -> String {
         let mut out = String::from("szr-telemetry v1\n");
-        out.push_str(&format!("simd={}\n", self.simd_path));
         for &(c, n) in &self.counters {
             out.push_str(&format!("counter={};n={n}\n", c.name()));
         }
@@ -617,7 +598,6 @@ impl TelemetryReport {
         if lines.next() != Some("szr-telemetry v1") {
             return Err("missing 'szr-telemetry v1' header".to_string());
         }
-        let mut simd_path = None;
         let mut spans = Vec::new();
         let mut counters = Vec::new();
         let mut bands = Vec::new();
@@ -634,7 +614,9 @@ impl TelemetryReport {
                 .split_once('=')
                 .ok_or_else(|| format!("malformed line {line:?}"))?;
             match key {
-                "simd" => simd_path = Some(value.to_string()),
+                // Written by reports before the codec dropped its SIMD
+                // dispatch; stored reports keep parsing.
+                "simd" => {}
                 "counter" => counters.push(counter_from_text(value)?),
                 "span" => spans.push(span_from_text(value)?),
                 "band" => bands.push(band_from_text(value)?),
@@ -645,7 +627,6 @@ impl TelemetryReport {
             return Err("missing end line".to_string());
         }
         Ok(TelemetryReport {
-            simd_path: simd_path.ok_or("missing simd line")?,
             spans,
             counters,
             bands,
@@ -658,7 +639,6 @@ impl TelemetryReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"simd\": \"{}\",\n", self.simd_path));
         out.push_str(&format!("  \"hit_rate\": {},\n", json_f64(self.hit_rate())));
         out.push_str(&format!(
             "  \"escape_rate\": {},\n",
@@ -806,7 +786,6 @@ mod tests {
 
     fn sample_report() -> TelemetryReport {
         let sink = RecordingSink::new();
-        sink.simd_path("avx2");
         sink.span(Stage::PredictQuantize, 1200, 4096);
         sink.span(Stage::EntropyEncode, 300, 512);
         sink.counter(Counter::KernelCacheMiss, 1);
@@ -871,7 +850,6 @@ mod tests {
         let b = RecordingSink::new();
         b.span(Stage::PredictQuantize, 50, 5);
         b.counter(Counter::KernelCacheHit, 1);
-        b.simd_path("scalar");
         let mut b0 = BandRecord::new(0);
         b0.points = 7;
         b.band(&b0);
@@ -883,7 +861,6 @@ mod tests {
         assert_eq!(report.counter(Counter::KernelCacheHit), 3);
         assert_eq!(report.bands[0].index, 0);
         assert_eq!(report.bands[1].index, 1);
-        assert_eq!(report.simd_path, "scalar");
     }
 
     #[test]
@@ -894,7 +871,6 @@ mod tests {
         sink.span(Stage::Deflate, 1, 1);
         sink.counter(Counter::FusedTableReseeds, 1);
         sink.band(&BandRecord::new(0));
-        sink.simd_path("avx2");
     }
 
     #[test]
@@ -914,6 +890,17 @@ mod tests {
             TelemetryReport::from_text("szr-telemetry v1\nsimd=x\ncounter=bogus;n=1\nend\n")
                 .is_err()
         );
+    }
+
+    /// Reports written while the codec still named its SIMD dispatch level
+    /// carry a `simd=` line; it parses and is ignored.
+    #[test]
+    fn from_text_ignores_a_stored_simd_line() {
+        let report = sample_report();
+        let text = report.to_text();
+        assert!(!text.contains("simd"));
+        let stored = text.replacen("szr-telemetry v1\n", "szr-telemetry v1\nsimd=avx2\n", 1);
+        assert_eq!(TelemetryReport::from_text(&stored).unwrap(), report);
     }
 
     #[test]

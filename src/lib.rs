@@ -82,8 +82,9 @@
 //! streams quantization codes straight into row reconstruction (escapes
 //! decoded in per-row batches), so a warm session's only steady-state
 //! allocation is the output tensor itself. The staged
-//! decode-all-then-reconstruct path survives as [`decompress_staged`] — the
-//! property-test oracle the fused path is pinned bit-identical to.
+//! decode-all-then-reconstruct path survives as
+//! `szr_core::oracle::decompress_staged` — the test oracle the fused path
+//! is pinned bit-identical to, kept out of this facade.
 //!
 //! ## Observability: pipeline telemetry
 //!
@@ -95,9 +96,9 @@
 //! `NoopSink` attached. Attaching a [`telemetry::RecordingSink`] collects
 //! per-stage spans (predict→quantize, entropy encode, DEFLATE, header IO,
 //! symbol decode, row reconstruction), codec counters (kernel/codec-table
-//! cache traffic, interval-search iterations, fused-table reseeds), the
-//! resolved SIMD dispatch path, and one [`telemetry::BandRecord`] per band
-//! with hit/escape counts and the code-stream/table/escape byte split:
+//! cache traffic, interval-search iterations, fused-table reseeds), and
+//! one [`telemetry::BandRecord`] per band with hit/escape counts and the
+//! code-stream/table/escape byte split:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -125,7 +126,7 @@
 //! [`parallel::Strategy`], decompress, region read, and salvage). The
 //! in-situ streaming path ([`StreamCompressor::set_telemetry`]) reports
 //! per-slab bands the same way. On the command line, `szr compress --telemetry=json`
-//! (and `decompress`) prints the same report on stdout — `version`, `simd`,
+//! (and `decompress`) prints the same report on stdout — `version`,
 //! `hit_rate`, `escape_rate`, `bits_per_value`, `hit_rate_by_layer`,
 //! `counters`, `spans`, and `bands` (with `estimated_bits_per_value` from
 //! the planner under `--auto`, pricing model drift) — while `szr inspect`
@@ -244,46 +245,39 @@
 //! corrupt archive aborts at the first bad group.
 //!
 //! The batched slice passes — the read-only and sampler prediction rows,
-//! the sampler's hit test, code→offset reconstruction — dispatch at runtime
-//! to explicit SSE2/AVX2 kernels on x86-64, with scalar reference loops
-//! everywhere else. Dispatch never changes bytes: every SIMD kernel is
-//! bit-identical to its scalar reference, and `SZR_FORCE_SCALAR=1` (or
-//! [`force_scalar`]) pins the fallback, which CI exercises on every push.
+//! the sampler's hit test, code→offset reconstruction — are plain loops
+//! the compiler vectorizes at the baseline target, one implementation each
+//! with no runtime dispatch, so bytes never depend on the machine.
 //!
 //! Four call sites consume it, so they cannot drift apart:
 //!
 //! * [`compress`] / [`compress_slice_with_stats`] — the wavefront
-//!   quantization scan over the reconstruction buffer
-//!   ([`compress_slice_with_kernel`] accepts a caller-owned kernel);
-//! * [`decompress`] — replays the identical traversal from decoded codes
-//!   ([`decompress_with_kernel`] accepts a caller-owned kernel);
-//! * the §IV-B adaptive interval sampler
-//!   ([`choose_interval_bits`] / [`choose_interval_bits_with_kernel`]);
+//!   quantization scan over the reconstruction buffer;
+//! * [`decompress`] — replays the identical traversal from decoded codes;
+//! * the §IV-B adaptive interval sampler ([`choose_interval_bits`]);
 //! * the Table II hit-rate estimators ([`hit_rate_by_layer`],
 //!   [`quantization_histogram`]) — the Original basis runs the kernel's
 //!   read-only row scan (`ScanKernel::readonly_rows`), which materializes
 //!   whole rows of predictions at once, no input copy.
 //!
-//! `szr-parallel`'s chunked driver threads one kernel instance per
-//! (layer count, stride family) through all bands a worker touches — both
-//! directions, scratch rows included — and `crates/bench` races the row
-//! engine against the point oracle (`benches/scan.rs`, `bench_scan`) and
-//! the specialized kernels against the generic walker (`scan_kernel/*`).
+//! Running the pipeline on caller-owned kernels and buffers has one API,
+//! [`CodecSession`]: `szr-parallel`'s band workers, the stream codec and
+//! the planner each hold a session, which caches one kernel per (layer
+//! count, stride family) across every band it touches, both directions,
+//! scratch rows included. `crates/bench` races the row engine against the
+//! point oracle (`benches/scan.rs`) and the specialized kernels against
+//! the generic walker (`scan_kernel/*`).
 
 pub use szr_container::Snapshot;
 pub use szr_core::{
-    check_declared_len, choose_interval_bits, choose_interval_bits_with_kernel, compress,
-    compress_pointwise_rel, compress_slice_with_kernel, compress_slice_with_stats,
-    compress_with_stats, decompress, decompress_pointwise_rel, decompress_shared_with_kernel,
-    decompress_staged, decompress_staged_shared_with_kernel, decompress_with_kernel,
-    decompress_with_policy, encode_quantized, escape_lz_trial_ratio, force_scalar,
-    hit_rate_by_layer, inspect, inspect_layout, layer_coefficients, predict_at,
-    quantization_histogram, quantization_histogram_with_kernel, quantize_slice_with_kernel,
-    quantize_slice_with_kernel_oracle, verify_pointwise_rel, ArchiveInfo, BandDamage, BandLayout,
-    CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound, HuffmanTable, IntervalMode,
-    KernelKind, PredictionBasis, QuantizedBand, Quantizer, Result, RowVisitor, SalvageReport,
-    ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor, StreamDecompressor, SzError,
-    UnpredictableCodec,
+    check_declared_len, choose_interval_bits, compress, compress_pointwise_rel,
+    compress_slice_with_stats, compress_with_stats, decompress, decompress_pointwise_rel,
+    decompress_with_policy, escape_lz_trial_ratio, hit_rate_by_layer, inspect, inspect_layout,
+    layer_coefficients, predict_at, quantization_histogram, verify_pointwise_rel, ArchiveInfo,
+    BandDamage, BandLayout, CodecSession, CompressionStats, Config, DecodePolicy, ErrorBound,
+    HuffmanTable, IntervalMode, KernelKind, PredictionBasis, QuantizedBand, Result, RowVisitor,
+    SalvageReport, ScalarFloat, ScanKernel, Stencil, StencilSet, StreamCompressor,
+    StreamDecompressor, SzError, UnpredictableCodec,
 };
 pub use szr_tensor::{Shape, Tensor};
 

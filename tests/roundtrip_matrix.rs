@@ -39,18 +39,17 @@ fn sz14_row_path_matches_point_oracle_on_all_datasets() {
     // The wavefront scan engine must produce archives byte-identical to
     // the retained per-point visitor oracle — same codes, same escape bits,
     // same stats — on every real dataset family, both layer counts.
-    use szr::{
-        encode_quantized, quantize_slice_with_kernel, quantize_slice_with_kernel_oracle,
-        HuffmanTable, ScanKernel,
-    };
+    use szr::{CodecSession, HuffmanTable, ScanKernel};
+    use szr_core::oracle::quantize_slice_with_kernel_oracle;
     for (name, data) in all_small_fields() {
         let eb = 1e-4 * value_range(data.as_slice());
         for layers in 1..=2usize {
             let config = Config::new(ErrorBound::Absolute(eb)).with_layers(layers);
             let mut kernel = ScanKernel::for_shape(layers, data.shape());
-            let row =
-                quantize_slice_with_kernel(data.as_slice(), data.shape(), &config, &mut kernel)
-                    .unwrap();
+            let mut session = CodecSession::new(config).unwrap();
+            let (row_bytes, row_stats) = session
+                .compress_slice(data.as_slice(), data.shape())
+                .unwrap();
             let oracle = quantize_slice_with_kernel_oracle(
                 data.as_slice(),
                 data.shape(),
@@ -58,8 +57,7 @@ fn sz14_row_path_matches_point_oracle_on_all_datasets() {
                 &mut kernel,
             )
             .unwrap();
-            let (row_bytes, row_stats) = encode_quantized(&row, HuffmanTable::PerBand);
-            let (oracle_bytes, oracle_stats) = encode_quantized(&oracle, HuffmanTable::PerBand);
+            let (oracle_bytes, oracle_stats) = session.encode(&oracle, HuffmanTable::PerBand);
             assert_eq!(row_bytes, oracle_bytes, "{name} n={layers}");
             assert_eq!(row_stats, oracle_stats, "{name} n={layers}");
         }

@@ -14,10 +14,10 @@
 
 use proptest::prelude::*;
 use szr::{
-    decompress, decompress_staged, encode_quantized, inspect_layout, quantize_slice_with_kernel,
-    quantize_slice_with_kernel_oracle, Config, ErrorBound, HuffmanTable, ScalarFloat, ScanKernel,
-    Shape, SzError, Tensor,
+    decompress, inspect_layout, CodecSession, Config, ErrorBound, HuffmanTable, ScalarFloat,
+    ScanKernel, Shape, SzError, Tensor,
 };
+use szr_core::oracle::{decompress_staged, quantize_slice_with_kernel_oracle};
 
 /// A smooth field with a seeded ripple, scaled so escapes stay rare except
 /// where `sprinkle` plants NaN, +Inf or −Inf.
@@ -43,10 +43,10 @@ fn check<T: ScalarFloat + std::fmt::Debug>(dims: &[usize], data: &[T], config: &
     let mut kernel = ScanKernel::for_shape(config.layers, &shape);
     let what = format!("dims {dims:?} layers {} {}", config.layers, T::NAME);
 
-    let row = quantize_slice_with_kernel(data, &shape, config, &mut kernel).unwrap();
+    let mut session = CodecSession::<T>::new(*config).unwrap();
+    let (bytes, stats) = session.compress_slice(data, &shape).unwrap();
     let oracle = quantize_slice_with_kernel_oracle(data, &shape, config, &mut kernel).unwrap();
-    let (bytes, stats) = encode_quantized(&row, HuffmanTable::PerBand);
-    let (oracle_bytes, oracle_stats) = encode_quantized(&oracle, HuffmanTable::PerBand);
+    let (oracle_bytes, oracle_stats) = session.encode(&oracle, HuffmanTable::PerBand);
     assert_eq!(bytes, oracle_bytes, "{what}: wavefront archive differs");
     assert_eq!(stats, oracle_stats, "{what}: stats differ");
 
