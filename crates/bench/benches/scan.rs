@@ -5,14 +5,17 @@
 //!
 //! * `row_scan/*` — raw traversal cost: [`ScanKernel::scan_rows`] (rows
 //!   walked in wavefront groups) vs the point visitor `ScanKernel::scan`,
-//!   prediction only.
+//!   prediction only, with the point visitor run on both the
+//!   dimension-specialised kernel (`point`) and the generic stencil walker
+//!   (`generic`, [`ScanKernel::generic`]).
 //! * `quantize/*` — the full first half of the pipeline:
 //!   `CodecSession::quantize` (row path, batched hit test and code
 //!   emission) vs `szr_core::oracle::quantize_slice_with_kernel_oracle`
 //!   (point visitor).
 //!
-//! A regression that drops the row fast path back to per-point dispatch
-//! shows up here as the two variants converging.
+//! A regression that drops the row fast path back to per-point dispatch,
+//! or de-specialises the kernel, shows up here as the variants converging.
+//! No ledger workload runs the generic kernel, 3-D rows or two layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szr_core::oracle::quantize_slice_with_kernel_oracle;
@@ -75,20 +78,23 @@ fn bench_row_scan(c: &mut Criterion) {
                     })
                 },
             );
-            group.bench_with_input(
-                BenchmarkId::new(format!("n{layers}"), "point"),
-                &(),
-                |b, ()| {
-                    b.iter(|| {
-                        let mut acc = 0u64;
-                        kernel.scan(&shape, &mut buf, |flat, pred| {
-                            acc ^= pred.to_bits();
-                            values[flat]
-                        });
-                        acc
-                    })
-                },
-            );
+            let mut generic = ScanKernel::generic(layers, shape.strides());
+            for (variant, kernel) in [("point", &mut kernel), ("generic", &mut generic)] {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("n{layers}"), variant),
+                    &(),
+                    |b, ()| {
+                        b.iter(|| {
+                            let mut acc = 0u64;
+                            kernel.scan(&shape, &mut buf, |flat, pred| {
+                                acc ^= pred.to_bits();
+                                values[flat]
+                            });
+                            acc
+                        })
+                    },
+                );
+            }
         }
         group.finish();
     }

@@ -1,19 +1,10 @@
-//! Session benches — the owning `CodecSession` pipeline against per-call
-//! state, and the fused quantize→encode path against the staged one.
+//! Session bench — the fused table-reuse encode against the staged one.
 //!
-//! Three comparisons on an interior-dominated 512² grid:
-//!
-//! * `session_compress/*` — `fresh` rebuilds a session per archive (what a
-//!   free-function caller effectively pays) vs `reused`, the steady-state
-//!   allocation-free path.
-//! * `session_fused/*` — staged per-band encode vs the fused table-reuse
-//!   path (`codes` stream straight into the Huffman bit writer, no
-//!   intermediate `Vec<u32>`).
-//! * `session_decompress/*` — fresh decode vs a session's cached-kernel,
-//!   reused-scratch decode.
-//!
-//! A regression that re-grows per-call state or de-fuses the encode shows
-//! up as the paired variants converging.
+//! `session_fused/*` on an interior-dominated 512² grid: staged per-band
+//! encode vs the fused table-reuse path (`codes` stream straight into the
+//! Huffman bit writer, no intermediate `Vec<u32>`). No ledger workload runs
+//! table reuse, so a regression that de-fuses the encode shows up only here,
+//! as the two variants converging.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szr_core::{CodecSession, Config, ErrorBound};
@@ -26,26 +17,7 @@ fn wavy(dims: &[usize]) -> Tensor<f32> {
     })
 }
 
-fn bench_session_compress(c: &mut Criterion) {
-    let data = wavy(&[512, 512]);
-    let config = Config::new(ErrorBound::Relative(1e-4));
-    let mut group = c.benchmark_group("session_compress/2d_512x512");
-    group.throughput(Throughput::Bytes((data.len() * 4) as u64));
-    group.bench_with_input(BenchmarkId::new("fresh", "session"), &(), |b, ()| {
-        b.iter(|| {
-            let mut session = CodecSession::<f32>::new(config).unwrap();
-            session.compress(&data).unwrap().len()
-        })
-    });
-    let mut reused = CodecSession::<f32>::new(config).unwrap();
-    reused.compress(&data).unwrap(); // warm
-    group.bench_with_input(BenchmarkId::new("reused", "session"), &(), |b, ()| {
-        b.iter(|| reused.compress(&data).unwrap().len())
-    });
-    group.finish();
-}
-
-fn bench_session_fused(c: &mut Criterion) {
+fn bench_fused_encode(c: &mut Criterion) {
     let data = wavy(&[512, 512]);
     let config = Config::new(ErrorBound::Relative(1e-4));
     let mut group = c.benchmark_group("session_fused/2d_512x512");
@@ -64,27 +36,5 @@ fn bench_session_fused(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_session_decompress(c: &mut Criterion) {
-    let data = wavy(&[512, 512]);
-    let config = Config::new(ErrorBound::Relative(1e-4));
-    let archive = szr_core::compress(&data, &config).unwrap();
-    let mut group = c.benchmark_group("session_decompress/2d_512x512");
-    group.throughput(Throughput::Bytes((data.len() * 4) as u64));
-    group.bench_with_input(BenchmarkId::new("fresh", "decode"), &(), |b, ()| {
-        b.iter(|| szr_core::decompress::<f32>(&archive).unwrap().len())
-    });
-    let mut session = CodecSession::<f32>::decoder();
-    session.decompress(&archive).unwrap(); // warm
-    group.bench_with_input(BenchmarkId::new("session", "decode"), &(), |b, ()| {
-        b.iter(|| session.decompress(&archive).unwrap().len())
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_session_compress,
-    bench_session_fused,
-    bench_session_decompress
-);
+criterion_group!(benches, bench_fused_encode);
 criterion_main!(benches);

@@ -5,13 +5,16 @@
 //! (§V–§VI) on the synthetic data sets. The `experiments` binary dispatches
 //! subcommands to these modules and writes `results/<id>.{md,csv}`.
 //!
-//! The harness is deliberately not a benchmark framework: Criterion benches
-//! (in `benches/`) cover micro-timings; these experiments reproduce the
-//! *shape* of the paper's results — who wins, by what factor, where the
-//! crossovers sit.
+//! The harness is deliberately not a benchmark framework: these
+//! experiments reproduce the *shape* of the paper's results — who wins, by
+//! what factor, where the crossovers sit. Speed is measured by the
+//! performance ledger (`BENCHMARK.json`, `ledger/`), the measurement of
+//! record. The Criterion benches in `benches/` keep only comparisons no
+//! ledger workload runs: the standalone Huffman LUT rate, the generic and
+//! two-layer scan kernels, and fused table reuse. The `bench_gates` binary
+//! holds the two timing gates no deterministic test can state.
 
 pub mod codecs;
-pub mod entropy_data;
 pub mod harness;
 
 pub mod exp_ablate;

@@ -18,6 +18,8 @@ pub trait ScalarFloat: Copy + PartialOrd + 'static {
     const TYPE_TAG: u8;
     /// Human-readable name for error messages.
     const NAME: &'static str;
+    /// Largest finite value, widened to `f64`.
+    const MAX: f64;
 
     /// Widens to `f64` (lossless for both supported types).
     fn to_f64(self) -> f64;
@@ -36,6 +38,7 @@ impl ScalarFloat for f32 {
     const EXPONENT_BIAS: i32 = 127;
     const TYPE_TAG: u8 = 0;
     const NAME: &'static str = "f32";
+    const MAX: f64 = f32::MAX as f64;
 
     #[inline]
     fn to_f64(self) -> f64 {
@@ -62,6 +65,7 @@ impl ScalarFloat for f64 {
     const EXPONENT_BIAS: i32 = 1023;
     const TYPE_TAG: u8 = 1;
     const NAME: &'static str = "f64";
+    const MAX: f64 = f64::MAX;
 
     #[inline]
     fn to_f64(self) -> f64 {

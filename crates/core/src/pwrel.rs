@@ -10,7 +10,8 @@
 //!   the relative error is within `eb` on reconstruction;
 //! * signs, zeros, and non-finite values travel in a side channel of 2-bit
 //!   flags (entropy-coded by the same DEFLATE pass as everything else);
-//! * non-finite values are stored exactly.
+//! * non-finite values, and finite ones so close to the type's maximum
+//!   that their reconstruction could overflow it, are stored exactly.
 //!
 //! The bound guarantee is checked the same way the absolute pipeline checks
 //! narrowing: after reconstructing `x̃ = sign · 2^{ỹ}` in the stored
@@ -29,7 +30,7 @@ enum Class {
     Zero = 0,
     Positive = 1,
     Negative = 2,
-    /// Stored exactly in the escape section (NaN, ±inf).
+    /// Stored exactly in the escape section (NaN, ±inf, |x| near `T::MAX`).
     Escape = 3,
 }
 
@@ -60,12 +61,15 @@ pub fn compress_pointwise_rel<T: ScalarFloat>(
     let mut logs: Vec<f64> = Vec::with_capacity(n);
     let mut escapes = ByteWriter::new();
     let mut last_log = 0.0f64;
+    // A log-domain reconstruction may land up to a factor (1 + eb) above
+    // |x|; beyond this magnitude that overflows `T`, so such values escape.
+    let max_logged = T::MAX / (1.0 + eb);
     for &v in values {
         let x = v.to_f64();
         if x == 0.0 {
             classes.push(Class::Zero);
             logs.push(last_log);
-        } else if x.is_finite() {
+        } else if x.is_finite() && x.abs() <= max_logged {
             classes.push(if x > 0.0 {
                 Class::Positive
             } else {

@@ -1117,20 +1117,48 @@ mod tests {
         data
     }
 
+    /// 24 × 32 KiB segments cycling text, zeros and hash noise: a fixed
+    /// 64 Ki-token block straddles several content phases and pays for one
+    /// shared Huffman table, the case content-aware splitting exists for.
+    fn mixed_segments() -> Vec<u8> {
+        let seg = 32 * 1024;
+        let words: &[u8] = b"the quick brown band of floats jumped over the lazy archive ";
+        let mut data = Vec::with_capacity(24 * seg);
+        for s in 0..24 {
+            let end = (s + 1) * seg;
+            match s % 3 {
+                0 => {
+                    while data.len() < end {
+                        data.extend_from_slice(words);
+                    }
+                    data.truncate(end);
+                }
+                1 => data.resize(end, 0),
+                _ => {
+                    for i in data.len() as u64..end as u64 {
+                        data.push((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8);
+                    }
+                }
+            }
+        }
+        data
+    }
+
     #[test]
     fn split_blocks_never_beat_by_fixed_blocks_on_structured_corpus() {
-        let data = structured_corpus();
-        let mut adaptive = Deflater::new();
-        let mut fixed = Deflater::new();
-        fixed.set_split(false);
-        let split_len = adaptive.compress(&data).len();
-        let fixed_len = fixed.compress(&data).len();
-        assert!(
-            split_len <= fixed_len,
-            "split {split_len} > fixed {fixed_len}"
-        );
-        assert_eq!(decompress(adaptive.compress(&data)).unwrap(), data);
-        assert_eq!(decompress(fixed.compress(&data)).unwrap(), data);
+        for data in [structured_corpus(), mixed_segments()] {
+            let mut adaptive = Deflater::new();
+            let mut fixed = Deflater::new();
+            fixed.set_split(false);
+            let split_len = adaptive.compress(&data).len();
+            let fixed_len = fixed.compress(&data).len();
+            assert!(
+                split_len <= fixed_len,
+                "split {split_len} > fixed {fixed_len}"
+            );
+            assert_eq!(decompress(adaptive.compress(&data)).unwrap(), data);
+            assert_eq!(decompress(fixed.compress(&data)).unwrap(), data);
+        }
     }
 
     #[test]

@@ -191,7 +191,8 @@
 //! byte-identically). The [`planner`] prices the flag per band via
 //! [`escape_lz_trial_ratio`] and arms it automatically where it pays —
 //! escape-heavy fields have been measured jumping from 236× to 785×
-//! archive ratio (`BENCH_entropy.json`).
+//! archive ratio (`tests/parallel_and_format.rs`,
+//! `escape_lz_wins_big_on_one_escape_heavy_band`).
 //!
 //! ## The service layer: concurrency as a first-class property
 //!
@@ -265,8 +266,8 @@
 //! the planner each hold a session, which caches one kernel per (layer
 //! count, stride family) across every band it touches, both directions,
 //! scratch rows included. `crates/bench` races the row engine against the
-//! point oracle (`benches/scan.rs`) and the specialized kernels against
-//! the generic walker (`scan_kernel/*`).
+//! point oracle and the specialized kernels against the generic walker
+//! (`benches/scan.rs`, `row_scan/*`).
 
 pub use szr_container::Snapshot;
 pub use szr_core::{

@@ -2,12 +2,17 @@
 //! finite values' range: every compress entry point returns an archive
 //! whose decode meets the bound on the finite values and reproduces the
 //! infinities bit for bit (the CLI's `--rel` is covered in the CLI tests).
+//! A pointwise-relative bound over values at the edge of the type's range
+//! decodes them finite and within bound.
 
 use std::sync::Arc;
 
 use szr::parallel::{compress_chunked, decompress_chunked, BandExecutor, Strategy};
 use szr::server::{ArchiveService, Backpressure, ServiceConfig};
-use szr::{compress, decompress, CodecSession, Config, DecodePolicy, ErrorBound, Tensor};
+use szr::{
+    compress, compress_pointwise_rel, decompress, decompress_pointwise_rel, CodecSession, Config,
+    DecodePolicy, ErrorBound, ScalarFloat, Tensor,
+};
 
 const REL: f64 = 1e-4;
 
@@ -91,4 +96,44 @@ fn relative_bound_with_infinities_compresses_on_every_entry_point() {
         .wait()
         .unwrap();
     assert_decodes("service", &data, &out);
+}
+
+/// 64×64 alternating `T::MAX` / `T::MIN`, one value at `T::MAX / (1 + eb/2)`,
+/// through the pointwise-relative codec at `eb = 1e-4`: the log-domain
+/// reconstruction of such values must not overflow to ±inf.
+fn near_max_pointwise_rel_decodes_in_bound<T: ScalarFloat>() {
+    let eb = 1e-4;
+    let near_max = T::from_f64(T::MAX / (1.0 + eb / 2.0));
+    let data = Tensor::from_fn([64, 64], |ix| {
+        let f = ix[0] * 64 + ix[1];
+        if f == 2080 {
+            near_max
+        } else if f % 2 == 0 {
+            T::from_f64(T::MAX)
+        } else {
+            T::from_f64(-T::MAX)
+        }
+    });
+    let config = Config::new(ErrorBound::Relative(eb));
+    let bytes = compress_pointwise_rel(&data, eb, &config).unwrap();
+    let out: Tensor<T> = decompress_pointwise_rel(&bytes).unwrap();
+    for (i, (&a, &b)) in data.as_slice().iter().zip(out.as_slice()).enumerate() {
+        let (a, b) = (a.to_f64(), b.to_f64());
+        assert!(
+            b.is_finite(),
+            "{}: value {i} ({a:e}) decoded to {b}",
+            T::NAME
+        );
+        assert!(
+            (a - b).abs() <= eb * a.abs(),
+            "{}: value {i} ({a:e}) decoded to {b:e}, outside eb·|x|",
+            T::NAME
+        );
+    }
+}
+
+#[test]
+fn pointwise_rel_decodes_near_max_values_finite_and_in_bound() {
+    near_max_pointwise_rel_decodes_in_bound::<f32>();
+    near_max_pointwise_rel_decodes_in_bound::<f64>();
 }

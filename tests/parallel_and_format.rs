@@ -170,6 +170,28 @@ fn chunked_bands_carry_escape_lz_framing() {
     }
 }
 
+/// One escape-heavy band (five values no predictor reaches, so nearly
+/// every point escapes): the escape-LZ trial must win big, the archive
+/// without it more than 1.5× the size of the archive with it, and the
+/// escape-LZ archive must decode within bound.
+#[test]
+fn escape_lz_wins_big_on_one_escape_heavy_band() {
+    const ALPHABET: [f32; 5] = [0.0, 1.0e8, -3.0e7, 7.0e6, -9.0e5];
+    let data = Tensor::from_fn([256, 256], |ix| ALPHABET[(ix[0] * 256 + ix[1]) % 5]);
+    let eb = 1e-3;
+    let plain = Config::new(ErrorBound::Absolute(eb));
+    let off = compress(&data, &plain).unwrap();
+    let on = compress(&data, &plain.with_escape_lz()).unwrap();
+    assert!(
+        off.len() * 2 > on.len() * 3,
+        "escape-LZ off ({} B) must be > 1.5x escape-LZ on ({} B)",
+        off.len(),
+        on.len()
+    );
+    let out: Tensor<f32> = decompress(&on).unwrap();
+    assert!(max_abs_error(data.as_slice(), out.as_slice()) <= eb);
+}
+
 #[test]
 fn valid_magic_with_corrupt_body_never_panics() {
     let data = Tensor::from_fn([32, 32], |ix| (ix[0] + ix[1]) as f32);

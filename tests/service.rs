@@ -311,6 +311,65 @@ fn roi_region_read_equals_the_full_decode_slice() {
     }
 }
 
+/// A region read decodes only the bands it touches: with one payload byte
+/// flipped in every band outside rows 320..416 (bands 10..13 of 32), a
+/// `Verify` read of those rows still succeeds through both the chunked
+/// driver and the service and equals the clean full decode bit for bit,
+/// while a full-range `Verify` read of the same bytes fails.
+#[test]
+fn region_read_decodes_only_the_bands_it_touches() {
+    let tall = Tensor::from_fn([1024usize, 256], |ix| {
+        ((ix[0] as f32) * 0.021).sin() * 12.0 + ((ix[1] as f32) * 0.007).cos() * 3.0
+    });
+    let config = Config::new(ErrorBound::Relative(1e-4));
+    let clean = compress_chunked(&tall, &config, 32, 1).unwrap().to_bytes();
+    let full: Tensor<f32> =
+        decompress_chunked(&ChunkedArchive::from_bytes(&clean).unwrap(), 1).unwrap();
+    let rows = 320..416;
+    let index = band_index(&clean).unwrap();
+    let (touched, first_row) = index.bands_covering_rows(rows.clone()).unwrap();
+    assert_eq!((touched.clone(), first_row), (10..13, 320));
+
+    let mut damaged = clean.clone();
+    for (band, entry) in index.entries.iter().enumerate() {
+        if !touched.contains(&band) {
+            damaged[entry.offset + entry.len / 2] ^= 0x5A;
+        }
+    }
+    let want = &full.as_slice()[rows.start * 256..rows.end * 256];
+    let same = |got: &Tensor<f32>| {
+        got.as_slice().len() == want.len()
+            && got
+                .as_slice()
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    };
+
+    let direct: Tensor<f32> =
+        decompress_chunked_region(&damaged, rows.clone(), 1, DecodePolicy::Verify).unwrap();
+    assert!(
+        same(&direct),
+        "chunked region read drifted from the full decode"
+    );
+    let damaged = Arc::new(damaged);
+    let svc = service(2, 4);
+    let via_service = svc
+        .read_region(Arc::clone(&damaged), rows, DecodePolicy::Verify, None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(
+        same(&via_service),
+        "service region read drifted from the full decode"
+    );
+
+    assert!(
+        decompress_chunked_region::<f32>(&damaged, 0..1024, 1, DecodePolicy::Verify).is_err(),
+        "a full-range Verify read must catch the damaged bands"
+    );
+}
+
 /// A region read whose rows are exactly some bands' rows returns those
 /// bands, each decoded on its own and stacked in band order.
 #[test]
