@@ -4,11 +4,15 @@
 //! `huffman/decode_lut` vs `huffman/decode_oracle` races the two-level
 //! lookup table against the bit-walking canonical decoder on the same
 //! payload — the ratio is the headline number of the word-at-a-time entropy
-//! engine (the acceptance bar is ≥ 3×). Alphabets mirror the paper's
-//! configurations: 256 (default 8-bit intervals) and 65 535 (the hurricane
-//! tight-bound setup). The standalone `decode_lut` rate is the baseline a
-//! multi-symbol lookup table is sized against; the ledger only sees symbol
-//! decode inside the full pipeline.
+//! engine (the acceptance bar is ≥ 3×). `huffman/decode_stream` pulls the
+//! same payload through `stream_decoder` in the 7200-code groups the fused
+//! decompressor draws. Alphabets mirror the paper's configurations: 16 at
+//! about 1.2 bits per code (the adaptive alphabet of ATM's TS, SNOWHLND and
+//! CDNUMC fields, where most table entries hold two codes), 256 (default
+//! 8-bit intervals), 16 384 at about 13 bits per code (the wide adaptive
+//! alphabet ATM's FREQSH field selects, whose codes are longer than the
+//! 11-bit primary window), and 65 535 (the hurricane tight-bound setup). These standalone rates split symbol decode by code shape, which
+//! the ledger's single `symbol_decode` span does not.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szr_bitstream::{BitReader, BitWriter};
@@ -87,11 +91,20 @@ fn bench_bitstream(c: &mut Criterion) {
     group.finish();
 }
 
+/// Codes per `decode_into` call in the `decode_stream` variant: the fused
+/// decompressor's group size.
+const STREAM_GROUP: usize = 7200;
+
 fn bench_huffman(c: &mut Criterion) {
     let mut group = c.benchmark_group("huffman");
     let n = 1 << 18;
     group.throughput(Throughput::Elements(n as u64));
-    for (alphabet, spread) in [(256usize, 8.0f64), (65_535, 64.0)] {
+    for (alphabet, spread) in [
+        (16usize, 0.5f64),
+        (256, 8.0),
+        (16_384, 1600.0),
+        (65_535, 64.0),
+    ] {
         let codes = synthetic_codes(n, alphabet as u32, spread);
         let codec = codec_for(&codes, alphabet);
         let label = format!("a{alphabet}");
@@ -114,6 +127,21 @@ fn bench_huffman(c: &mut Criterion) {
                     let mut r = BitReader::new(payload);
                     codec.decode_all_into(&mut r, n, &mut out).unwrap();
                     out.len()
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("decode_stream", &label),
+            &payload,
+            |b, payload| {
+                let mut group = vec![0u32; STREAM_GROUP];
+                b.iter(|| {
+                    let mut decoder = codec.stream_decoder(payload, n);
+                    while decoder.remaining() > 0 {
+                        let take = decoder.remaining().min(STREAM_GROUP);
+                        decoder.decode_into(&mut group[..take]).unwrap();
+                    }
+                    group[0]
                 })
             },
         );

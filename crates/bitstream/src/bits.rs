@@ -359,6 +359,15 @@ impl<'a> BitCursor<'a> {
         (self.window >> (Self::WINDOW_BITS - self.used - count)) & (u64::MAX >> (64 - count))
     }
 
+    /// The unconsumed window left-aligned in a `u64`: the next bit is bit
+    /// 63, and the [`window_remaining`](Self::window_remaining) bits below
+    /// it are followed by zeros. One shift of this word serves a peek at
+    /// any offset in the window.
+    #[inline]
+    pub fn peek_aligned(&self) -> u64 {
+        (self.window << (64 - Self::WINDOW_BITS)) << self.used
+    }
+
     /// Advances past `count` bits previously validated via
     /// [`peek`](Self::peek) and [`remaining_bits`](Self::remaining_bits).
     #[inline]
@@ -387,6 +396,14 @@ impl<'a> BitCursor<'a> {
         let out = f(&mut self.reader);
         self.window = self.reader.peek_bits(Self::WINDOW_BITS);
         out
+    }
+
+    /// Commits consumed bits and returns the underlying reader, positioned
+    /// just past the last consumed bit.
+    #[inline]
+    pub fn into_reader(mut self) -> BitReader<'a> {
+        self.reader.consume(self.used);
+        self.reader
     }
 }
 
@@ -559,6 +576,18 @@ mod tests {
     }
 
     #[test]
+    fn cursor_aligned_peek_matches_peek() {
+        let bytes: Vec<u8> = (0..16).map(|i| (i * 151 + 13) as u8).collect();
+        let mut cursor = BitCursor::new(BitReader::new(&bytes));
+        for count in [0u32, 3, 11, 20] {
+            cursor.consume(count);
+            let aligned = cursor.peek_aligned();
+            assert_eq!(aligned >> (64 - 13), cursor.peek(13));
+            assert_eq!(aligned << cursor.window_remaining(), 0);
+        }
+    }
+
+    #[test]
     fn cursor_zero_pads_past_end() {
         let bytes = [0xFFu8];
         let mut cursor = BitCursor::new(BitReader::new(&bytes));
@@ -587,6 +616,16 @@ mod tests {
         cursor.refill();
         assert_eq!(cursor.peek(8), 0x5A);
         assert_eq!(cursor.remaining_bits(), 8);
+    }
+
+    #[test]
+    fn cursor_hands_back_its_reader_past_the_consumed_bits() {
+        let bytes = [0b1011_0001u8, 0xC3];
+        let mut cursor = BitCursor::new(BitReader::new(&bytes));
+        cursor.consume(5);
+        let mut r = cursor.into_reader();
+        assert_eq!(r.bit_pos(), 5);
+        assert_eq!(r.read_bits(3).unwrap(), 0b001);
     }
 
     #[test]

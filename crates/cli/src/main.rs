@@ -41,7 +41,8 @@ COMPRESS OPTIONS:
   --rel EB               value-range-based relative bound
   --pointwise-rel EB     pointwise relative bound (log-domain mode)
   --layers N             prediction layers 1..8 (default 1)
-  --bits M               fixed 2^M-1 quantization intervals (default adaptive)
+  --bits M               fixed 2^M-1 quantization intervals, M in 2..28
+                         (default adaptive)
   --decorrelate          whiten error autocorrelation (costs ~1 bit/value)
   --no-lossless-pass     skip the DEFLATE post-pass (faster, larger)
   --escape-lz            trial-compress the escape stream with DEFLATE and

@@ -64,7 +64,9 @@ impl ErrorBound {
 pub enum IntervalMode {
     /// Exactly `2^bits − 1` intervals.
     Fixed {
-        /// The `m` in `2^m` codes; `2..=30`.
+        /// The `m` in `2^m` codes; `2..=28`, so the `2^m`-symbol code
+        /// alphabet stays within what a decoder accepts from an archive
+        /// header (`szr_huffman::MAX_ALPHABET`, 2^28).
         bits: u32,
     },
     /// Sample the data and pick the smallest `m` reaching hit rate `theta`.
@@ -72,7 +74,8 @@ pub enum IntervalMode {
         /// Target prediction hitting rate θ (paper default behaviour: keep
         /// shrinking intervals until the rate would drop below θ).
         theta: f64,
-        /// Upper limit on `m` (paper uses up to 65 535 intervals = 16 bits).
+        /// Upper limit on `m` (paper uses up to 65 535 intervals = 16 bits);
+        /// `4..=28`, for the same reason as [`IntervalMode::Fixed`].
         max_bits: u32,
         /// Sample every `stride`-th point during estimation.
         sample_stride: usize,
@@ -184,8 +187,8 @@ impl Config {
         }
         match self.intervals {
             IntervalMode::Fixed { bits } => {
-                if !(2..=30).contains(&bits) {
-                    return Err(SzError::InvalidConfig("interval bits must be in 2..=30"));
+                if !(2..=28).contains(&bits) {
+                    return Err(SzError::InvalidConfig("interval bits must be in 2..=28"));
                 }
             }
             IntervalMode::Adaptive {
@@ -194,9 +197,9 @@ impl Config {
                 if !(0.0..=1.0).contains(&theta) {
                     return Err(SzError::InvalidConfig("theta must be in 0..=1"));
                 }
-                if !(4..=30).contains(&max_bits) {
+                if !(4..=28).contains(&max_bits) {
                     return Err(SzError::InvalidConfig(
-                        "max interval bits must be in 4..=30",
+                        "max interval bits must be in 4..=28",
                     ));
                 }
             }

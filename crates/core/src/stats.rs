@@ -118,6 +118,10 @@ impl<T: ScalarFloat> RowVisitor<T> for HitRateRows<'_, T> {
 /// (Figure 3): `hist[c]` counts code `c`; index 0 is the unpredictable
 /// escape code.
 ///
+/// `interval_bits` may go up to 30 here, past the `2..=28` a compress
+/// entry point accepts ([`crate::IntervalMode`]): no archive is written, so
+/// the decoder's 2^28-symbol alphabet bound does not apply.
+///
 /// # Panics
 /// Panics unless `eb` is finite and positive and `interval_bits` is in
 /// `2..=30`.

@@ -222,14 +222,11 @@ impl HuffmanCodec {
     /// Decodes exactly `n` symbols into a caller-provided buffer (cleared
     /// first), so batch consumers can reuse one allocation across streams.
     ///
-    /// Runs the multi-symbol fast path: each iteration peeks one
-    /// double-primary window and, when two consecutive codewords both
-    /// resolve directly in the primary table (the common case — quantization
-    /// codes cluster on a handful of short codes), emits both symbols from
-    /// that single peek with one combined consume. Anything else — overflow
-    /// subtables, stream tail, corrupt bits — falls back to the single-symbol
-    /// table walk, so results are bit-for-bit those of [`Self::decode`]
-    /// (pinned by the pair-vs-oracle property test).
+    /// Runs the same multi-symbol table loop as
+    /// [`SymbolDecoder::decode_into`] (up to four symbols per windowed peek)
+    /// over a cursor on `bits`, and leaves `bits` just past the `n`-th code.
+    /// Results are bit-for-bit those of [`Self::decode`], which the
+    /// property tests pin.
     pub fn decode_all_into(
         &self,
         bits: &mut BitReader<'_>,
@@ -237,45 +234,16 @@ impl HuffmanCodec {
         out: &mut Vec<u32>,
     ) -> Result<()> {
         out.clear();
-        out.reserve(n);
-        let lut = self
-            .lut
-            .get_or_init(|| DecodeLut::build(&self.lengths, &self.codes, BitOrder::Msb));
-        let p = lut.primary_bits();
-        let mut i = 0usize;
-        while i + 1 < n {
-            // One peek serves both lookups: the window holds 2·p upcoming
-            // bits, the first code reads the high p, the second reads the p
-            // bits starting right after the first code's true length.
-            let w = bits.peek_bits(2 * p);
-            if let Lookup::Symbol {
-                symbol: s1,
-                len: l1,
-            } = lut.root(w >> p)
-            {
-                if let Lookup::Symbol {
-                    symbol: s2,
-                    len: l2,
-                } = lut.root(w >> (p - l1))
-                {
-                    // Both lengths must be genuinely available: past-EOF
-                    // zero padding can fabricate plausible symbols.
-                    if bits.remaining_bits() >= (l1 + l2) as usize {
-                        bits.consume(l1 + l2);
-                        out.push(s1);
-                        out.push(s2);
-                        i += 2;
-                        continue;
-                    }
-                }
-            }
-            out.push(self.decode_fast(lut, bits)?);
-            i += 1;
-        }
-        if i < n {
-            out.push(self.decode_fast(lut, bits)?);
-        }
-        Ok(())
+        out.resize(n, 0);
+        let mut decoder = SymbolDecoder {
+            codec: self,
+            lut: self.lut(),
+            cursor: BitCursor::new(bits.clone()),
+            remaining: n,
+        };
+        let result = decoder.decode_into(out);
+        *bits = decoder.cursor.into_reader();
+        result
     }
 
     /// Decodes exactly `n` symbols through the bit-walking oracle — kept
@@ -293,21 +261,24 @@ impl HuffmanCodec {
     /// for consumers that reconstruct as they decode instead of staging the
     /// whole symbol vector.
     ///
-    /// The decoder runs the same pair-peek fast path as `decode_all_into`
-    /// (one windowed lookup can emit two symbols) over a cached
+    /// The decoder runs the table's multi-symbol loop (two lookups per
+    /// windowed peek, each yielding up to two codes) over a cached
     /// [`BitCursor`] window, so one unaligned load amortizes across several
-    /// symbol pairs. Results are decision-for-decision identical to the
-    /// staged path, which the property tests pin.
+    /// peeks. `decode_all_into` runs the same loop, so the two paths agree
+    /// decision for decision, which the property tests pin.
     pub fn stream_decoder<'b>(&self, payload: &'b [u8], count: usize) -> SymbolDecoder<'_, 'b> {
-        let lut = self
-            .lut
-            .get_or_init(|| DecodeLut::build(&self.lengths, &self.codes, BitOrder::Msb));
         SymbolDecoder {
             codec: self,
-            lut,
+            lut: self.lut(),
             cursor: BitCursor::new(BitReader::new(payload)),
             remaining: count,
         }
+    }
+
+    /// The decode table, built on first use.
+    fn lut(&self) -> &DecodeLut {
+        self.lut
+            .get_or_init(|| DecodeLut::build(&self.lengths, &self.codes, BitOrder::Msb))
     }
 }
 
@@ -363,54 +334,30 @@ impl SymbolDecoder<'_, '_> {
         Ok(symbol)
     }
 
-    /// Fills `out` with the next `out.len()` symbols — the batch fast path
-    /// (pair-peek loop over the cached window, matching
-    /// [`HuffmanCodec::decode_all_into`] decision for decision).
+    /// Fills `out` with the next `out.len()` symbols — the batch fast path:
+    /// the table's multi-symbol loop (up to four symbols per windowed peek,
+    /// every length checked against the bits really left before it is
+    /// consumed). Slow, invalid and stream-tail cases decode one symbol
+    /// through the raw reader, and the last `< 4` symbols go one at a time.
     pub fn decode_into(&mut self, out: &mut [u32]) -> Result<()> {
         let n = out.len();
         if n > self.remaining {
             return Err(Error::Corrupt("symbol stream overdrawn"));
         }
-        let p = self.lut.primary_bits();
         let mut i = 0usize;
-        // A fresh window always holds ≥ 2·p bits (p ≤ 11, window 57), so
-        // each refill guarantees inner-loop progress.
-        'outer: while i + 1 < n {
-            self.cursor.refill();
-            while self.cursor.window_remaining() >= 2 * p {
-                if i + 1 >= n {
-                    break 'outer;
-                }
-                let w = self.cursor.peek(2 * p);
-                if let Lookup::Symbol {
-                    symbol: s1,
-                    len: l1,
-                } = self.lut.root(w >> p)
-                {
-                    if let Lookup::Symbol {
-                        symbol: s2,
-                        len: l2,
-                    } = self.lut.root(w >> (p - l1))
-                    {
-                        if self.cursor.remaining_bits() >= (l1 + l2) as usize {
-                            self.cursor.consume(l1 + l2);
-                            out[i] = s1;
-                            out[i + 1] = s2;
-                            i += 2;
-                            continue;
-                        }
-                    }
-                }
-                let Self {
-                    codec, lut, cursor, ..
-                } = &mut *self;
-                out[i] = cursor.with_reader(|r| codec.decode_fast(lut, r))?;
-                i += 1;
-                continue 'outer;
+        while i + 4 <= n {
+            i += self.lut.decode_windows(&mut self.cursor, &mut out[i..]);
+            if i + 4 > n {
+                break;
             }
+            let Self {
+                codec, lut, cursor, ..
+            } = &mut *self;
+            out[i] = cursor.with_reader(|r| codec.decode_fast(lut, r))?;
+            i += 1;
         }
-        if i < n {
-            out[i] = self.next_symbol()?;
+        for slot in &mut out[i..] {
+            *slot = self.next_symbol()?;
         }
         self.remaining -= n;
         Ok(())

@@ -13,13 +13,15 @@
 //! * codes are **canonical**, so the serialized table is just the code-length
 //!   array (run-length encoded — quantization-code tables are mostly zeros);
 //! * decoding is table-driven: every codec builds a two-level lookup table
-//!   ([`lut::DecodeLut`]) once — an 11-bit primary table plus overflow
-//!   subtables up to 22 bits — and [`HuffmanCodec::decode_all`] peeks a
-//!   window, indexes, and consumes, one unaligned load per symbol. The
-//!   historical bit-walking decoder survives as [`HuffmanCodec::decode`],
-//!   the slow-path fallback for pathologically deep codes and the oracle the
-//!   property tests pin the fast path against. MSB-first wire order is
-//!   unchanged.
+//!   ([`lut::DecodeLut`]) once — a primary table of up to 11 bits, or 15
+//!   bits when codes longer than 11 bits dominate, plus overflow subtables
+//!   of up to 11 more bits. Primary entries hold up to two whole codes.
+//!   [`HuffmanCodec::decode_all`] and [`HuffmanCodec::stream_decoder`] run
+//!   one loop: peek twice the primary width from a cached 57-bit window,
+//!   look up twice, and emit up to four symbols. The historical bit-walking
+//!   decoder survives as [`HuffmanCodec::decode`], the slow-path fallback
+//!   for pathologically deep codes and the oracle the property tests pin
+//!   the fast path against. MSB-first wire order is unchanged.
 //!
 //! One-shot helpers [`compress_u32`] / [`decompress_u32`] bundle table +
 //! payload for callers that don't manage their own containers;

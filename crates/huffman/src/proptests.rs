@@ -6,7 +6,97 @@ use crate::{compress_u32, decompress_u32, HuffmanCodec};
 use proptest::prelude::*;
 use szr_bitstream::{BitReader, BitWriter};
 
+/// Pulls `count` symbols through [`HuffmanCodec::stream_decoder`], cycling
+/// through the draw sizes in `batches` (a draw of 1 uses `decode_one`).
+fn pull(
+    codec: &HuffmanCodec,
+    payload: &[u8],
+    count: usize,
+    batches: &[usize],
+) -> szr_bitstream::Result<Vec<u32>> {
+    let mut decoder = codec.stream_decoder(payload, count);
+    let mut out = Vec::with_capacity(count);
+    for &batch in batches.iter().cycle() {
+        let n = decoder.remaining().min(batch);
+        if n == 0 {
+            break;
+        }
+        if n == 1 {
+            out.push(decoder.decode_one()?);
+        } else {
+            let start = out.len();
+            out.resize(start + n, 0);
+            decoder.decode_into(&mut out[start..])?;
+        }
+    }
+    Ok(out)
+}
+
+/// SplitMix64 finalizer: a deterministic per-symbol weight source.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 proptest! {
+    #[test]
+    fn wide_and_paired_tables_match_oracle(
+        wide in any::<bool>(),
+        symbols in 2048usize..16384,
+        seed in any::<u64>(),
+        skew in 1u64..1000,
+        picks in prop::collection::vec(any::<u32>(), 1..3000),
+        batches in prop::collection::vec(1usize..300, 1..8),
+        tail_cut in 0usize..4,
+    ) {
+        // Two profiles. Wide: 2k–16k symbols with near-uniform weights
+        // (1..=64), so code lengths straddle the 11-bit and 15-bit
+        // primaries and reach into subtables, as ATM FREQSH's do. Short:
+        // the skewed six-symbol profile, whose 1–3-bit codes put two codes
+        // in most primary entries. The staged decode, the pulled stream
+        // (random draw sizes) and the bit-walking oracle must agree on
+        // clean payloads and on the verdict after a 0–3 byte tail cut.
+        let freqs: Vec<u64> = if wide {
+            (0..symbols as u64).map(|s| 1 + mix(seed ^ s) % 64).collect()
+        } else {
+            vec![skew * 64, skew * 16, skew * 4, skew, 1, 1]
+        };
+        let codec = HuffmanCodec::from_frequencies(&freqs);
+        let stream: Vec<u32> = picks
+            .iter()
+            .map(|&p| match (wide, p % 64) {
+                (true, _) => p % symbols as u32,
+                (false, 0) => 5,
+                (false, 1) => 4,
+                (false, v) if v < 6 => 3,
+                (false, v) if v < 14 => 2,
+                (false, v) if v < 34 => 1,
+                _ => 0,
+            })
+            .collect();
+        let mut w = BitWriter::new();
+        codec.encode_all(&stream, &mut w);
+        let bytes = w.into_bytes();
+        let cut = bytes.len().saturating_sub(tail_cut);
+        let payload = &bytes[..cut];
+
+        let staged = codec.decode_all(&mut BitReader::new(payload), stream.len());
+        let oracle = codec.decode_all_slow(&mut BitReader::new(payload), stream.len());
+        let pulled = pull(&codec, payload, stream.len(), &batches);
+        match (&staged, &oracle, &pulled) {
+            (Ok(s), Ok(o), Ok(p)) => {
+                prop_assert_eq!(s, o);
+                prop_assert_eq!(p, o);
+                if cut == bytes.len() {
+                    prop_assert_eq!(o, &stream);
+                }
+            }
+            (Err(_), Err(_), Err(_)) => {}
+            other => prop_assert!(false, "staged/pulled/oracle disagree: {:?}", other),
+        }
+    }
+
     #[test]
     fn lut_decode_matches_bit_walking_oracle(
         freqs in prop::collection::vec(0u64..500, 2..300),
@@ -63,9 +153,9 @@ proptest! {
         tail_cut in 0usize..3,
     ) {
         // Heavily skewed frequencies give 1–3-bit codes, so nearly every
-        // decode_all iteration takes the two-symbols-per-peek fast path;
-        // byte (and slight) truncation exercises its EOF guard, where
-        // zero-padded peeks could otherwise fabricate a second symbol.
+        // decode_all window yields several symbols; byte (and slight)
+        // truncation exercises its EOF guard, where zero-padded peeks could
+        // otherwise fabricate more symbols.
         let freqs = [skew * 64, skew * 16, skew * 4, skew, 1, 1];
         let codec = HuffmanCodec::from_frequencies(&freqs);
         let stream: Vec<u32> = picks
