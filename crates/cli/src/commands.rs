@@ -58,36 +58,56 @@ fn fmt_dims(dims: &[usize]) -> String {
         .join("x")
 }
 
+/// Bytes converted per read or write in the raw-file helpers, which stream
+/// through one buffer of this size instead of a second full-size copy.
+const RAW_IO_CHUNK: usize = 64 * 1024;
+
 fn read_raw<T: ScalarFloat>(path: &str, dims: &[usize]) -> Result<Tensor<T>, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    use std::io::Read;
+    let cannot = |e: std::io::Error| format!("cannot read {path}: {e}");
+    let mut file = std::fs::File::open(path).map_err(cannot)?;
+    let len = file.metadata().map_err(cannot)?.len();
     let elem = T::BITS as usize / 8;
-    let expected: usize = dims.iter().product::<usize>() * elem;
-    if bytes.len() != expected {
+    let count = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    let (count, expected) = count
+        .and_then(|n| Some((n, n.checked_mul(elem)?)))
+        .ok_or_else(|| format!("{dims:?} x {} overflows the address space", T::NAME))?;
+    if len != expected as u64 {
         return Err(format!(
-            "{path}: {} bytes but {:?} x {} needs {expected}",
-            bytes.len(),
-            dims,
+            "{path}: {len} bytes but {dims:?} x {} needs {expected}",
             T::NAME,
         ));
     }
-    let values: Vec<T> = bytes
-        .chunks_exact(elem)
-        .map(|c| {
-            let mut buf = [0u8; 8];
-            buf[..elem].copy_from_slice(c);
-            T::from_bits_u64(u64::from_le_bytes(buf))
-        })
-        .collect();
+    let mut values = Vec::with_capacity(count);
+    let mut buf = vec![0u8; RAW_IO_CHUNK];
+    let mut left = expected;
+    while left > 0 {
+        let chunk = &mut buf[..left.min(RAW_IO_CHUNK)];
+        file.read_exact(chunk).map_err(cannot)?;
+        values.extend(chunk.chunks_exact(elem).map(|c| {
+            let mut bits = [0u8; 8];
+            bits[..elem].copy_from_slice(c);
+            T::from_bits_u64(u64::from_le_bytes(bits))
+        }));
+        left -= chunk.len();
+    }
     Ok(Tensor::from_vec(dims, values))
 }
 
 fn write_raw<T: ScalarFloat>(path: &str, data: &Tensor<T>) -> CmdResult {
+    use std::io::Write;
+    let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
+    let mut file = std::fs::File::create(path).map_err(cannot)?;
     let elem = T::BITS as usize / 8;
-    let mut bytes = Vec::with_capacity(data.len() * elem);
-    for &v in data.as_slice() {
-        bytes.extend_from_slice(&v.to_bits_u64().to_le_bytes()[..elem]);
+    let mut buf = Vec::with_capacity(RAW_IO_CHUNK);
+    for values in data.as_slice().chunks(RAW_IO_CHUNK / elem) {
+        buf.clear();
+        for &v in values {
+            buf.extend_from_slice(&v.to_bits_u64().to_le_bytes()[..elem]);
+        }
+        file.write_all(&buf).map_err(cannot)?;
     }
-    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))
+    Ok(())
 }
 
 fn build_config(args: &Args) -> Result<Config, String> {

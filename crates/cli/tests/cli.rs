@@ -138,6 +138,76 @@ fn wrong_dims_fail_cleanly() {
 }
 
 #[test]
+fn raw_length_must_match_the_dims() {
+    // One element short and one element long, for both element sizes: the
+    // length check runs before any value is read.
+    for (dtype, elem) in [("f32", 4usize), ("f64", 8)] {
+        let needs = 300 * 250 * elem;
+        for len in [needs - elem, needs + elem] {
+            let raw = tmp(&format!("len_{dtype}_{len}.bin"));
+            std::fs::write(&raw, vec![0u8; len]).unwrap();
+            let out = szr()
+                .args(["compress", "--input", raw.to_str().unwrap()])
+                .args(["--dims", "300x250", "--dtype", dtype, "--rel", "1e-4"])
+                .args(["--output", "/dev/null"])
+                .output()
+                .unwrap();
+            assert!(!out.status.success(), "{dtype}, {len} bytes");
+            let text = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                text.contains(&format!(
+                    "{len} bytes but [300, 250] x {dtype} needs {needs}"
+                )),
+                "{text}"
+            );
+        }
+    }
+}
+
+#[test]
+fn raw_io_roundtrips_across_buffer_boundaries() {
+    // 300×250 f64 values (600 000 bytes, not a multiple of the 64 KiB IO
+    // buffer) through compress and decompress: every value comes back, in
+    // order and within the bound.
+    let raw = tmp("chunks.bin");
+    let packed = tmp("chunks.szr");
+    let restored = tmp("chunks_out.bin");
+    let values: Vec<f64> = (0..300 * 250)
+        .map(|f| (f as f64 * 0.013).sin() * 40.0)
+        .collect();
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(&raw, bytes).unwrap();
+    let runs = [
+        szr()
+            .args(["compress", "--input", raw.to_str().unwrap()])
+            .args(["--dims", "300x250", "--dtype", "f64", "--abs", "1e-6"])
+            .args(["--output", packed.to_str().unwrap()])
+            .output(),
+        szr()
+            .args(["decompress", "--input", packed.to_str().unwrap()])
+            .args(["--output", restored.to_str().unwrap()])
+            .output(),
+    ];
+    for out in runs {
+        let out = out.unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let back: Vec<f64> = std::fs::read(&restored)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    assert_eq!(back.len(), values.len());
+    for (x, y) in values.iter().zip(&back) {
+        assert!((x - y).abs() <= 1e-6, "{x} vs {y}");
+    }
+}
+
+#[test]
 fn missing_args_print_usage() {
     let out = szr().output().unwrap();
     assert!(!out.status.success());

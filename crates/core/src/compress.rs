@@ -37,7 +37,7 @@ pub(crate) const VERSION_V3: u8 = 3;
 pub(crate) const VERSION_SHARED_V3: u8 = 4;
 /// Escape-LZ self-contained archive: version 3's layout with the escape
 /// (unpredictable-value) section stored DEFLATE-compressed. Emitted only
-/// when [`crate::Config::escape_lz`] is set *and* the sampled trial
+/// when [`crate::Config::escape_lz`] is set *and* the DEFLATE trial
 /// actually shrank the stream — losing trials fall back to version 3
 /// byte-identically. The payload CRC in the trailer stays over the *raw*
 /// escape bytes, so integrity verification covers the inflation too.
@@ -276,7 +276,7 @@ pub(crate) struct BandMeta {
     pub decorrelate: bool,
     pub lossless_pass: bool,
     /// Escape-LZ *intent* (from [`Config::escape_lz`]): the encoder runs the
-    /// sampled trial and only the version byte records whether it won.
+    /// DEFLATE trial and only the version byte records whether it won.
     pub escape_lz: bool,
     pub eb: f64,
     pub range: f64,
@@ -604,21 +604,15 @@ impl Default for EntropyScratch {
 /// Minimum escape-stream size worth an escape-LZ trial: below this the
 /// DEFLATE framing overhead eats any win.
 const ESCAPE_LZ_MIN_BYTES: usize = 64;
-/// Streams at least this large are sampled before a full DEFLATE pass;
-/// smaller ones are cheap enough that the full pass is its own trial.
-const DEFLATE_SAMPLE_THRESHOLD: usize = 64 * 1024;
-/// Length of one sampled chunk.
-const DEFLATE_SAMPLE_BYTES: usize = 16 * 1024;
-/// Most strata sampled after the head chunk (one per 64 KiB of stream below
-/// that), so a trial costs at most 80 KiB of DEFLATE work.
-const DEFLATE_SAMPLE_STRATA: usize = 4;
 /// A full pass must be predicted to save at least `1 / DEFLATE_MIN_GAIN`
-/// (0.5%) of the stream to run. The estimate reads low, since each chunk
-/// pays its own block header and sees a short window. On the medium
-/// datasets it reads 1.1% for an APS field (the full pass saves 2.3%) and
-/// 0.17% for ATM FREQSH (the full pass saves 0.15%, at about half of the
-/// field's compress time).
-const DEFLATE_MIN_GAIN: usize = 200;
+/// (2%) of the stream to run. The pass costs 30–60 ns per payload byte at
+/// `Effort::Default`, and every decode then pays inflate too. On the medium
+/// datasets the payloads fall on either side of a gap: 61 of 64 chunked
+/// APS bands save under 2% (all under 3.5%, 0.76% in aggregate), a whole
+/// APS field 2.3% and ATM FREQSH 0.16%, while every Hurricane band saves
+/// 8.8% or more, a chunked FREQSH band about 5%, and ATM TS, SNOWHLND and
+/// CDNUMC 24% or more.
+const DEFLATE_MIN_GAIN: usize = 50;
 
 /// Forwards one DEFLATE run's block/split/token counters to the sink.
 pub(crate) fn report_deflate(sink: &dyn TelemetrySink, stats: szr_deflate::DeflateStats) {
@@ -628,42 +622,18 @@ pub(crate) fn report_deflate(sink: &dyn TelemetrySink, stats: szr_deflate::Defla
     sink.counter(Counter::DeflateLiteralTokens, stats.literal_tokens);
 }
 
-/// The sampled DEFLATE trial: whether a full pass over `data` is predicted
-/// to save at least 0.5% of it. Streams under 64 KiB always run the pass.
-/// Larger ones deflate 16 KiB chunks in turn: the head chunk, which stands
-/// for itself only (a payload's head holds its Huffman table, often the
-/// one part of a high-entropy code stream DEFLATE can shrink), then the
-/// middle chunk of each of up to four equal strata of the rest, each
-/// standing for its whole stratum. The pass runs as soon as the summed
-/// savings reach the 0.5%, and is skipped when every chunk is spent short
-/// of it.
+/// The DEFLATE trial: whether a full pass over `data` is predicted to save
+/// at least 2% of it, by [`szr_deflate::Deflater::estimate_saving`] (a
+/// literal-only block priced from the byte histogram, plus a hash probe for
+/// matches), at any stream size.
 fn deflate_may_pay(deflater: &mut szr_deflate::Deflater, data: &[u8]) -> bool {
-    if data.len() < DEFLATE_SAMPLE_THRESHOLD {
-        return true;
-    }
-    let needed = data.len() / DEFLATE_MIN_GAIN;
-    let mut saved = 0;
-    let mut sample = |start: usize, stands_for: usize| {
-        let packed = deflater.compress(&data[start..start + DEFLATE_SAMPLE_BYTES]);
-        saved +=
-            DEFLATE_SAMPLE_BYTES.saturating_sub(packed.len()) * stands_for / DEFLATE_SAMPLE_BYTES;
-        saved >= needed
-    };
-    if sample(0, DEFLATE_SAMPLE_BYTES) {
-        return true;
-    }
-    let strata = (data.len() / DEFLATE_SAMPLE_THRESHOLD).min(DEFLATE_SAMPLE_STRATA);
-    let stratum = (data.len() - DEFLATE_SAMPLE_BYTES) / strata;
-    (0..strata).any(|i| {
-        let start = DEFLATE_SAMPLE_BYTES + i * stratum + (stratum - DEFLATE_SAMPLE_BYTES) / 2;
-        sample(start, stratum)
-    })
+    deflater.estimate_saving(data) >= (data.len() / DEFLATE_MIN_GAIN) as i64
 }
 
 /// [`deflate_may_pay`] with telemetry: a skipping trial counts one
 /// [`Counter::DeflateTrialSkips`]. Returns the verdict and the trial's
 /// nanoseconds (0 without a sink).
-fn sampled_trial(
+fn deflate_trial(
     deflater: &mut szr_deflate::Deflater,
     data: &[u8],
     sink: Option<&dyn TelemetrySink>,
@@ -677,8 +647,8 @@ fn sampled_trial(
 
 /// SZ's "best compression" DEFLATE post-pass over a band payload (the
 /// length-prefixed Huffman block and escape section): writes the post-pass
-/// flag and the payload, deflated when the sampled trial lets the full pass
-/// run and the pass actually shrinks it. Returns the nanoseconds spent
+/// flag and the payload, deflated when the trial lets the full pass run and
+/// the pass actually shrinks it. Returns the nanoseconds spent
 /// (trial and pass; 0 without a sink) and records them as one `deflate`
 /// span whose bytes are the pass's output — the stored payload when the
 /// trial skipped it — plus the pass's block/token counters.
@@ -688,7 +658,7 @@ pub(crate) fn write_post_passed(
     deflater: &mut szr_deflate::Deflater,
     sink: Option<&dyn TelemetrySink>,
 ) -> u64 {
-    let (pays, trial_nanos) = sampled_trial(deflater, payload, sink);
+    let (pays, trial_nanos) = deflate_trial(deflater, payload, sink);
     let (produced, pass_nanos) = if pays {
         let (deflated, nanos) = timed(sink.is_some(), || deflater.compress(payload));
         if deflated.len() < payload.len() {
@@ -714,10 +684,10 @@ pub(crate) fn write_post_passed(
     nanos
 }
 
-/// The sampled escape-stream DEFLATE trial behind [`Config::escape_lz`].
-/// Large streams run [`deflate_may_pay`] first and skip the full trial when
-/// it predicts incompressibility (escape bytes are IEEE-754 fragments, so
-/// most streams are); otherwise the whole stream is deflated and the trial
+/// The escape-stream DEFLATE trial behind [`Config::escape_lz`]. Streams
+/// run [`deflate_may_pay`] first and skip the full pass when it predicts
+/// under 2% saved (escape bytes are IEEE-754 fragments, so most streams
+/// are incompressible); otherwise the whole stream is deflated and the trial
 /// commits — leaving the compressed stream in `entropy.escape` — only when
 /// it actually shrank. Returns whether to emit escape-LZ framing.
 pub(crate) fn escape_lz_trial(
@@ -728,7 +698,7 @@ pub(crate) fn escape_lz_trial(
     if unpred.len() < ESCAPE_LZ_MIN_BYTES {
         return false;
     }
-    let (pays, trial_nanos) = sampled_trial(&mut entropy.deflater, unpred, sink);
+    let (pays, trial_nanos) = deflate_trial(&mut entropy.deflater, unpred, sink);
     let (commit, packed_len, nanos) = if pays {
         let EntropyScratch { deflater, escape } = entropy;
         let (packed, nanos) = timed(sink.is_some(), || deflater.compress(unpred));
@@ -754,7 +724,7 @@ pub(crate) fn escape_lz_trial(
 }
 
 /// Prices LZ over an escape stream without committing anything: runs the
-/// same sampled trial the encoder runs under [`Config::escape_lz`] and
+/// same trial the encoder runs under [`Config::escape_lz`] and
 /// returns `deflated / raw` when it would commit (`None` when it would skip
 /// or lose) — the planner's cheap way to decide whether enabling the flag
 /// pays for a band.
@@ -932,7 +902,7 @@ pub(crate) fn encode_parts(
         HuffmanTable::Shared(codec) => szr_huffman::compress_u32_with_codec(codes, codec),
     });
 
-    // LZ over the escape stream: the sampled trial decides the version byte
+    // LZ over the escape stream: the DEFLATE trial decides the version byte
     // before the header is written (the version is under the header CRC).
     // Bands where the flag is off — or the trial loses — emit v3/v4
     // byte-identically.
@@ -1271,15 +1241,17 @@ mod tests {
     #[test]
     fn deflate_trial_runs_short_and_compressible_streams() {
         let mut deflater = szr_deflate::Deflater::new();
-        // Under 64 KiB the full pass is its own trial, noise or not.
-        assert!(deflate_may_pay(&mut deflater, &noise_bytes(60 * 1024)));
+        // Short streams are priced like long ones: 60 KiB of noise no
+        // longer runs the pass, a compressible stream of any size does.
+        assert!(!deflate_may_pay(&mut deflater, &noise_bytes(60 * 1024)));
         assert!(deflate_may_pay(&mut deflater, &vec![7u8; 1 << 20]));
+        assert!(deflate_may_pay(&mut deflater, &[3u8; 200]));
     }
 
     #[test]
     fn deflate_trial_skips_incompressible_streams() {
         let mut deflater = szr_deflate::Deflater::new();
-        for len in [64 * 1024, 200 * 1024, 3 << 20] {
+        for len in [0, 100, 64 * 1024, 200 * 1024, 3 << 20] {
             assert!(!deflate_may_pay(&mut deflater, &noise_bytes(len)), "{len}");
         }
     }
@@ -1287,19 +1259,21 @@ mod tests {
     #[test]
     fn deflate_trial_weighs_the_head_by_its_own_length() {
         // A compressible 8 KiB head (a payload's Huffman table) on 4 MiB of
-        // incompressible code stream: the full pass would save ~0.2%, so a
-        // trial that let the head speak for the stream would run it.
+        // incompressible code stream: the full pass would save ~0.2%, so
+        // the match probe's credit for the head must not carry the stream.
         let mut data = noise_bytes(4 << 20);
         data[..8 * 1024].fill(0);
         let mut deflater = szr_deflate::Deflater::new();
         assert!(!deflate_may_pay(&mut deflater, &data));
-        // The same head on a 256 KiB stream is worth over 3% of it.
+        // The same head on a 256 KiB stream is worth over 3% of it: the
+        // byte histogram alone prices it under 1%, the probe finds the rest.
         assert!(deflate_may_pay(&mut deflater, &data[..256 * 1024]));
     }
 
     #[test]
     fn deflate_trial_finds_one_compressible_stratum() {
-        // 1 MiB of noise with a zero run over the third stratum's middle.
+        // 1 MiB of noise with a zero run over a quarter of it, away from
+        // the head.
         let mut data = noise_bytes(1 << 20);
         data[520 * 1024..800 * 1024].fill(0);
         let mut deflater = szr_deflate::Deflater::new();
@@ -1321,7 +1295,7 @@ mod tests {
         });
         let config = Config::new(ErrorBound::Absolute(1e-3));
         let with = compress(&data, &config).unwrap();
-        assert!(with.len() > DEFLATE_SAMPLE_THRESHOLD);
+        assert!(with.len() > 64 * 1024);
         assert_eq!(
             with,
             compress(&data, &config.without_lossless_pass()).unwrap()

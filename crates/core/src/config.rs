@@ -104,9 +104,9 @@ pub struct Config {
     /// Apply a DEFLATE pass to the payload sections (SZ's "best
     /// compression" mode, which the paper's evaluation ran). Costs some
     /// speed; wins big on low-entropy code streams (e.g. sparse fields,
-    /// where Huffman's 1-bit-per-symbol floor binds). Payloads of 64 KiB
-    /// or more are sampled first, and one predicted to shrink by under
-    /// 0.5% is stored raw without running the pass.
+    /// where Huffman's 1-bit-per-symbol floor binds). Each payload is
+    /// priced first, and one predicted to shrink by under 2% is stored raw
+    /// without running the pass.
     pub lossless_pass: bool,
     /// Error-decorrelation mode (the paper's §VIII future work): quantize
     /// on half-width intervals and add a deterministic dither of up to
@@ -115,7 +115,7 @@ pub struct Config {
     /// fixing the autocorrelation weakness Figure 9 shows on
     /// high-compression-factor data, at roughly one extra bit per value.
     pub decorrelate: bool,
-    /// LZ over the escape stream: run a sampled DEFLATE trial on the band's
+    /// LZ over the escape stream: run the DEFLATE trial on the band's
     /// binary-representation escape bytes and, when it actually shrinks
     /// them, store the escape section compressed (escape-LZ band framing).
     /// Escape bytes are IEEE-754 fragments — usually incompressible, which

@@ -1214,9 +1214,8 @@ mod escape_lz_tests {
 
     /// Keyed-hash noise across sign, exponent spread and mantissa: escape
     /// records share no byte-level structure, so DEFLATE can recover at
-    /// most a fraction of a percent from residual bit bias — below the
-    /// block overhead on a small stream and below the sampled trial's 0.5%
-    /// on a large one. Either way the trial loses.
+    /// most a fraction of a percent from residual bit bias, far below the
+    /// trial's 2%. The trial skips the pass.
     fn incompressible(rows: usize) -> Tensor<f32> {
         Tensor::from_fn([rows, rows], |ix| {
             let h = ((ix[0] * rows + ix[1]) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1250,8 +1249,8 @@ mod escape_lz_tests {
 
     #[test]
     fn losing_trial_is_byte_identical_to_v3() {
-        // ~850 escape bytes: the full trial runs and loses to block
-        // overhead.
+        // ~850 escape bytes: the trial predicts no saving, so the pass
+        // never runs.
         let data = incompressible(16);
         let base = Config::new(ErrorBound::Absolute(1e-3));
         let plain = compress(&data, &base).unwrap();
@@ -1262,9 +1261,8 @@ mod escape_lz_tests {
 
     #[test]
     fn sample_gate_skips_large_incompressible_streams() {
-        // ~85 KiB of escape bytes: the sampled chunks predict a saving
-        // under 0.5%, so the whole-stream trial is skipped and the archive
-        // stays v3 byte-identical.
+        // ~85 KiB of escape bytes: the trial predicts a saving under 2%,
+        // so the pass is skipped and the archive stays v3 byte-identical.
         let data = incompressible(160);
         let base = Config::new(ErrorBound::Absolute(1e-3));
         let plain = compress(&data, &base).unwrap();

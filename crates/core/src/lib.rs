@@ -103,13 +103,12 @@
 //! remain fully decodable — they simply carry nothing to verify.
 //!
 //! The DEFLATE post-pass over a band payload (Huffman block plus escape
-//! section) is itself sampled first when the payload is 64 KiB or larger:
-//! a payload the trial predicts to shrink by under 0.5% is stored raw,
-//! exactly as with [`Config::lossless_pass`] off, and DEFLATE never runs
-//! over it.
+//! section) is priced before it runs, at every payload size: a payload the
+//! trial predicts to shrink by under 2% is stored raw, exactly as with
+//! [`Config::lossless_pass`] off, and DEFLATE never runs over it.
 //!
-//! Under [`Config::escape_lz`] the encoder additionally runs a sampled
-//! DEFLATE trial over the band's escape (binary-representation) stream.
+//! Under [`Config::escape_lz`] the encoder additionally runs the DEFLATE
+//! trial over the band's escape (binary-representation) stream.
 //! When the trial *wins* — the deflated escape section is strictly smaller
 //! — the band is emitted with version byte **5** (self-contained) or **6**
 //! (shared-stream): the v3/v4 layout with the escape section stored

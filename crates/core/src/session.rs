@@ -942,7 +942,7 @@ impl<T: ScalarFloat> RowVisitor<T> for FusedRowQuantizer<'_, T> {
 /// is `used · count · RLE-lengths · code bits`, for shared-stream archives
 /// just `count · code bits`. The section is length-prefixed arithmetically,
 /// so nothing is staged unless the DEFLATE pass needs a contiguous payload.
-/// `meta.escape_lz` arms the same sampled escape trial as the staged
+/// `meta.escape_lz` arms the same escape trial as the staged
 /// writer; the trailer's payload CRC stays over the raw escape bytes.
 /// Besides the archive and its stats, returns the nanoseconds spent in
 /// DEFLATE (0 without a sink): the writer records them as `deflate` spans,

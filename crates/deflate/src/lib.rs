@@ -19,7 +19,11 @@
 //!
 //! The encoder is a reusable [`Deflater`]: matcher state, token buffer,
 //! splitter histograms, and output buffer all persist across calls, so a
-//! session-held deflater compresses without allocating once warm. Each
+//! session-held deflater compresses without allocating once warm.
+//! [`Deflater::estimate_saving`] predicts what a pass would save at a small
+//! fraction of its cost (a literal-only block priced from the byte
+//! histogram, plus a hash probe for matches), so callers can skip a pass
+//! that cannot pay. Each
 //! block independently picks dynamic, fixed, or stored coding by exact bit
 //! cost, which is enough to match zlib's ratio on scientific floats to
 //! within a few percent — the property that matters for reproducing the

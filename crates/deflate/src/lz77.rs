@@ -62,11 +62,14 @@ pub enum Token {
     },
 }
 
+/// Multiplicative hash of the 3 bytes at `pos`, read with one `u32` load
+/// where 4 bytes remain.
 #[inline]
-fn hash(window: &[u8], pos: usize) -> usize {
-    // Multiplicative hash of the next 3 bytes.
-    let v =
-        (window[pos] as u32) | ((window[pos + 1] as u32) << 8) | ((window[pos + 2] as u32) << 16);
+fn hash(data: &[u8], pos: usize) -> usize {
+    let v = match data.get(pos..pos + 4) {
+        Some(word) => u32::from_le_bytes(word.try_into().unwrap()) & 0x00FF_FFFF,
+        None => (data[pos] as u32) | ((data[pos + 1] as u32) << 8) | ((data[pos + 2] as u32) << 16),
+    };
     (v.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
 }
 
@@ -90,6 +93,87 @@ fn match_len(data: &[u8], a: usize, b: usize) -> usize {
         len += 1;
     }
     len
+}
+
+/// Slots in the match probe's table (12 hash bits, 16 KiB).
+const PROBE_SLOTS: usize = 1 << 12;
+/// What the match probe charges for one match: a length code, a distance
+/// code and its extra bits, about what a rare match costs in a
+/// literal-dominated block.
+const PROBE_MATCH_BITS: u64 = 30;
+/// The match probe scans the first `PROBE_WINDOW` bytes of every
+/// `PROBE_STRIDE`, a quarter of the input.
+const PROBE_WINDOW: usize = 256;
+const PROBE_STRIDE: usize = 1024;
+
+/// The probe table slot of a 4-byte window.
+#[inline]
+fn probe_slot(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> 20) as usize
+}
+
+/// A short hash probe for the bytes LZ77 matches would cover. It scans a
+/// quarter of `data`, the first [`PROBE_WINDOW`] bytes of every
+/// [`PROBE_STRIDE`], keeping the latest position of each hashed 4-byte
+/// window in `table` (refilled to [`PROBE_SLOTS`] slots, one per hash, no
+/// chains) and reading four windows from each 8-byte load. Every in-window
+/// candidate that really repeats is extended, and the scan resumes after
+/// the match. Each match found is credited with the bits its bytes cost as
+/// literals under `lengths` (a literal code over the byte alphabet), less
+/// [`PROBE_MATCH_BITS`]. Returns the summed credit in bits, scaled from the
+/// bytes scanned to all of `data`.
+pub(crate) fn probe_match_bits(data: &[u8], lengths: &[u32], table: &mut Vec<u32>) -> u64 {
+    table.clear();
+    table.resize(PROBE_SLOTS, NIL);
+    let table: &mut [u32; PROBE_SLOTS] = table.as_mut_slice().try_into().unwrap();
+    // Past `last_load`, no 8-byte load fits.
+    let last_load = data.len().saturating_sub(7);
+    let mut saved = 0u64;
+    let mut scanned = 0usize;
+    let mut pos = 0usize;
+    for start in (0..last_load).step_by(PROBE_STRIDE) {
+        pos = pos.max(start);
+        let from = pos;
+        let end = (start + PROBE_WINDOW).min(last_load);
+        'scan: while pos < end {
+            let quad = u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
+            for k in 0..4 {
+                let word = (quad >> (8 * k)) as u32;
+                let at = pos + k;
+                let slot = probe_slot(word);
+                let candidate = table[slot] as usize;
+                table[slot] = at as u32;
+                if candidate < at
+                    && at - candidate <= MAX_DIST
+                    && u32::from_le_bytes(data[candidate..candidate + 4].try_into().unwrap())
+                        == word
+                {
+                    let len = match_len(data, candidate, at);
+                    let literal_bits: u64 = data[at..at + len]
+                        .iter()
+                        .map(|&b| lengths[b as usize] as u64)
+                        .sum();
+                    saved += literal_bits.saturating_sub(PROBE_MATCH_BITS);
+                    pos = at + len;
+                    continue 'scan;
+                }
+            }
+            pos += 4;
+        }
+        scanned += pos.saturating_sub(from);
+        // Between windows, every fourth position is only recorded, so a
+        // repeat of the unscanned bytes is still found from the next window.
+        let mut at = pos.max(start + PROBE_WINDOW);
+        while at < (start + PROBE_STRIDE).min(last_load) {
+            let word = u32::from_le_bytes(data[at..at + 4].try_into().unwrap());
+            table[probe_slot(word)] = at as u32;
+            at += 4;
+        }
+    }
+    if scanned == 0 {
+        return 0;
+    }
+    (saved as u128 * data.len() as u128 / scanned as u128) as u64
 }
 
 /// Reusable matcher scratch: hash heads plus a 32 KiB `prev` ring.
@@ -121,6 +205,11 @@ impl LzState {
 
     /// Tokenizes `data` into `tokens` (cleared first) with greedy matching
     /// plus optional one-position lazy evaluation, per `effort`.
+    ///
+    /// Each position is hashed once, for its chain walk and its insert. A
+    /// lazy probe that defers a literal hands its `pos + 1` search to the
+    /// next step unless the literal's insert joined that chain (equal
+    /// hashes); otherwise the next step would repeat the same walk.
     pub fn tokenize_into(&mut self, data: &[u8], effort: Effort, tokens: &mut Vec<Token>) {
         tokens.clear();
         let n = data.len();
@@ -138,22 +227,26 @@ impl LzState {
         let head = &mut self.head;
         let prev = &mut self.prev;
 
-        let find_best = |head: &[u32], prev: &[u32], pos: usize| -> (usize, usize) {
+        let find_best = |head: &[u32], prev: &[u32], pos: usize, h: usize| -> (usize, usize) {
+            let limit = (n - pos).min(MAX_MATCH);
             let mut best_len = 0usize;
             let mut best_dist = 0usize;
-            let mut candidate = head[hash(data, pos)];
+            let mut candidate = head[h];
             let mut chain = 0usize;
             while candidate != NIL && chain < max_chain {
                 let c = candidate as usize;
                 if c >= pos || pos - c > MAX_DIST {
                     break;
                 }
-                let len = match_len(data, c, pos);
-                if len > best_len {
-                    best_len = len;
-                    best_dist = pos - c;
-                    if len >= good_enough {
-                        break;
+                // A candidate that disagrees at `best_len` cannot beat it.
+                if best_len < limit && data[c + best_len] == data[pos + best_len] {
+                    let len = match_len(data, c, pos);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = pos - c;
+                        if len >= good_enough {
+                            break;
+                        }
                     }
                 }
                 // Chains are strictly decreasing; anything else is a stale
@@ -168,46 +261,46 @@ impl LzState {
             (best_len, best_dist)
         };
 
-        let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
-            if pos + MIN_MATCH <= n {
-                let h = hash(data, pos);
-                prev[pos & (MAX_DIST - 1)] = head[h];
-                head[h] = pos as u32;
-            }
+        let insert = |head: &mut [u32], prev: &mut [u32], pos: usize, h: usize| {
+            prev[pos & (MAX_DIST - 1)] = head[h];
+            head[h] = pos as u32;
         };
 
         let mut pos = 0usize;
-        while pos < n {
-            if pos + MIN_MATCH > n {
-                tokens.push(Token::Literal(data[pos]));
-                pos += 1;
-                continue;
-            }
-            let (len, dist) = find_best(head, prev, pos);
+        // The lazy probe's hash of `pos`, and its search when still valid.
+        let mut carried: Option<(usize, Option<(usize, usize)>)> = None;
+        while pos + MIN_MATCH <= n {
+            let (h, searched) = carried.take().unwrap_or_else(|| (hash(data, pos), None));
+            let (len, dist) = searched.unwrap_or_else(|| find_best(head, prev, pos, h));
             if len >= MIN_MATCH {
                 // Lazy evaluation: would starting at pos+1 do strictly better?
-                let take_now = if lazy && pos + 1 + MIN_MATCH <= n && len < good_enough {
-                    let (next_len, _) = find_best(head, prev, pos + 1);
-                    next_len <= len
-                } else {
-                    true
-                };
-                if take_now {
-                    tokens.push(Token::Match {
-                        len: len as u16,
-                        dist: dist as u16,
-                    });
-                    for p in pos..pos + len {
-                        insert(head, prev, p);
+                if lazy && pos + 1 + MIN_MATCH <= n && len < good_enough {
+                    let next_hash = hash(data, pos + 1);
+                    let next = find_best(head, prev, pos + 1, next_hash);
+                    if next.0 > len {
+                        tokens.push(Token::Literal(data[pos]));
+                        insert(head, prev, pos, h);
+                        carried = Some((next_hash, (next_hash != h).then_some(next)));
+                        pos += 1;
+                        continue;
                     }
-                    pos += len;
-                    continue;
                 }
+                tokens.push(Token::Match {
+                    len: len as u16,
+                    dist: dist as u16,
+                });
+                insert(head, prev, pos, h);
+                for p in pos + 1..(pos + len).min(n - MIN_MATCH + 1) {
+                    insert(head, prev, p, hash(data, p));
+                }
+                pos += len;
+                continue;
             }
             tokens.push(Token::Literal(data[pos]));
-            insert(head, prev, pos);
+            insert(head, prev, pos, h);
             pos += 1;
         }
+        tokens.extend(data[pos..].iter().map(|&b| Token::Literal(b)));
     }
 }
 
@@ -241,9 +334,164 @@ pub fn expand(tokens: &[Token]) -> Vec<u8> {
     out
 }
 
+/// A corpus whose statistics shift mid-stream: text, then a tight numeric
+/// alphabet, then binary float bytes (test input for the matcher and the
+/// block splitter).
+#[cfg(test)]
+pub fn structured_corpus() -> Vec<u8> {
+    let mut data = Vec::new();
+    for i in 0..6000u32 {
+        data.extend_from_slice(b"the quick brown fox jumps over the lazy dog ");
+        if i % 7 == 0 {
+            data.extend_from_slice(b"PACKET-HEADER-v2;");
+        }
+    }
+    for i in 0..300_000u32 {
+        data.push(b'0' + (i % 10) as u8);
+    }
+    for i in 0..150_000u32 {
+        let x = (i as f32 * 0.001).sin();
+        data.extend_from_slice(&x.to_le_bytes());
+    }
+    data
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tokenizer as it was before hashes were shared and lazy probes
+    /// carried: every search and insert hashes its bytes one at a time.
+    /// [`LzState::tokenize_into`] must emit exactly its tokens.
+    fn reference_tokenize(state: &mut LzState, data: &[u8], effort: Effort) -> Vec<Token> {
+        let hash = |pos: usize| {
+            let v =
+                (data[pos] as u32) | ((data[pos + 1] as u32) << 8) | ((data[pos + 2] as u32) << 16);
+            (v.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
+        };
+        let n = data.len();
+        if n < MIN_MATCH + 1 {
+            return data.iter().map(|&b| Token::Literal(b)).collect();
+        }
+        let mut tokens = Vec::new();
+        state.head.fill(NIL);
+        let (max_chain, lazy, good_enough) = effort.params();
+        let head = &mut state.head;
+        let prev = &mut state.prev;
+        let find_best = |head: &[u32], prev: &[u32], pos: usize| -> (usize, usize) {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            let mut candidate = head[hash(pos)];
+            let mut chain = 0usize;
+            while candidate != NIL && chain < max_chain {
+                let c = candidate as usize;
+                if c >= pos || pos - c > MAX_DIST {
+                    break;
+                }
+                let len = match_len(data, c, pos);
+                if len > best_len {
+                    best_len = len;
+                    best_dist = pos - c;
+                    if len >= good_enough {
+                        break;
+                    }
+                }
+                let next = prev[c & (MAX_DIST - 1)];
+                if next >= candidate {
+                    break;
+                }
+                candidate = next;
+                chain += 1;
+            }
+            (best_len, best_dist)
+        };
+        let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
+            if pos + MIN_MATCH <= n {
+                let h = hash(pos);
+                prev[pos & (MAX_DIST - 1)] = head[h];
+                head[h] = pos as u32;
+            }
+        };
+        let mut pos = 0usize;
+        while pos < n {
+            if pos + MIN_MATCH > n {
+                tokens.push(Token::Literal(data[pos]));
+                pos += 1;
+                continue;
+            }
+            let (len, dist) = find_best(head, prev, pos);
+            if len >= MIN_MATCH {
+                let take_now = if lazy && pos + 1 + MIN_MATCH <= n && len < good_enough {
+                    let (next_len, _) = find_best(head, prev, pos + 1);
+                    next_len <= len
+                } else {
+                    true
+                };
+                if take_now {
+                    tokens.push(Token::Match {
+                        len: len as u16,
+                        dist: dist as u16,
+                    });
+                    for p in pos..pos + len {
+                        insert(head, prev, p);
+                    }
+                    pos += len;
+                    continue;
+                }
+            }
+            tokens.push(Token::Literal(data[pos]));
+            insert(head, prev, pos);
+            pos += 1;
+        }
+        tokens
+    }
+
+    /// splitmix64 bytes: nothing for the matcher to find.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tokenizer_matches_the_reference_at_every_effort() {
+        let mut runs = Vec::new();
+        for i in 0..4000usize {
+            runs.extend(std::iter::repeat_n((i % 5) as u8, 1 + i % 300));
+        }
+        // Pairs of bytes repeating at short periods: equal hashes at
+        // `pos` and `pos + 1`, the case a carried lazy probe must not
+        // survive.
+        let periodic: Vec<u8> = (0..50_000u32)
+            .map(|i| [9, 9, 9, 4][(i % 4) as usize])
+            .collect();
+        let mut inputs = vec![structured_corpus(), noise(64 * 1024), runs, periodic];
+        for len in 0..=8 {
+            inputs.push(vec![0; len]);
+            inputs.push((0..len as u8).collect());
+            inputs.push((0..len).map(|i| [1, 2, 1][i % 3]).collect());
+        }
+        let mut state = LzState::new();
+        let mut oracle = LzState::new();
+        let mut tokens = Vec::new();
+        for data in &inputs {
+            for effort in [Effort::Fast, Effort::Default, Effort::Best] {
+                state.tokenize_into(data, effort, &mut tokens);
+                assert!(
+                    tokens == reference_tokenize(&mut oracle, data, effort),
+                    "{} bytes at {effort:?}",
+                    data.len()
+                );
+            }
+        }
+    }
 
     #[test]
     fn tokens_expand_to_original() {

@@ -3,7 +3,7 @@
 use szr::datagen::{dataset, hurricane, DatasetKind, Scale};
 use szr::metrics::{max_abs_error, value_range};
 use szr::parallel::{compress_chunked, decompress_chunked, BandExecutor, ChunkedArchive, Strategy};
-use szr::{compress, decompress, Config, ErrorBound, Tensor};
+use szr::{compress, decompress, inspect_layout, Config, ErrorBound, Tensor};
 
 #[test]
 fn chunked_compression_respects_the_same_bound_as_serial() {
@@ -190,6 +190,46 @@ fn escape_lz_wins_big_on_one_escape_heavy_band() {
     );
     let out: Tensor<f32> = decompress(&on).unwrap();
     assert!(max_abs_error(data.as_slice(), out.as_slice()) <= eb);
+}
+
+/// The DEFLATE trial's decision on every medium payload of the three
+/// dataset families (seed 4242, relative bound 1e-4): near-incompressible
+/// APS bands skip the pass, Hurricane bands and the sparse ATM fields run
+/// it, and ATM FREQSH skips it whole but runs it in bands.
+#[test]
+fn deflate_trial_decisions_on_the_medium_datasets() {
+    let config = Config::new(ErrorBound::Relative(1e-4));
+    let post_passed = |bytes: &[u8]| inspect_layout(bytes).unwrap().deflate_post_pass;
+
+    let mut aps_skips = 0;
+    for field in dataset(DatasetKind::Aps, Scale::Medium, 4242) {
+        let archive = compress_chunked(&field.data, &config, 32, 2).unwrap();
+        assert_eq!(archive.chunks.len(), 32);
+        aps_skips += archive.chunks.iter().filter(|b| !post_passed(b)).count();
+    }
+    assert!(aps_skips >= 60, "{aps_skips} of 64 APS bands skip the pass");
+
+    for field in dataset(DatasetKind::Hurricane, Scale::Medium, 4242) {
+        let archive = compress_chunked(&field.data, &config, 16, 2).unwrap();
+        assert_eq!(archive.chunks.len(), 16);
+        for (band, bytes) in archive.chunks.iter().enumerate() {
+            assert!(post_passed(bytes), "{} band {band} skipped", field.name);
+        }
+    }
+
+    for field in dataset(DatasetKind::Atm, Scale::Medium, 4242) {
+        let runs = post_passed(&compress(&field.data, &config).unwrap());
+        assert_eq!(runs, field.name != "FREQSH", "{}", field.name);
+        if field.name == "FREQSH" {
+            // Each band leads with its own Huffman table, whose statistics
+            // differ from its code stream's: the pass saves about 5% of
+            // every band, and only the segmented price sees it.
+            let archive = compress_chunked(&field.data, &config, 16, 2).unwrap();
+            for (band, bytes) in archive.chunks.iter().enumerate() {
+                assert!(post_passed(bytes), "FREQSH band {band} skipped");
+            }
+        }
+    }
 }
 
 #[test]
