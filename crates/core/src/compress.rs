@@ -240,6 +240,7 @@ impl QuantizedBand {
         self.hist.get_or_init(|| {
             let mut freqs = Vec::new();
             occupied_histogram(&self.codes, &mut freqs);
+            freqs.shrink_to_fit();
             freqs
         })
     }
@@ -255,13 +256,39 @@ impl QuantizedBand {
 /// occupied range `0..=max_code` — the one definition of the convention
 /// `szr_huffman::compress_u32_from_hist` expects, shared by the band cache
 /// above and the session's reusable scratch.
+///
+/// Four interleaved tables keep a run of one code from serializing on a
+/// single counter. They are used only when they take no more slots than
+/// there are codes, so a sparse stream over a huge alphabet stays one
+/// table.
 pub(crate) fn occupied_histogram(codes: &[u32], freqs: &mut Vec<u64>) {
     let used = codes.iter().max().map_or(0, |&m| m as usize + 1);
     freqs.clear();
-    freqs.resize(used, 0);
-    for &c in codes {
-        freqs[c as usize] += 1;
+    if 4 * used > codes.len() {
+        freqs.resize(used, 0);
+        for &c in codes {
+            freqs[c as usize] += 1;
+        }
+        return;
     }
+    freqs.resize(4 * used, 0);
+    let (t0, rest) = freqs.split_at_mut(used);
+    let (t1, rest) = rest.split_at_mut(used);
+    let (t2, t3) = rest.split_at_mut(used);
+    let mut quads = codes.chunks_exact(4);
+    for q in &mut quads {
+        t0[q[0] as usize] += 1;
+        t1[q[1] as usize] += 1;
+        t2[q[2] as usize] += 1;
+        t3[q[3] as usize] += 1;
+    }
+    for &c in quads.remainder() {
+        t0[c as usize] += 1;
+    }
+    for (i, f) in t0.iter_mut().enumerate() {
+        *f += t1[i] + t2[i] + t3[i];
+    }
+    freqs.truncate(used);
 }
 
 /// Header fields and per-run counters of one quantized band — everything
@@ -1246,6 +1273,28 @@ mod tests {
         assert!(!deflate_may_pay(&mut deflater, &noise_bytes(60 * 1024)));
         assert!(deflate_may_pay(&mut deflater, &vec![7u8; 1 << 20]));
         assert!(deflate_may_pay(&mut deflater, &[3u8; 200]));
+    }
+
+    #[test]
+    fn occupied_histogram_counts_every_code() {
+        let mut runs = Vec::new();
+        for i in 0..500u32 {
+            runs.extend(std::iter::repeat_n(i % 7, 1 + i as usize % 40));
+        }
+        let spread: Vec<u32> = (0..1001u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 300)
+            .collect();
+        let sparse = vec![0, 70_000, 3];
+        let mut freqs = vec![9; 5];
+        for codes in [runs, spread, sparse, vec![], vec![5], vec![2, 2, 2, 2, 2]] {
+            occupied_histogram(&codes, &mut freqs);
+            let used = codes.iter().max().map_or(0, |&m| m as usize + 1);
+            let mut want = vec![0u64; used];
+            for &c in &codes {
+                want[c as usize] += 1;
+            }
+            assert_eq!(freqs, want, "{} codes", codes.len());
+        }
     }
 
     #[test]

@@ -440,19 +440,23 @@ pub fn inspect_layout(bytes: &[u8]) -> Result<BandLayout> {
 }
 
 /// Reusable decode-side buffers: the staged path's symbol vector, the fused
-/// path's per-group scratch, and a per-band Huffman codec cache keyed on the
-/// raw serialized table span. Owned by [`crate::CodecSession`] (and by
-/// `szr-parallel`'s per-worker sessions through it) so steady-state fused
-/// decompression allocates nothing but the output tensor.
+/// path's per-group scratch, the DEFLATE inflater with its output buffers,
+/// and a per-band Huffman codec cache keyed on the raw serialized table
+/// span. Owned by [`crate::CodecSession`] (and by `szr-parallel`'s
+/// per-worker sessions through it) so steady-state fused decompression
+/// allocates nothing but the output tensor, post-passed and escape-LZ
+/// bands included.
 pub(crate) struct DecodeScratch<T: ScalarFloat> {
     /// Staged-path symbol buffer (the whole stream, materialized).
     codes: Vec<u32>,
     /// Fused-path scratch: one scan group of symbols…
     group_codes: Vec<u32>,
-    /// …their reconstruction offsets…
-    group_offsets: Vec<f64>,
     /// …and the group's decoded escape values, by position (both paths).
     group_escapes: Vec<T>,
+    /// Decodes the DEFLATE post-pass and escape-LZ sections.
+    inflater: szr_deflate::Inflater,
+    /// Post-pass staging: a post-passed band's payload inflates here.
+    inflated: Vec<u8>,
     /// Escape-LZ staging: v5/v6 escape sections inflate here before the
     /// bit-level escape decode (capacity persists across bands).
     escape: Vec<u8>,
@@ -469,8 +473,9 @@ impl<T: ScalarFloat> Default for DecodeScratch<T> {
         Self {
             codes: Vec::new(),
             group_codes: Vec::new(),
-            group_offsets: Vec::new(),
             group_escapes: Vec::new(),
+            inflater: szr_deflate::Inflater::new(),
+            inflated: Vec::new(),
             escape: Vec::new(),
             table_key: Vec::new(),
             cached_codec: None,
@@ -600,8 +605,8 @@ pub(crate) fn decompress_cached<T: ScalarFloat>(
 ///
 /// With `staged` false (the production path) Huffman symbols are pulled
 /// straight into row reconstruction through a [`SymbolDecoder`] — the
-/// intermediate symbol vector is never materialized, and the per-group
-/// offset/escape work runs as batched passes over each group. With `staged`
+/// intermediate symbol vector is never materialized, and each group's
+/// escapes decode in one pass before its points reconstruct. With `staged`
 /// true (the oracle path, and always in decorrelation mode) the whole
 /// stream decodes into `scratch.codes` first.
 #[allow(clippy::too_many_arguments)]
@@ -624,8 +629,9 @@ fn decompress_parsed<T: ScalarFloat>(
     let DecodeScratch {
         codes,
         group_codes,
-        group_offsets,
         group_escapes,
+        inflater,
+        inflated,
         escape,
         table_key,
         cached_codec,
@@ -645,7 +651,6 @@ fn decompress_parsed<T: ScalarFloat>(
     let post = reader
         .read_u8()
         .map_err(|e| in_section("payload", e.into()))?;
-    let inflated;
     let (huffman_block, unpred_block): (&[u8], &[u8]) = match post {
         0 => {
             let h = reader
@@ -660,12 +665,12 @@ fn decompress_parsed<T: ScalarFloat>(
             let deflated = reader
                 .read_len_prefixed()
                 .map_err(|e| in_section("payload", e.into()))?;
-            let (res, inflate_nanos) = timed(tele, || szr_deflate::deflate_decompress(deflated));
-            inflated = res.map_err(|e| SzError::Corrupt(format!("payload: {e}")))?;
+            let (res, inflate_nanos) = timed(tele, || inflater.inflate_into(deflated, inflated));
+            res.map_err(|e| SzError::Corrupt(format!("payload: {e}")))?;
             if let Some(sink) = sink {
                 sink.span(Stage::Deflate, inflate_nanos, inflated.len() as u64);
             }
-            let mut pr = ByteReader::new(&inflated);
+            let mut pr = ByteReader::new(inflated);
             let h = pr
                 .read_len_prefixed()
                 .map_err(|e| in_section("payload", e.into()))?;
@@ -681,9 +686,7 @@ fn decompress_parsed<T: ScalarFloat>(
     // the raw escape bytes so corruption anywhere in the stored section
     // still surfaces as a named mismatch rather than garbage values.
     let unpred_block: &[u8] = if header.escape_lz {
-        let (res, nanos) = timed(tele, || {
-            szr_deflate::deflate_decompress_into(unpred_block, escape)
-        });
+        let (res, nanos) = timed(tele, || inflater.inflate_into(unpred_block, escape));
         res.map_err(|e| SzError::Corrupt(format!("escape: {e}")))?;
         if let Some(sink) = sink {
             sink.span(Stage::Deflate, nanos, escape.len() as u64);
@@ -777,14 +780,19 @@ fn decompress_parsed<T: ScalarFloat>(
                 block.count, total
             )));
         }
+        // A table that codes no symbol outside the alphabet cannot decode
+        // one, so only such a table needs the per-group check.
+        let codes_outside = codec
+            .lengths()
+            .get(alphabet as usize..)
+            .is_some_and(|outside| outside.iter().any(|&l| l != 0));
         let mut visitor = FusedRowDecoder {
             decoder: codec.stream_decoder(block.payload, total),
-            alphabet,
+            alphabet: codes_outside.then_some(alphabet),
             quantizer,
             unpred,
             bits: unpred_bits,
             group_codes,
-            group_offsets,
             group_escapes,
             start: 0,
             tele,
@@ -958,21 +966,21 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for RowDecoder<'_, '_, T> {
 /// The fused decode visitor: a pull-based [`SymbolDecoder`] feeds
 /// reconstruction directly, so no band-sized symbol vector ever exists.
 /// Each group pulls its symbol run into a group-sized scratch at
-/// `begin_group`, batch-validates it (`check_alphabet`),
-/// precomputes reconstruction offsets ([`Quantizer::recon_offsets`],
-/// bit-identical to the staged per-point [`Quantizer::reconstruct`]) and
-/// decodes its escapes; the wavefront then only adds offsets. The first bad
-/// symbol (or out-of-alphabet code) aborts the whole scan — corrupt
-/// archives never decode the full grid.
+/// `begin_group` and decodes its escapes; the wavefront then reconstructs
+/// each point from its code with [`Quantizer::reconstruct`], the staged
+/// path's expression. Codes are checked against the alphabet
+/// (`check_alphabet`) only when the band's table codes a symbol outside
+/// it. The first bad symbol (or out-of-alphabet code) aborts the whole
+/// scan — corrupt archives never decode the full grid.
 struct FusedRowDecoder<'c, 'b, 's, T: ScalarFloat> {
     decoder: SymbolDecoder<'c, 'b>,
-    alphabet: u32,
+    /// The quantizer alphabet, when the table codes symbols outside it.
+    alphabet: Option<u32>,
     quantizer: Quantizer,
     unpred: UnpredictableCodec,
     bits: BitReader<'b>,
-    /// The open group's symbols, offsets and escapes, indexed from `start`.
+    /// The open group's symbols and escapes, indexed from `start`.
     group_codes: &'s mut Vec<u32>,
-    group_offsets: &'s mut Vec<f64>,
     group_escapes: &'s mut Vec<T>,
     start: usize,
     /// Telemetry recording active: accumulate the symbol-pull and
@@ -991,7 +999,6 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for FusedRowDecoder<'_, '_, '_
     fn begin_group(&mut self, start: usize, len: usize) -> Result<()> {
         if self.group_codes.len() < len {
             self.group_codes.resize(len, 0);
-            self.group_offsets.resize(len, 0.0);
         }
         let (pulled, nanos) = {
             let decoder = &mut self.decoder;
@@ -1002,9 +1009,9 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for FusedRowDecoder<'_, '_, '_
         pulled?;
         self.recon_clock = self.tele.then(std::time::Instant::now);
         let codes = &self.group_codes[..len];
-        check_alphabet(codes, self.alphabet)?;
-        self.quantizer
-            .recon_offsets(codes, &mut self.group_offsets[..len]);
+        if let Some(alphabet) = self.alphabet {
+            check_alphabet(codes, alphabet)?;
+        }
         decode_group_escapes(codes, &self.unpred, &mut self.bits, self.group_escapes)?;
         self.start = start;
         Ok(())
@@ -1013,10 +1020,11 @@ impl<T: ScalarFloat> crate::kernel::RowVisitor<T> for FusedRowDecoder<'_, '_, '_
     #[inline(always)]
     fn point(&mut self, flat: usize, pred: f64) -> T {
         let p = flat - self.start;
-        if self.group_codes[p] == 0 {
+        let code = self.group_codes[p];
+        if code == 0 {
             self.group_escapes[p]
         } else {
-            T::from_f64(pred + self.group_offsets[p])
+            T::from_f64(self.quantizer.reconstruct(code, pred))
         }
     }
 
@@ -1093,6 +1101,25 @@ mod tests {
                 Err(SzError::Corrupt(msg)) => assert!(msg.contains(&bad.to_string()), "{msg}"),
                 other => panic!("{codes:?}: {other:?}"),
             }
+        }
+    }
+
+    /// A header narrowed to fewer interval bits than the band's table
+    /// codes: the fused decoder checks its groups against the alphabet and
+    /// fails on the first code outside it instead of reconstructing it.
+    #[test]
+    fn fused_decode_rejects_codes_outside_a_narrowed_alphabet() {
+        let data = Tensor::from_fn([64, 64], |ix| ((ix[0] * 13 + ix[1] * 7) % 97) as f32);
+        let config = Config::new(ErrorBound::Absolute(0.01))
+            .with_interval_bits(12)
+            .without_lossless_pass();
+        let mut bytes = compress(&data, &config).unwrap();
+        const INTERVAL_BITS_AT: usize = MAGIC.len() + 3;
+        assert_eq!(bytes[INTERVAL_BITS_AT], 12);
+        bytes[INTERVAL_BITS_AT] = 4;
+        match decompress::<f32>(&bytes) {
+            Err(SzError::Corrupt(msg)) => assert!(msg.contains("outside alphabet"), "{msg}"),
+            other => panic!("{other:?}"),
         }
     }
 

@@ -71,12 +71,13 @@
 //! (`szr_huffman::SymbolDecoder`) feeds quantization codes straight into
 //! the [`ScanKernel`] reconstruction one wavefront group of rows at a
 //! time — no band-sized symbol vector is ever materialized, each group's
-//! symbols are validated and its escapes decoded before its points are
-//! visited, and a warm session's only steady-state allocation is the output
-//! tensor itself.
+//! escapes are decoded before its points are visited (and its symbols
+//! checked against the alphabet where the band's table codes symbols
+//! outside it), and a warm session's only steady-state allocation is the
+//! output tensor itself, DEFLATE-coded bands included.
 //!
-//! The batched passes — code→offset reconstruction, the decoder's alphabet
-//! and escape counts, the sampler's predictions and hit test — are plain
+//! The batched passes — the decoder's alphabet and escape counts, the
+//! sampler's predictions and hit test — are plain
 //! loops the compiler vectorizes at the baseline target. There is one
 //! implementation of each, with no runtime dispatch: each keeps the
 //! per-point expression's operation order (no FMA contraction), so

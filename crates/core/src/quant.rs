@@ -115,21 +115,6 @@ impl Quantizer {
         pred + self.two_eb * (code as i64 - self.half) as f64
     }
 
-    /// Batched reconstruction offsets: `out[i] = 2·eb · (codes[i] − half)`,
-    /// so `pred + out[i]` equals [`Quantizer::reconstruct`] bit for bit
-    /// (same `f64` expression tree — the offset factor is a single rounding
-    /// step in both). Escape codes (0) produce a garbage offset the fused
-    /// decoder never reads. The caller has checked every code against the
-    /// alphabet (below 2^30), so `code − half` is exact in `i32`, whose
-    /// conversion to `f64` vectorizes where the `i64` one does not.
-    #[inline]
-    pub(crate) fn recon_offsets(&self, codes: &[u32], out: &mut [f64]) {
-        let half = self.half as i32;
-        for (o, &c) in out.iter_mut().zip(codes) {
-            *o = self.two_eb * f64::from((c as i32).wrapping_sub(half));
-        }
-    }
-
     /// Quantizes `value` against `pred` and narrows the reconstruction to
     /// the stored type: the code and stored reconstruction of a hit, or
     /// `None` when the value misses every interval or its narrowed
@@ -353,26 +338,10 @@ mod tests {
         }
     }
 
-    /// The batched decode helpers agree with their per-point formulas:
-    /// offsets with [`Quantizer::reconstruct`] at both ends of every
-    /// alphabet, escape counts with a filter over lengths around every
-    /// vector width.
+    /// The batched decode helper agrees with its per-point formula: escape
+    /// counts with a filter over lengths around every vector width.
     #[test]
     fn batched_helpers_match_per_point_formulas() {
-        for bits in [2u32, 8, 16, 30] {
-            let q = Quantizer::new(1e-3, bits);
-            let top = q.alphabet() as u32 - 1;
-            let codes: Vec<u32> = (0..37u32)
-                .map(|i| 1 + i.wrapping_mul(2_654_435_761) % top)
-                .chain([1, top, q.half as u32])
-                .collect();
-            let mut out = vec![0.0; codes.len()];
-            q.recon_offsets(&codes, &mut out);
-            for (&c, &o) in codes.iter().zip(&out) {
-                let want = q.reconstruct(c, 0.5);
-                assert_eq!((0.5 + o).to_bits(), want.to_bits(), "bits {bits} code {c}");
-            }
-        }
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33] {
             let codes: Vec<u32> = (0..n as u32)
                 .map(|i| i.wrapping_mul(2_654_435_761) % 5)

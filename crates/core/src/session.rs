@@ -741,8 +741,9 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// Decoding is fused (symbols pull straight into row reconstruction;
     /// see [`crate::oracle::decompress_staged`] for the staged oracle), and in
     /// steady state — same grid family, same producer table — allocates
-    /// nothing but the output tensor: the row scratch, the codec cache, and
-    /// its decode LUT all live in the session.
+    /// nothing but the output tensor: the row scratch, the codec cache and
+    /// its decode LUT, and the DEFLATE inflater with its output buffers for
+    /// post-passed and escape-LZ bands all live in the session.
     pub fn decompress(&mut self, bytes: &[u8]) -> Result<Tensor<T>> {
         let sink = self.active_sink();
         decompress_cached(

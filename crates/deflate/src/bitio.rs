@@ -3,8 +3,11 @@
 //! DEFLATE packs data elements starting at the least significant bit of each
 //! byte. Huffman codes are packed "most significant bit of the code first",
 //! which in this scheme means codes are emitted bit-reversed — the
-//! [`reverse_bits`] helper handles that at table-build time.
+//! [`reverse_bits`] helper handles that at table-build time. The reader
+//! here serves the reference decoder in tests; production decoding reads
+//! through the [`Inflater`](crate::Inflater)'s own refill.
 
+#[cfg(test)]
 use crate::{Error, Result};
 
 /// LSB-first bit accumulator.
@@ -34,26 +37,29 @@ impl LsbWriter {
         }
     }
 
-    /// Appends the low `count` bits of `value`, LSB first.
+    /// Appends the low `count ≤ 32` bits of `value`, LSB first. The buffer
+    /// holds under 32 bits between calls and flushes whole 32-bit words.
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u32) {
-        debug_assert!(count <= 57, "flush cadence keeps the buffer under 57 bits");
+        debug_assert!(count <= 32, "a word flush keeps the buffer under 64 bits");
         self.bit_buf |= value << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.bytes.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 32 {
+            self.bytes
+                .extend_from_slice(&(self.bit_buf as u32).to_le_bytes());
+            self.bit_buf >>= 32;
+            self.bit_count -= 32;
         }
     }
 
-    /// Pads to a byte boundary with zero bits (for stored blocks).
+    /// Flushes the buffered bits, padding to a byte boundary with zero
+    /// bits (for stored blocks).
     pub fn align_to_byte(&mut self) {
-        if self.bit_count > 0 {
-            self.bytes.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf = 0;
-            self.bit_count = 0;
-        }
+        let bytes = self.bit_count.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.bit_buf.to_le_bytes()[..bytes]);
+        self.bit_buf = 0;
+        self.bit_count = 0;
     }
 
     /// Appends raw bytes (writer must be byte-aligned).
@@ -70,6 +76,7 @@ impl LsbWriter {
 }
 
 /// LSB-first bit reader.
+#[cfg(test)]
 pub struct LsbReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -77,6 +84,7 @@ pub struct LsbReader<'a> {
     bit_count: u32,
 }
 
+#[cfg(test)]
 impl<'a> LsbReader<'a> {
     /// Creates a reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
@@ -95,34 +103,6 @@ impl<'a> LsbReader<'a> {
             self.pos += 1;
             self.bit_count += 8;
         }
-    }
-
-    /// Returns the next `count` bits (low bits of the result, LSB-first)
-    /// without consuming, zero-padded when fewer bits remain — the
-    /// speculative half of table-driven Huffman decoding.
-    #[inline]
-    pub fn peek_bits(&mut self, count: u32) -> u64 {
-        debug_assert!(count <= 56);
-        if count == 0 {
-            return 0;
-        }
-        self.refill();
-        self.bit_buf & (u64::MAX >> (64 - count))
-    }
-
-    /// Consumes `count` bits previously validated via
-    /// [`peek_bits`](Self::peek_bits).
-    ///
-    /// # Errors
-    /// [`Error::UnexpectedEof`] when fewer than `count` bits remain.
-    #[inline]
-    pub fn consume(&mut self, count: u32) -> Result<()> {
-        if self.bit_count < count {
-            return Err(Error::UnexpectedEof);
-        }
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        Ok(())
     }
 
     /// Reads `count` bits LSB-first.

@@ -7,33 +7,31 @@
 //! content-aware splitter (see [`crate::splitter`]); every emitted block
 //! independently picks dynamic, fixed, or stored coding by exact bit cost.
 
-use crate::bitio::{reverse_bits, LsbReader, LsbWriter};
+use crate::bitio::{reverse_bits, LsbWriter};
 use crate::lz77::{probe_match_bits, Effort, LzState, Token};
 use crate::splitter::Splitter;
-use crate::{Error, Result};
-use szr_huffman::lut::{BitOrder, DecodeLut, Lookup};
 
 /// Length-code base values for symbols 257..=285.
-const LENGTH_BASE: [u16; 29] = [
+pub(crate) const LENGTH_BASE: [u16; 29] = [
     3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131,
     163, 195, 227, 258,
 ];
 /// Extra bits per length code.
-const LENGTH_EXTRA: [u32; 29] = [
+pub(crate) const LENGTH_EXTRA: [u32; 29] = [
     0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0,
 ];
 /// Distance-code base values for symbols 0..=29.
-const DIST_BASE: [u16; 30] = [
+pub(crate) const DIST_BASE: [u16; 30] = [
     1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537,
     2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577,
 ];
 /// Extra bits per distance code.
-const DIST_EXTRA: [u32; 30] = [
+pub(crate) const DIST_EXTRA: [u32; 30] = [
     0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13,
     13,
 ];
 /// Order in which code-length-code lengths are transmitted.
-const CLC_ORDER: [usize; 19] = [
+pub(crate) const CLC_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
@@ -44,42 +42,62 @@ const DIST_SYMS: usize = 30;
 /// hlit + hdist upper bound: the dynamic-header length vector.
 const ALL_SYMS: usize = LITLEN_SYMS + DIST_SYMS;
 
+/// Length-code index (symbol − 257) of every match length, indexed by
+/// `length − 3` (zlib's `_length_code`).
+const LENGTH_CODE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut code = 0;
+    // Later codes overwrite: length 258 is code 28, not code 27's top.
+    while code < 29 {
+        let base = LENGTH_BASE[code] as usize - 3;
+        let mut i = 0;
+        while i < 1 << LENGTH_EXTRA[code] && base + i < 256 {
+            table[base + i] = code as u8;
+            i += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
+/// Distance code of every distance `d`: entry `d − 1` below 257, entry
+/// `256 + ((d − 1) >> 7)` above (zlib's `_dist_code`; from code 16 on each
+/// code spans whole 128-distance steps).
+const DIST_CODE: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut code = 0;
+    while code < 30 {
+        let base = DIST_BASE[code] as usize - 1;
+        let mut i = 0;
+        while i < 1 << DIST_EXTRA[code] {
+            let d = base + i;
+            table[if d < 256 { d } else { 256 + (d >> 7) }] = code as u8;
+            i += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
+/// (symbol, extra bit count, extra bits value) of a match length.
 #[inline]
 pub(crate) fn length_symbol(len: u16) -> (u16, u32, u16) {
-    // Returns (symbol, extra bit count, extra bits value).
     debug_assert!((3..=258).contains(&len));
-    let mut sym = 28usize;
-    for (i, &base) in LENGTH_BASE.iter().enumerate() {
-        let next = if i + 1 < 29 { LENGTH_BASE[i + 1] } else { 259 };
-        if len >= base && len < next {
-            sym = i;
-            break;
-        }
-    }
-    // Length 258 belongs to symbol 285 (sym 28), which has 0 extra bits.
-    if len == 258 {
-        sym = 28;
-    }
-    (257 + sym as u16, LENGTH_EXTRA[sym], len - LENGTH_BASE[sym])
+    let code = LENGTH_CODE[len as usize - 3] as usize;
+    (
+        257 + code as u16,
+        LENGTH_EXTRA[code],
+        len - LENGTH_BASE[code],
+    )
 }
 
+/// (symbol, extra bit count, extra bits value) of a match distance.
 #[inline]
 pub(crate) fn dist_symbol(dist: u16) -> (u16, u32, u16) {
     debug_assert!(dist >= 1);
-    let d = dist as u32;
-    let mut sym = 29usize;
-    for (i, &base) in DIST_BASE.iter().enumerate() {
-        let next = if i + 1 < 30 {
-            DIST_BASE[i + 1] as u32
-        } else {
-            32_769
-        };
-        if d >= base as u32 && d < next {
-            sym = i;
-            break;
-        }
-    }
-    (sym as u16, DIST_EXTRA[sym], dist - DIST_BASE[sym])
+    let d = dist as usize - 1;
+    let code = DIST_CODE[if d < 256 { d } else { 256 + (d >> 7) }] as usize;
+    (code as u16, DIST_EXTRA[code], dist - DIST_BASE[code])
 }
 
 // ---------------------------------------------------------------------------
@@ -197,8 +215,10 @@ fn build_lengths_into(freqs: &[u32], max_len: u32, lengths: &mut [u32]) {
     }
 }
 
-/// Canonical code values from lengths (RFC 1951 §3.2.2 algorithm),
-/// allocation-free (DEFLATE lengths never exceed 15).
+/// Canonical code values from lengths (RFC 1951 §3.2.2 algorithm), stored
+/// bit-reversed: DEFLATE sends a code's most significant bit first inside
+/// its LSB-first stream, so emission writes these as they are.
+/// Allocation-free (DEFLATE lengths never exceed 15).
 fn assign_codes_into(lengths: &[u32], codes: &mut [u32]) {
     debug_assert_eq!(lengths.len(), codes.len());
     let mut bl_count = [0u32; 16];
@@ -220,127 +240,9 @@ fn assign_codes_into(lengths: &[u32], codes: &mut [u32]) {
         } else {
             let c = next_code[l as usize];
             next_code[l as usize] += 1;
-            c
+            reverse_bits(c, l)
         };
     }
-}
-
-/// Canonical code values from lengths as a `Vec` (decode-side table builds
-/// and the RFC worked-example test).
-fn assign_codes(lengths: &[u32]) -> Vec<u32> {
-    let mut codes = vec![0u32; lengths.len()];
-    assign_codes_into(lengths, &mut codes);
-    codes
-}
-
-/// Canonical decoder: a shared two-level LUT (LSB bit order) over the code
-/// lengths, with the historical bit-walking loop kept as the fallback for
-/// table escapes and as the equivalence oracle in tests.
-struct HuffDecoder {
-    /// count[l] = number of codes of length l.
-    count: [u32; 16],
-    /// first canonical code of each length.
-    first_code: [u32; 16],
-    /// index into `symbols` of the first code of each length.
-    first_index: [u32; 16],
-    /// symbols sorted by (length, symbol).
-    symbols: Vec<u16>,
-    /// Table-driven decode path (max DEFLATE code length is 15, so every
-    /// code resolves in the primary table or one subtable — never Slow).
-    lut: DecodeLut,
-}
-
-impl HuffDecoder {
-    fn from_lengths(lengths: &[u32]) -> Result<Self> {
-        let mut count = [0u32; 16];
-        for &l in lengths {
-            if l > 15 {
-                return Err(Error::Corrupt("code length exceeds 15"));
-            }
-            if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        let mut kraft: u64 = 0;
-        for l in 1..=15u32 {
-            kraft += (count[l as usize] as u64) << (15 - l);
-        }
-        if kraft > 1 << 15 {
-            return Err(Error::Corrupt("oversubscribed huffman table"));
-        }
-        let mut first_code = [0u32; 16];
-        let mut first_index = [0u32; 16];
-        let mut code = 0u32;
-        let mut index = 0u32;
-        for l in 1..=15usize {
-            code <<= 1;
-            first_code[l] = code;
-            first_index[l] = index;
-            code += count[l];
-            index += count[l];
-        }
-        let mut symbols: Vec<u16> = (0..lengths.len() as u16)
-            .filter(|&s| lengths[s as usize] > 0)
-            .collect();
-        symbols.sort_by_key(|&s| (lengths[s as usize], s));
-        let codes: Vec<u64> = assign_codes(lengths).iter().map(|&c| c as u64).collect();
-        let lut = DecodeLut::build(lengths, &codes, BitOrder::Lsb);
-        Ok(Self {
-            count,
-            first_code,
-            first_index,
-            symbols,
-            lut,
-        })
-    }
-
-    #[inline]
-    fn decode(&self, reader: &mut LsbReader<'_>) -> Result<u16> {
-        let primary = self.lut.primary_bits();
-        let lookup = match self.lut.root(reader.peek_bits(primary)) {
-            Lookup::Sub { base, bits } => {
-                let window = reader.peek_bits(primary + bits);
-                self.lut.sub(base, bits, window >> primary)
-            }
-            other => other,
-        };
-        match lookup {
-            Lookup::Symbol { symbol, len } => {
-                reader.consume(len)?;
-                Ok(symbol as u16)
-            }
-            Lookup::Slow => self.decode_walk(reader),
-            Lookup::Invalid | Lookup::Sub { .. } => Err(Error::Corrupt("invalid huffman code")),
-        }
-    }
-
-    /// Bit-at-a-time canonical decode: the LUT's fallback and oracle.
-    #[cold]
-    fn decode_walk(&self, reader: &mut LsbReader<'_>) -> Result<u16> {
-        let mut code = 0u32;
-        for len in 1..=15usize {
-            code = (code << 1) | reader.read_bit()?;
-            let n = self.count[len];
-            if n > 0 {
-                let offset = code.wrapping_sub(self.first_code[len]);
-                if offset < n {
-                    return Ok(self.symbols[(self.first_index[len] + offset) as usize]);
-                }
-            }
-        }
-        Err(Error::Corrupt("invalid huffman code"))
-    }
-}
-
-fn fixed_litlen_lengths() -> Vec<u32> {
-    let mut l = vec![8u32; 288];
-    l[144..256].iter_mut().for_each(|x| *x = 9);
-    l[256..280].iter_mut().for_each(|x| *x = 7);
-    l
-}
-
-fn fixed_dist_lengths() -> Vec<u32> {
-    vec![5u32; 30]
 }
 
 #[inline]
@@ -601,7 +503,7 @@ pub(crate) fn price_block(scratch: &mut BlockScratch, byte_len: usize) -> (u64, 
 fn put_sym(w: &mut LsbWriter, lengths: &[u32], codes: &[u32], sym: usize) {
     let len = lengths[sym];
     debug_assert!(len > 0, "symbol {sym} has no code");
-    w.write_bits(reverse_bits(codes[sym], len) as u64, len);
+    w.write_bits(codes[sym] as u64, len);
 }
 
 fn write_tokens(
@@ -905,125 +807,196 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     Deflater::new().compress_to_vec(data)
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
+/// The decoder `Inflater` replaced, kept as its equivalence oracle: a
+/// bit-at-a-time canonical decode over an LSB-first reader, one symbol and
+/// one output byte at a time.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{CLC_ORDER, DIST_BASE, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA};
+    use crate::bitio::LsbReader;
+    use crate::{Error, Result};
 
-fn inflate_block(
-    reader: &mut LsbReader<'_>,
-    out: &mut Vec<u8>,
-    litlen: &HuffDecoder,
-    dist: &HuffDecoder,
-) -> Result<()> {
-    loop {
-        let sym = litlen.decode(reader)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let idx = (sym - 257) as usize;
-                let len = LENGTH_BASE[idx] as usize + reader.read_bits(LENGTH_EXTRA[idx])? as usize;
-                let dsym = dist.decode(reader)? as usize;
-                if dsym >= 30 {
-                    return Err(Error::Corrupt("distance symbol out of range"));
+    /// Canonical decoder over the code lengths.
+    pub(crate) struct HuffDecoder {
+        /// count[l] = number of codes of length l.
+        count: [u32; 16],
+        /// first canonical code of each length.
+        first_code: [u32; 16],
+        /// index into `symbols` of the first code of each length.
+        first_index: [u32; 16],
+        /// symbols sorted by (length, symbol).
+        symbols: Vec<u16>,
+    }
+
+    impl HuffDecoder {
+        pub(crate) fn from_lengths(lengths: &[u32]) -> Result<Self> {
+            let mut count = [0u32; 16];
+            for &l in lengths {
+                if l > 15 {
+                    return Err(Error::Corrupt("code length exceeds 15"));
                 }
-                let d = DIST_BASE[dsym] as usize + reader.read_bits(DIST_EXTRA[dsym])? as usize;
-                if d > out.len() {
-                    return Err(Error::Corrupt("distance beyond output start"));
-                }
-                let start = out.len() - d;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                if l > 0 {
+                    count[l as usize] += 1;
                 }
             }
-            _ => return Err(Error::Corrupt("literal/length symbol out of range")),
+            let mut kraft: u64 = 0;
+            for l in 1..=15u32 {
+                kraft += (count[l as usize] as u64) << (15 - l);
+            }
+            if kraft > 1 << 15 {
+                return Err(Error::Corrupt("oversubscribed huffman table"));
+            }
+            let mut first_code = [0u32; 16];
+            let mut first_index = [0u32; 16];
+            let mut code = 0u32;
+            let mut index = 0u32;
+            for l in 1..=15usize {
+                code <<= 1;
+                first_code[l] = code;
+                first_index[l] = index;
+                code += count[l];
+                index += count[l];
+            }
+            let mut symbols: Vec<u16> = (0..lengths.len() as u16)
+                .filter(|&s| lengths[s as usize] > 0)
+                .collect();
+            symbols.sort_by_key(|&s| (lengths[s as usize], s));
+            Ok(Self {
+                count,
+                first_code,
+                first_index,
+                symbols,
+            })
+        }
+
+        fn decode(&self, reader: &mut LsbReader<'_>) -> Result<u16> {
+            let mut code = 0u32;
+            for len in 1..=15usize {
+                code = (code << 1) | reader.read_bit()?;
+                let n = self.count[len];
+                if n > 0 {
+                    let offset = code.wrapping_sub(self.first_code[len]);
+                    if offset < n {
+                        return Ok(self.symbols[(self.first_index[len] + offset) as usize]);
+                    }
+                }
+            }
+            Err(Error::Corrupt("invalid huffman code"))
         }
     }
-}
 
-fn read_dynamic_tables(reader: &mut LsbReader<'_>) -> Result<(HuffDecoder, HuffDecoder)> {
-    let hlit = reader.read_bits(5)? as usize + 257;
-    let hdist = reader.read_bits(5)? as usize + 1;
-    let hclen = reader.read_bits(4)? as usize + 4;
-    if hlit > 286 || hdist > 30 {
-        return Err(Error::Corrupt("table sizes out of range"));
-    }
-    let mut cl_lengths = [0u32; 19];
-    for &s in CLC_ORDER.iter().take(hclen) {
-        cl_lengths[s] = reader.read_bits(3)? as u32;
-    }
-    let cl = HuffDecoder::from_lengths(&cl_lengths)?;
-    let mut all = Vec::with_capacity(hlit + hdist);
-    while all.len() < hlit + hdist {
-        let sym = cl.decode(reader)?;
-        match sym {
-            0..=15 => all.push(sym as u32),
-            16 => {
-                let &prev = all
-                    .last()
-                    .ok_or(Error::Corrupt("repeat with no prior length"))?;
-                let n = reader.read_bits(2)? as usize + 3;
-                all.extend(std::iter::repeat_n(prev, n));
-            }
-            17 => {
-                let n = reader.read_bits(3)? as usize + 3;
-                all.extend(std::iter::repeat_n(0u32, n));
-            }
-            18 => {
-                let n = reader.read_bits(7)? as usize + 11;
-                all.extend(std::iter::repeat_n(0u32, n));
-            }
-            _ => return Err(Error::Corrupt("invalid code-length symbol")),
-        }
-    }
-    if all.len() != hlit + hdist {
-        return Err(Error::Corrupt("code-length overrun"));
-    }
-    let litlen = HuffDecoder::from_lengths(&all[..hlit])?;
-    let dist = HuffDecoder::from_lengths(&all[hlit..])?;
-    Ok((litlen, dist))
-}
-
-/// Decompresses a complete DEFLATE stream.
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() * 3);
-    decompress_into(data, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses a complete DEFLATE stream, appending to `out` (cleared
-/// first) — lets session decoders reuse an inflate buffer.
-pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    out.clear();
-    let mut reader = LsbReader::new(data);
-    loop {
-        let bfinal = reader.read_bit()?;
-        let btype = reader.read_bits(2)?;
-        match btype {
-            0b00 => {
-                let header = reader.read_aligned_bytes(4)?;
-                let len = u16::from_le_bytes([header[0], header[1]]);
-                let nlen = u16::from_le_bytes([header[2], header[3]]);
-                if len != !nlen {
-                    return Err(Error::Corrupt("stored block LEN/NLEN mismatch"));
+    fn inflate_block(
+        reader: &mut LsbReader<'_>,
+        out: &mut Vec<u8>,
+        litlen: &HuffDecoder,
+        dist: &HuffDecoder,
+    ) -> Result<()> {
+        loop {
+            let sym = litlen.decode(reader)?;
+            match sym {
+                0..=255 => out.push(sym as u8),
+                256 => return Ok(()),
+                257..=285 => {
+                    let idx = (sym - 257) as usize;
+                    let len =
+                        LENGTH_BASE[idx] as usize + reader.read_bits(LENGTH_EXTRA[idx])? as usize;
+                    let dsym = dist.decode(reader)? as usize;
+                    if dsym >= 30 {
+                        return Err(Error::Corrupt("distance symbol out of range"));
+                    }
+                    let d = DIST_BASE[dsym] as usize + reader.read_bits(DIST_EXTRA[dsym])? as usize;
+                    if d > out.len() {
+                        return Err(Error::Corrupt("distance beyond output start"));
+                    }
+                    let start = out.len() - d;
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
                 }
-                let payload = reader.read_aligned_bytes(len as usize)?;
-                out.extend_from_slice(payload);
+                _ => return Err(Error::Corrupt("literal/length symbol out of range")),
             }
-            0b01 => {
-                let litlen = HuffDecoder::from_lengths(&fixed_litlen_lengths())?;
-                let dist = HuffDecoder::from_lengths(&fixed_dist_lengths())?;
-                inflate_block(&mut reader, out, &litlen, &dist)?;
-            }
-            0b10 => {
-                let (litlen, dist) = read_dynamic_tables(&mut reader)?;
-                inflate_block(&mut reader, out, &litlen, &dist)?;
-            }
-            _ => return Err(Error::Corrupt("reserved block type")),
         }
-        if bfinal == 1 {
-            return Ok(());
+    }
+
+    fn read_dynamic_tables(reader: &mut LsbReader<'_>) -> Result<(HuffDecoder, HuffDecoder)> {
+        let hlit = reader.read_bits(5)? as usize + 257;
+        let hdist = reader.read_bits(5)? as usize + 1;
+        let hclen = reader.read_bits(4)? as usize + 4;
+        if hlit > 286 || hdist > 30 {
+            return Err(Error::Corrupt("table sizes out of range"));
+        }
+        let mut cl_lengths = [0u32; 19];
+        for &s in CLC_ORDER.iter().take(hclen) {
+            cl_lengths[s] = reader.read_bits(3)? as u32;
+        }
+        let cl = HuffDecoder::from_lengths(&cl_lengths)?;
+        let mut all = Vec::with_capacity(hlit + hdist);
+        while all.len() < hlit + hdist {
+            let sym = cl.decode(reader)?;
+            match sym {
+                0..=15 => all.push(sym as u32),
+                16 => {
+                    let &prev = all
+                        .last()
+                        .ok_or(Error::Corrupt("repeat with no prior length"))?;
+                    let n = reader.read_bits(2)? as usize + 3;
+                    all.extend(std::iter::repeat_n(prev, n));
+                }
+                17 => {
+                    let n = reader.read_bits(3)? as usize + 3;
+                    all.extend(std::iter::repeat_n(0u32, n));
+                }
+                18 => {
+                    let n = reader.read_bits(7)? as usize + 11;
+                    all.extend(std::iter::repeat_n(0u32, n));
+                }
+                _ => return Err(Error::Corrupt("invalid code-length symbol")),
+            }
+        }
+        if all.len() != hlit + hdist {
+            return Err(Error::Corrupt("code-length overrun"));
+        }
+        let litlen = HuffDecoder::from_lengths(&all[..hlit])?;
+        let dist = HuffDecoder::from_lengths(&all[hlit..])?;
+        Ok((litlen, dist))
+    }
+
+    /// Decompresses a complete DEFLATE stream.
+    pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut reader = LsbReader::new(data);
+        loop {
+            let bfinal = reader.read_bit()?;
+            let btype = reader.read_bits(2)?;
+            match btype {
+                0b00 => {
+                    let header = reader.read_aligned_bytes(4)?;
+                    let len = u16::from_le_bytes([header[0], header[1]]);
+                    let nlen = u16::from_le_bytes([header[2], header[3]]);
+                    if len != !nlen {
+                        return Err(Error::Corrupt("stored block LEN/NLEN mismatch"));
+                    }
+                    let payload = reader.read_aligned_bytes(len as usize)?;
+                    out.extend_from_slice(payload);
+                }
+                0b01 => {
+                    let mut fixed = [8u32; 288];
+                    fixed[144..256].fill(9);
+                    fixed[256..280].fill(7);
+                    let litlen = HuffDecoder::from_lengths(&fixed)?;
+                    let dist = HuffDecoder::from_lengths(&[5; 30])?;
+                    inflate_block(&mut reader, &mut out, &litlen, &dist)?;
+                }
+                0b10 => {
+                    let (litlen, dist) = read_dynamic_tables(&mut reader)?;
+                    inflate_block(&mut reader, &mut out, &litlen, &dist)?;
+                }
+                _ => return Err(Error::Corrupt("reserved block type")),
+            }
+            if bfinal == 1 {
+                return Ok(out);
+            }
         }
     }
 }
@@ -1031,6 +1004,7 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deflate_decompress as decompress;
     use crate::lz77::structured_corpus;
 
     #[test]
@@ -1042,6 +1016,14 @@ mod tests {
         assert_eq!(length_symbol(13), (266, 1, 0));
         assert_eq!(length_symbol(257), (284, 5, 30));
         assert_eq!(length_symbol(258), (285, 0, 0));
+        // Every length lands in its code's range, 258 alone in code 28.
+        for len in 3..=258u16 {
+            let (sym, extra_bits, extra) = length_symbol(len);
+            let code = sym as usize - 257;
+            assert_eq!(len, LENGTH_BASE[code] + extra, "length {len}");
+            assert!(extra < 1 << extra_bits && extra_bits == LENGTH_EXTRA[code]);
+            assert_eq!(code == 28, len == 258);
+        }
     }
 
     #[test]
@@ -1052,16 +1034,28 @@ mod tests {
         assert_eq!(dist_symbol(6), (4, 1, 1));
         assert_eq!(dist_symbol(24577), (29, 13, 0));
         assert_eq!(dist_symbol(32768), (29, 13, 8191));
+        // Every distance lands in its code's range.
+        for dist in 1..=32768u16 {
+            let (code, extra_bits, extra) = dist_symbol(dist);
+            assert_eq!(dist, DIST_BASE[code as usize] + extra, "distance {dist}");
+            assert!(extra < 1 << extra_bits && extra_bits == DIST_EXTRA[code as usize]);
+        }
     }
 
     #[test]
     fn canonical_codes_follow_rfc_example() {
         // RFC 1951 §3.2.2 worked example: lengths (3,3,3,3,3,2,4,4) yield
-        // codes 010,011,100,101,110,00,1110,1111.
+        // codes 010,011,100,101,110,00,1110,1111, stored bit-reversed.
         let lengths = [3u32, 3, 3, 3, 3, 2, 4, 4];
-        let codes = assign_codes(&lengths);
+        let mut codes = [0u32; 8];
+        assign_codes_into(&lengths, &mut codes);
+        let canonical: Vec<u32> = codes
+            .iter()
+            .zip(&lengths)
+            .map(|(&c, &l)| reverse_bits(c, l))
+            .collect();
         assert_eq!(
-            codes,
+            canonical,
             vec![0b010, 0b011, 0b100, 0b101, 0b110, 0b00, 0b1110, 0b1111]
         );
     }
@@ -1125,6 +1119,7 @@ mod tests {
 
     #[test]
     fn decoder_rejects_oversubscribed_tables() {
+        use reference::HuffDecoder;
         assert!(HuffDecoder::from_lengths(&[1, 1, 1]).is_err());
         assert!(HuffDecoder::from_lengths(&[1, 2, 2]).is_ok());
     }

@@ -3,7 +3,7 @@
 
 use crate::blocks;
 use crate::crc32::crc32;
-use crate::{Error, Result};
+use crate::{deflate_decompress, Error, Result};
 
 /// Compresses `data` into a gzip member (what the paper's GZIP baseline
 /// produces).
@@ -55,7 +55,7 @@ pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>> {
         return Err(Error::UnexpectedEof);
     }
     let payload = &data[pos..data.len() - 8];
-    let out = blocks::decompress(payload)?;
+    let out = deflate_decompress(payload)?;
     let trailer = &data[data.len() - 8..];
     let crc = u32::from_le_bytes(trailer[0..4].try_into().unwrap());
     let isize = u32::from_le_bytes(trailer[4..8].try_into().unwrap());

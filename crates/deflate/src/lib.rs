@@ -9,9 +9,13 @@
 //! * [`lz77`] — greedy hash-chain string matching with lazy evaluation
 //!   (one-step lookahead), 32 KiB window, matches of 3–258 bytes, behind a
 //!   reusable [`LzState`] whose search depth is an [`Effort`] level;
-//! * [`blocks`] — bit-exact encoding/decoding of stored, fixed-Huffman, and
+//! * [`blocks`] — bit-exact encoding of stored, fixed-Huffman, and
 //!   dynamic-Huffman blocks, including the RFC's length-limited canonical
 //!   Huffman construction and the code-length alphabet (symbols 16/17/18);
+//! * [`inflate`] — table-driven decoding of all three block types behind a
+//!   reusable [`Inflater`]: packed `u32` decode tables rebuilt in place per
+//!   block, eight-byte refills, and a decode loop that checks nothing per
+//!   symbol until the stream's tail;
 //! * [`splitter`] — content-aware block boundaries: a greedy
 //!   symbol-frequency-divergence split with an exact-cost merge-back pass,
 //!   so a new Huffman table is only emitted where it pays for its header;
@@ -23,22 +27,27 @@
 //! [`Deflater::estimate_saving`] predicts what a pass would save at a small
 //! fraction of its cost (a literal-only block priced from the byte
 //! histogram, plus a hash probe for matches), so callers can skip a pass
-//! that cannot pay. Each
-//! block independently picks dynamic, fixed, or stored coding by exact bit
-//! cost, which is enough to match zlib's ratio on scientific floats to
-//! within a few percent — the property that matters for reproducing the
-//! paper's GZIP baseline.
+//! that cannot pay. Each block independently picks dynamic, fixed, or
+//! stored coding by exact bit cost, which is enough to match zlib's ratio
+//! on scientific floats to within a few percent — the property that
+//! matters for reproducing the paper's GZIP baseline. The decoder mirrors
+//! it: a reusable [`Inflater`] owns its decode tables, so a session-held
+//! inflater decompresses without allocating once its output buffer has
+//! grown. Neither half depends on `szr-huffman`: DEFLATE's LSB-first codes
+//! get their own tables.
 
 mod bitio;
 mod blocks;
 mod crc32;
 mod gzip;
+mod inflate;
 mod lz77;
 mod splitter;
 
 pub use blocks::{DeflateStats, Deflater};
 pub use crc32::{crc32, Crc32};
 pub use gzip::{gzip_compress, gzip_decompress};
+pub use inflate::Inflater;
 pub use lz77::Effort;
 
 /// Errors produced while inflating a corrupt stream.
@@ -72,15 +81,18 @@ pub fn deflate_compress(data: &[u8]) -> Vec<u8> {
     blocks::compress(data)
 }
 
-/// Decompresses a raw DEFLATE stream.
+/// Decompresses a raw DEFLATE stream (one-shot; repeated callers should
+/// hold an [`Inflater`] to reuse its tables).
 pub fn deflate_decompress(data: &[u8]) -> Result<Vec<u8>> {
-    blocks::decompress(data)
+    let mut out = Vec::new();
+    deflate_decompress_into(data, &mut out)?;
+    Ok(out)
 }
 
 /// Decompresses a raw DEFLATE stream into `out` (cleared first), letting
 /// repeated decoders reuse one inflate buffer.
 pub fn deflate_decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    blocks::decompress_into(data, out)
+    Inflater::new().inflate_into(data, out)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Canonical Huffman code construction, encoding, and decoding.
 
-use crate::lut::{BitOrder, DecodeLut, Lookup};
+use crate::lut::{DecodeLut, Lookup};
 use szr_bitstream::{BitCursor, BitReader, BitWriter, Error, Result};
 
 /// Hard ceiling on codeword length.
@@ -278,7 +278,7 @@ impl HuffmanCodec {
     /// The decode table, built on first use.
     fn lut(&self) -> &DecodeLut {
         self.lut
-            .get_or_init(|| DecodeLut::build(&self.lengths, &self.codes, BitOrder::Msb))
+            .get_or_init(|| DecodeLut::build(&self.lengths, &self.codes))
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! The primary width is a function of the code lengths alone. By default
 //! it is the longest code length, capped at [`PRIMARY_BITS`] (11 bits:
-//! 2^11 × 8 B = 16 KiB, which stays in L1). An MSB table whose codes longer
+//! 2^11 × 8 B = 16 KiB, which stays in L1). A table whose codes longer
 //! than 11 bits hold at least half the code space (Σ 2^-len ≥ 1/2, about
 //! half the symbols of the stream it was built for) widens to
 //! `min(max_len, WIDE_PRIMARY_BITS)`, at most 15 bits (256 KiB, inside a
@@ -20,24 +20,16 @@
 //! long codes are rare keeps the L1-sized primary, where the few subtable
 //! codes cost less than an L2 miss on every lookup.
 //!
-//! The table is bit-order agnostic so one builder serves both the MSB-first
-//! quantization-code stream (`szr-huffman` proper) and DEFLATE's LSB-first
-//! packing (`szr-deflate`), where codewords appear bit-reversed in the
-//! peeked window:
+//! The table decodes the MSB-first quantization-code stream: the index is
+//! the upcoming bits read left to right, so a code of length `l ≤ P` owns
+//! the contiguous range `code << (P-l) ..` of the primary table.
+//! (DEFLATE's LSB-first codes decode through `szr-deflate`'s own tables.)
 //!
-//! * [`BitOrder::Msb`] — index = upcoming bits read left to right; a code of
-//!   length `l ≤ P` owns the contiguous range `code << (P-l) ..` of the
-//!   primary table.
-//! * [`BitOrder::Lsb`] — index = upcoming bits in the low bits of the peek
-//!   window; the same code owns every index whose low `l` bits equal the
-//!   bit-reversed code.
-//!
-//! MSB primary entries carry up to **two** whole codes: where the bits left
+//! Primary entries carry up to **two** whole codes: where the bits left
 //! after the first code already spell a second one, the entry holds both.
-//! The MSB decode loop does two dependent lookups per `2P`-bit peek, so
-//! one peek yields up to four symbols; [`DecodeLut::root`] still
-//! reports the first code of an entry, so single-symbol callers read the
-//! same array.
+//! The decode loop does two dependent lookups per `2P`-bit peek, so one
+//! peek yields up to four symbols; [`DecodeLut::root`] still reports the
+//! first code of an entry, so single-symbol callers read the same array.
 //!
 //! Entry layout (`u64`; a zeroed entry is [`Lookup::Invalid`]):
 //!
@@ -59,11 +51,11 @@
 
 use szr_bitstream::BitCursor;
 
-/// Width of the primary lookup table in bits for tables whose codes all
-/// fit it, and for every LSB table (2^11 × 8 B = 16 KiB).
+/// Width of the primary lookup table in bits for tables whose long codes
+/// hold under half the code space (2^11 × 8 B = 16 KiB).
 pub const PRIMARY_BITS: u32 = 11;
 
-/// Widest primary table, for MSB tables whose codes longer than
+/// Widest primary table, for tables whose codes longer than
 /// [`PRIMARY_BITS`] hold at least half the code space (2^15 × 8 B =
 /// 256 KiB). On the 13-bit-per-code stream of a 2^14-symbol alphabet, 15
 /// bits decoded faster than 13 or 14; 16 would not fit a pair's 4-bit
@@ -143,15 +135,6 @@ fn count(entry: u64) -> usize {
     (codes_len(entry) != 0) as usize + (second_len(entry) != 0) as usize
 }
 
-/// Bit packing order of the stream the table will decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitOrder {
-    /// Codewords arrive most-significant-bit first (szr archives).
-    Msb,
-    /// Codewords arrive bit-reversed in an LSB-first stream (DEFLATE).
-    Lsb,
-}
-
 /// Result of a primary- or subtable lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -202,12 +185,6 @@ fn unpack(entry: u64) -> Lookup {
     }
 }
 
-/// Reverses the low `count` bits of `code`.
-#[inline]
-fn reverse(code: u64, count: u32) -> u64 {
-    code.reverse_bits() >> (64 - count)
-}
-
 /// A two-level decode table over canonical-Huffman (length, code) pairs.
 pub struct DecodeLut {
     /// Primary index width (see the module doc).
@@ -222,7 +199,7 @@ impl DecodeLut {
     ///
     /// The lengths must describe a Kraft-feasible code (the caller has
     /// already validated them); unreached indices stay [`Lookup::Invalid`].
-    pub fn build(lengths: &[u32], codes: &[u64], order: BitOrder) -> Self {
+    pub fn build(lengths: &[u32], codes: &[u64]) -> Self {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         // Code-space share of the codes longer than PRIMARY_BITS, in units
         // of 2^-62 (a Kraft-feasible code sums to at most 2^62).
@@ -232,9 +209,10 @@ impl DecodeLut {
             .fold(0u64, |acc, &len| {
                 acc.saturating_add((1u64 << 62).checked_shr(len).unwrap_or(0))
             });
-        let primary_bits = match order {
-            BitOrder::Msb if long_share >= 1 << 61 => max_len.min(WIDE_PRIMARY_BITS),
-            _ => max_len.clamp(1, PRIMARY_BITS),
+        let primary_bits = if long_share >= 1 << 61 {
+            max_len.min(WIDE_PRIMARY_BITS)
+        } else {
+            max_len.clamp(1, PRIMARY_BITS)
         };
         let psize = 1usize << primary_bits;
         let mut entries = vec![0u64; psize];
@@ -244,35 +222,22 @@ impl DecodeLut {
             if len == 0 || len > primary_bits {
                 continue;
             }
-            let entry = single(sym as u32, len);
+            let start = (code << (primary_bits - len)) as usize;
             let copies = 1usize << (primary_bits - len);
-            match order {
-                BitOrder::Msb => {
-                    let start = (code << (primary_bits - len)) as usize;
-                    entries[start..start + copies].fill(entry);
-                }
-                BitOrder::Lsb => {
-                    let rev = reverse(code, len) as usize;
-                    for m in 0..copies {
-                        entries[rev | (m << len)] = entry;
-                    }
-                }
-            }
+            entries[start..start + copies].fill(single(sym as u32, len));
         }
 
-        // An MSB index whose bits after the first code spell a whole second
+        // An index whose bits after the first code spell a whole second
         // code holds both. Pairing rewrites only the second-code fields, so
         // the in-place scan reads every other index's first code intact.
-        if order == BitOrder::Msb {
-            for ix in 0..psize {
-                let len = codes_len(entries[ix]);
-                if len == 0 || len >= primary_bits {
-                    continue;
-                }
-                let next = entries[(ix << len) & (psize - 1)];
-                if codes_len(next) != 0 && len + first_len(next) <= primary_bits {
-                    entries[ix] = pair(entries[ix], next);
-                }
+        for ix in 0..psize {
+            let len = codes_len(entries[ix]);
+            if len == 0 || len >= primary_bits {
+                continue;
+            }
+            let next = entries[(ix << len) & (psize - 1)];
+            if codes_len(next) != 0 && len + first_len(next) <= primary_bits {
+                entries[ix] = pair(entries[ix], next);
             }
         }
 
@@ -285,10 +250,7 @@ impl DecodeLut {
             if len <= primary_bits {
                 continue;
             }
-            let prefix = match order {
-                BitOrder::Msb => (code >> (len - primary_bits)) as usize,
-                BitOrder::Lsb => (reverse(code, len) as usize) & (psize - 1),
-            };
+            let prefix = (code >> (len - primary_bits)) as usize;
             let d = group_depth.entry(prefix).or_insert(0);
             *d = (*d).max(len - primary_bits);
         }
@@ -308,31 +270,15 @@ impl DecodeLut {
             if len <= primary_bits {
                 continue;
             }
-            let entry = single(sym as u32, len);
             let tail = len - primary_bits;
-            match order {
-                BitOrder::Msb => {
-                    let prefix = (code >> tail) as usize;
-                    let Some(&(base, depth)) = group_base.get(&prefix) else {
-                        continue; // Slow-marked group
-                    };
-                    let rel = (code & ((1u64 << tail) - 1)) as usize;
-                    let start = base as usize + (rel << (depth - tail));
-                    let copies = 1usize << (depth - tail);
-                    entries[start..start + copies].fill(entry);
-                }
-                BitOrder::Lsb => {
-                    let rev = reverse(code, len) as usize;
-                    let prefix = rev & (psize - 1);
-                    let Some(&(base, depth)) = group_base.get(&prefix) else {
-                        continue;
-                    };
-                    let rel = rev >> primary_bits;
-                    for m in 0..1usize << (depth - tail) {
-                        entries[base as usize + (rel | (m << tail))] = entry;
-                    }
-                }
-            }
+            let prefix = (code >> tail) as usize;
+            let Some(&(base, depth)) = group_base.get(&prefix) else {
+                continue; // Slow-marked group
+            };
+            let rel = (code & ((1u64 << tail) - 1)) as usize;
+            let start = base as usize + (rel << (depth - tail));
+            let copies = 1usize << (depth - tail);
+            entries[start..start + copies].fill(single(sym as u32, len));
         }
 
         Self {
@@ -347,8 +293,7 @@ impl DecodeLut {
         self.primary_bits
     }
 
-    /// Looks up the peeked primary window (`primary_bits` upcoming bits; for
-    /// MSB streams the window as peeked, for LSB streams its low bits).
+    /// Looks up the peeked primary window (`primary_bits` upcoming bits).
     /// An entry holding two codes reports the first.
     #[inline]
     pub fn root(&self, peeked: u64) -> Lookup {
@@ -356,14 +301,14 @@ impl DecodeLut {
     }
 
     /// Resolves an overflow lookup: `index` is the `bits` stream bits that
-    /// follow the primary window (for an MSB peek of `primary_bits + bits`,
-    /// the low `bits` bits; for LSB, bits `primary_bits..` of the window).
+    /// follow the primary window (the low `bits` bits of a peek of
+    /// `primary_bits + bits`).
     #[inline]
     pub fn sub(&self, base: u32, bits: u32, index: u64) -> Lookup {
         unpack(self.entries[base as usize + ((index as usize) & ((1 << bits) - 1))])
     }
 
-    /// Decodes whole windows of an MSB stream from `cursor` into `out`
+    /// Decodes whole windows of the stream from `cursor` into `out`
     /// until fewer than four slots are left or a window needs the caller's
     /// single-symbol path; returns the number of symbols written.
     ///
@@ -371,7 +316,7 @@ impl DecodeLut {
     /// reads the high half of the window; the second reads `primary_bits`
     /// bits from the end of the first entry's codes, which the window always
     /// covers. Each entry yields one or two codes, so a window yields up to
-    /// four. A subtable code in the first lookup resolves too: an MSB
+    /// four. A subtable code in the first lookup resolves too: a
     /// subtable is never wider than its primary, so `primary_bits + sub`
     /// bits fit the window. A non-symbol second lookup waits for the next
     /// window. The loop returns early on a Slow or Invalid first lookup, and
@@ -399,7 +344,7 @@ impl DecodeLut {
                     let Lookup::Sub { base, bits } = unpack(first) else {
                         return i;
                     };
-                    debug_assert!(bits <= p, "an MSB subtable is never wider than its primary");
+                    debug_assert!(bits <= p, "a subtable is never wider than its primary");
                     let sub = (window << p) >> (64 - bits);
                     let Lookup::Symbol { symbol, len } = self.sub(base, bits, sub) else {
                         return i;
@@ -488,7 +433,7 @@ mod tests {
         // RFC-style example: lengths 2,3,3,3,3,3,4,4 over 8 symbols.
         let lengths = [2u32, 3, 3, 3, 3, 3, 4, 4];
         let codes = canonical_codes(&lengths);
-        let lut = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
+        let lut = DecodeLut::build(&lengths, &codes);
         for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
             let bits: Vec<bool> = (0..len).rev().map(|i| (code >> i) & 1 == 1).collect();
             assert_eq!(decode_msb(&lut, &bits), Some((sym as u32, len)));
@@ -502,7 +447,7 @@ mod tests {
         let lengths: Vec<u32> = (1..=16).collect();
         // Kraft sum: sum 2^-l for l=1..16 < 1, feasible.
         let codes = canonical_codes(&lengths);
-        let lut = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
+        let lut = DecodeLut::build(&lengths, &codes);
         for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
             let bits: Vec<bool> = (0..len).rev().map(|i| (code >> i) & 1 == 1).collect();
             assert_eq!(
@@ -529,7 +474,7 @@ mod tests {
         // whose reach is 15 + MAX_SUB_BITS = 26 bits.
         let lengths = flat_with_chain(27);
         let codes = canonical_codes(&lengths);
-        let lut = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
+        let lut = DecodeLut::build(&lengths, &codes);
         assert_eq!(lut.primary_bits(), WIDE_PRIMARY_BITS);
         // The deepest codes share the all-ones prefix; its primary entry
         // must be Slow.
@@ -543,7 +488,7 @@ mod tests {
         // little code space), whose reach is 11 + 11 = 22 bits.
         let lengths: Vec<u32> = (1..=24).collect();
         let codes = canonical_codes(&lengths);
-        let lut = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
+        let lut = DecodeLut::build(&lengths, &codes);
         assert_eq!(lut.primary_bits(), PRIMARY_BITS);
         assert_eq!(lut.root(codes[23] >> (24 - PRIMARY_BITS)), Lookup::Slow);
         assert_eq!(decode_msb(&lut, &[false]), Some((0, 1)));
@@ -551,26 +496,24 @@ mod tests {
 
     #[test]
     fn primary_width_follows_the_code_lengths() {
-        let width = |lengths: &[u32], order| {
-            DecodeLut::build(lengths, &canonical_codes(lengths), order).primary_bits()
-        };
+        let width =
+            |lengths: &[u32]| DecodeLut::build(lengths, &canonical_codes(lengths)).primary_bits();
         // Up to 11 bits: the longest code's length.
         let chain = |max: u32| -> Vec<u32> { (1..=max).chain([max]).collect() };
-        assert_eq!(width(&chain(7), BitOrder::Msb), 7);
-        assert_eq!(width(&chain(11), BitOrder::Msb), 11);
+        assert_eq!(width(&chain(7)), 7);
+        assert_eq!(width(&chain(11)), 11);
         // Longer codes that hold little of the code space keep 11 bits.
-        assert_eq!(width(&chain(20), BitOrder::Msb), 11);
+        assert_eq!(width(&chain(20)), 11);
         // Codes longer than 11 bits holding at least half of it widen the
-        // primary to the longest code, up to 15 bits; LSB tables never do.
+        // primary to the longest code, up to 15 bits.
         let half_long: Vec<u32> = [1].into_iter().chain([12; 2048]).collect();
-        assert_eq!(width(&half_long, BitOrder::Msb), 12);
-        assert_eq!(width(&half_long, BitOrder::Lsb), 11);
-        assert_eq!(width(&flat_with_chain(13), BitOrder::Msb), 13);
-        assert_eq!(width(&flat_with_chain(15), BitOrder::Msb), 15);
-        assert_eq!(width(&flat_with_chain(20), BitOrder::Msb), 15);
+        assert_eq!(width(&half_long), 12);
+        assert_eq!(width(&flat_with_chain(13)), 13);
+        assert_eq!(width(&flat_with_chain(15)), 15);
+        assert_eq!(width(&flat_with_chain(20)), 15);
         // Just under half stays at 11.
         let under: Vec<u32> = [1, 12].into_iter().chain([13; 4093]).collect();
-        assert_eq!(width(&under, BitOrder::Msb), 11);
+        assert_eq!(width(&under), 11);
     }
 
     /// Encodes `symbols`, runs the window loop into `slots` outputs, and
@@ -599,7 +542,7 @@ mod tests {
         // Lengths 1, 2, 3, 3: `0`, `10`, `110`, `111`.
         let lengths = [1u32, 2, 3, 3];
         let codes = canonical_codes(&lengths);
-        let lut = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
+        let lut = DecodeLut::build(&lengths, &codes);
         assert_eq!(lut.primary_bits(), 3);
         // `0 10` is two codes in one entry; root reports the first.
         assert_eq!(lut.root(0b010), Lookup::Symbol { symbol: 0, len: 1 });
@@ -625,9 +568,6 @@ mod tests {
             bits,
             got.iter().map(|&s| lengths[s as usize] as usize).sum()
         );
-        // LSB tables keep one code per entry.
-        let lsb = DecodeLut::build(&lengths, &codes, BitOrder::Lsb);
-        assert_eq!(lsb.entries[0] >> 36, 0);
     }
 
     #[test]
@@ -636,7 +576,7 @@ mod tests {
         // under the all-ones 15-bit prefix.
         let lengths = flat_with_chain(17);
         let codes = canonical_codes(&lengths);
-        let lut = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
+        let lut = DecodeLut::build(&lengths, &codes);
         assert_eq!(lut.primary_bits(), 15);
         // A 13-bit primary code leaves room for a 12-bit code in the same
         // window; a subtable code is alone in its window.
@@ -657,39 +597,8 @@ mod tests {
     #[test]
     fn unreached_indices_are_invalid() {
         // Single 1-bit code: index 1 has no codeword.
-        let lut = DecodeLut::build(&[1], &[0], BitOrder::Msb);
+        let lut = DecodeLut::build(&[1], &[0]);
         assert_eq!(lut.root(0), Lookup::Symbol { symbol: 0, len: 1 });
         assert_eq!(lut.root(1), Lookup::Invalid);
-    }
-
-    #[test]
-    fn lsb_order_mirrors_msb_decisions() {
-        let lengths = [2u32, 2, 3, 4, 4, 3];
-        let codes = canonical_codes(&lengths);
-        let msb = DecodeLut::build(&lengths, &codes, BitOrder::Msb);
-        let lsb = DecodeLut::build(&lengths, &codes, BitOrder::Lsb);
-        for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
-            // MSB index: code left-aligned in the window.
-            let msb_ix = code << (msb.primary_bits() - len);
-            assert_eq!(
-                msb.root(msb_ix),
-                Lookup::Symbol {
-                    symbol: sym as u32,
-                    len
-                }
-            );
-            // LSB index: bit-reversed code in the low bits; fill the rest
-            // with an arbitrary pattern to prove it is ignored.
-            let rev = reverse(code, len);
-            let filler = 0b1010_1010u64 << len;
-            let lsb_ix = (rev | filler) & ((1 << lsb.primary_bits()) - 1);
-            assert_eq!(
-                lsb.root(lsb_ix),
-                Lookup::Symbol {
-                    symbol: sym as u32,
-                    len
-                }
-            );
-        }
     }
 }

@@ -52,8 +52,8 @@ pub enum Stage {
     HeaderIo,
     /// Decode-side Huffman symbol pull (per-group batched `decode_into`).
     SymbolDecode,
-    /// Decode-side reconstruction (alphabet check, offset math, escape
-    /// decode and the wavefront scan).
+    /// Decode-side reconstruction (escape decode, the alphabet check where
+    /// the band's table needs it, and the wavefront scan).
     RowReconstruct,
 }
 

@@ -199,6 +199,49 @@ fn steady_state_session_decompress_allocates_only_the_output_tensor() {
 }
 
 #[test]
+fn steady_state_deflate_path_decompress_allocates_only_the_output_tensor() {
+    // A DEFLATE post-passed archive and an escape-LZ archive: the session's
+    // inflater owns its decode tables and its output buffers live in the
+    // decode scratch, so once warm the lossless stages add no allocation
+    // and the decode still allocates exactly the output tensor.
+    const ALPHABET: [f32; 5] = [0.0, 1.0e8, -3.0e7, 7.0e6, -9.0e5];
+    let periodic = Tensor::from_fn([96, 128], |ix| ((ix[0] * 7 + ix[1]) % 16) as f32 * 0.25);
+    let escapes = Tensor::from_fn([96, 128], |ix| ALPHABET[(ix[0] * 128 + ix[1]) % 5]);
+    let config = Config::new(ErrorBound::Absolute(1e-3)).with_interval_bits(8);
+    let cases = [
+        (periodic, config, true),
+        (escapes, config.with_escape_lz(), false),
+    ];
+    for (data, config, post_pass) in cases {
+        let mut session = CodecSession::<f32>::new(config).unwrap();
+        let archive = session.compress(&data).unwrap();
+        let layout = szr::inspect_layout(&archive).unwrap();
+        assert!(
+            if post_pass {
+                layout.deflate_post_pass
+            } else {
+                layout.info.escape_lz
+            },
+            "the archive must take the DEFLATE decode path it is here for"
+        );
+        let _ = session.decompress(&archive).unwrap();
+        for call in 2..4 {
+            let (allocs, bytes, out) = count_allocs(|| session.decompress(&archive).unwrap());
+            assert_eq!(
+                allocs, 3,
+                "call {call}: warm decompress of a post-pass {} / escape-LZ {} \
+                 archive must allocate exactly the output tensor: saw {allocs} \
+                 allocations, {bytes} bytes",
+                layout.deflate_post_pass, layout.info.escape_lz
+            );
+            for (&a, &b) in data.as_slice().iter().zip(out.as_slice()) {
+                assert!((a as f64 - b as f64).abs() <= 1e-3);
+            }
+        }
+    }
+}
+
+#[test]
 fn steady_state_compress_with_noop_sink_keeps_the_allocation_pin() {
     // A disabled telemetry sink must be free: with a `NoopSink` attached
     // (`enabled() == false`), every instrumentation site skips its clock
