@@ -78,18 +78,16 @@ fn read_raw<T: ScalarFloat>(path: &str, dims: &[usize]) -> Result<Tensor<T>, Str
             T::NAME,
         ));
     }
-    let mut values = Vec::with_capacity(count);
+    let mut values = vec![T::from_f64(0.0); count];
     let mut buf = vec![0u8; RAW_IO_CHUNK];
-    let mut left = expected;
-    while left > 0 {
-        let chunk = &mut buf[..left.min(RAW_IO_CHUNK)];
+    for out in values.chunks_mut(RAW_IO_CHUNK / elem) {
+        let chunk = &mut buf[..out.len() * elem];
         file.read_exact(chunk).map_err(cannot)?;
-        values.extend(chunk.chunks_exact(elem).map(|c| {
+        for (v, c) in out.iter_mut().zip(chunk.chunks_exact(elem)) {
             let mut bits = [0u8; 8];
             bits[..elem].copy_from_slice(c);
-            T::from_bits_u64(u64::from_le_bytes(bits))
-        }));
-        left -= chunk.len();
+            *v = T::from_bits_u64(u64::from_le_bytes(bits));
+        }
     }
     Ok(Tensor::from_vec(dims, values))
 }
@@ -99,13 +97,13 @@ fn write_raw<T: ScalarFloat>(path: &str, data: &Tensor<T>) -> CmdResult {
     let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
     let mut file = std::fs::File::create(path).map_err(cannot)?;
     let elem = T::BITS as usize / 8;
-    let mut buf = Vec::with_capacity(RAW_IO_CHUNK);
+    let mut buf = vec![0u8; RAW_IO_CHUNK];
     for values in data.as_slice().chunks(RAW_IO_CHUNK / elem) {
-        buf.clear();
-        for &v in values {
-            buf.extend_from_slice(&v.to_bits_u64().to_le_bytes()[..elem]);
+        let chunk = &mut buf[..values.len() * elem];
+        for (c, &v) in chunk.chunks_exact_mut(elem).zip(values) {
+            c.copy_from_slice(&v.to_bits_u64().to_le_bytes()[..elem]);
         }
-        file.write_all(&buf).map_err(cannot)?;
+        file.write_all(chunk).map_err(cannot)?;
     }
     Ok(())
 }
@@ -382,6 +380,32 @@ pub fn decompress(args: &Args) -> CmdResult {
                 );
             }
         }
+        return Ok(());
+    }
+    // Stream containers (SZST) decode every band into one output sized from
+    // the stream trailer.
+    if archive.starts_with(b"SZST") {
+        if sink.is_some() {
+            return Err("--telemetry does not support stream archives".into());
+        }
+        fn unpack<T: ScalarFloat>(archive: &[u8], output: &str) -> Result<Vec<usize>, String> {
+            let decoder = szr_core::StreamDecompressor::<T>::new(archive)
+                .map_err(|e| format!("container: {e}"))?;
+            let data = decoder.collect_all().map_err(|e| e.to_string())?;
+            write_raw(output, &data)?;
+            Ok(data.dims().to_vec())
+        }
+        let t0 = Instant::now();
+        let (dims, dtype) = match archive.get(4) {
+            Some(1) => (unpack::<f64>(&archive, output)?, "f64"),
+            _ => (unpack::<f32>(&archive, output)?, "f32"),
+        };
+        eprintln!(
+            "{input} -> {output}: {} {dtype} values ({}, stream) in {:.2}s",
+            dims.iter().product::<usize>(),
+            fmt_dims(&dims),
+            t0.elapsed().as_secs_f64(),
+        );
         return Ok(());
     }
     // Chunked containers (SZCK) decode every band in parallel. The v2 band

@@ -461,3 +461,42 @@ fn auto_plans_over_infinities() {
         }
     }
 }
+
+/// `szr decompress` reads a stream container (SZST): a 4-band
+/// `StreamCompressor` archive round-trips to the same bytes
+/// `StreamDecompressor::collect_all` decodes.
+#[test]
+fn decompress_reads_stream_archives() {
+    use szr_core::{Config, ErrorBound, StreamCompressor, StreamDecompressor};
+    let data: Vec<f32> = (0..64 * 48)
+        .map(|i| ((i / 48) as f32 * 0.09).sin() * 4.0 + ((i % 48) as f32 * 0.13).cos())
+        .collect();
+    let config = Config::new(ErrorBound::Absolute(1e-3));
+    let mut stream = StreamCompressor::<f32>::new(&[48], 16, config).unwrap();
+    stream.push(&data).unwrap();
+    let bytes = stream.finish().unwrap();
+    let decoder = StreamDecompressor::<f32>::new(&bytes).unwrap();
+    assert_eq!(decoder.remaining_bands(), 4);
+    let want = decoder.collect_all().unwrap();
+
+    let packed = tmp("stream.szst");
+    let restored = tmp("stream_out.bin");
+    std::fs::write(&packed, &bytes).unwrap();
+    let dec = szr()
+        .args(["decompress", "--input", packed.to_str().unwrap()])
+        .args(["--output", restored.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        dec.status.success(),
+        "{}",
+        String::from_utf8_lossy(&dec.stderr)
+    );
+    let got = std::fs::read(&restored).unwrap();
+    let want: Vec<u8> = want
+        .as_slice()
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    assert_eq!(got, want);
+}

@@ -425,8 +425,10 @@ pub(crate) fn resolve_range_eb<T: ScalarFloat>(
         ));
     }
 
-    // Resolve the relative bound against the actual value range (Metric 1).
-    let range = value_range(values);
+    // Resolve the relative bound against the actual value range (Metric 1),
+    // taken over the finite values: infinities and NaNs are carried
+    // exactly, never priced.
+    let range = szr_metrics::value_range(values);
     let eb = config.bound.effective(range);
     // Decorrelation quantizes on half-width intervals, and half the
     // smallest subnormal is zero.
@@ -436,42 +438,6 @@ pub(crate) fn resolve_range_eb<T: ScalarFloat>(
         ));
     }
     Ok((range, eb))
-}
-
-/// The value range `max − min` a relative bound scales (Metric 1), taken
-/// over the finite values only: an infinite extreme would make a relative
-/// bound infinite. NaN is skipped too, a slice without finite values has
-/// range 0, and a range beyond `f64::MAX` saturates there. Public for the
-/// chunked driver, which resolves one bound for all of a tensor's bands.
-#[doc(hidden)]
-pub fn value_range<T: ScalarFloat>(values: &[T]) -> f64 {
-    // Independent lanes, so the compares vectorize instead of forming one
-    // serial min chain and one max chain.
-    const LANES: usize = 8;
-    let mut lo = [f64::INFINITY; LANES];
-    let mut hi = [f64::NEG_INFINITY; LANES];
-    let mut fold = |lane: usize, v: T| {
-        let x = v.to_f64();
-        let finite = x.is_finite();
-        lo[lane] = if finite && x < lo[lane] { x } else { lo[lane] };
-        hi[lane] = if finite && x > hi[lane] { x } else { hi[lane] };
-    };
-    let chunks = values.chunks_exact(LANES);
-    for (lane, &v) in chunks.remainder().iter().enumerate() {
-        fold(lane, v);
-    }
-    for chunk in chunks {
-        for (lane, &v) in chunk.iter().enumerate() {
-            fold(lane, v);
-        }
-    }
-    let min = lo.into_iter().fold(f64::INFINITY, f64::min);
-    let max = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
-    if min > max {
-        0.0
-    } else {
-        (max - min).min(f64::MAX)
-    }
 }
 
 /// [`resolve_range_eb`] plus the interval-bits choice (running the §IV-B
@@ -1004,22 +970,6 @@ mod tests {
             let err = (a.to_f64() - b.to_f64()).abs();
             assert!(err <= eb, "point {i}: error {err} > bound {eb}");
         }
-    }
-
-    #[test]
-    fn value_range_skips_non_finite_values() {
-        assert_eq!(value_range(&[f32::NAN, 2.0, f32::INFINITY, -1.0]), 3.0);
-        assert_eq!(
-            value_range(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]),
-            0.0
-        );
-        assert_eq!(value_range::<f64>(&[]), 0.0);
-        assert_eq!(value_range(&[-f64::MAX, f64::MAX]), f64::MAX);
-        // More values than lanes, extremes in the remainder and the chunks.
-        let mut v: Vec<f64> = (0..37).map(|i| i as f64).collect();
-        v[3] = f64::INFINITY;
-        v[36] = f64::NEG_INFINITY;
-        assert_eq!(value_range(&v), 35.0);
     }
 
     #[test]

@@ -151,7 +151,27 @@ struct Header {
     /// Recorded during the parse, acted on by the caller's policy.
     header_crc_ok: Option<bool>,
     eb: f64,
-    shape: Shape,
+    /// Grid extents, slowest first, in `dims[..ndim]`. Rank is capped at
+    /// 16, so the extents fit a stack array and header parsing stays
+    /// allocation-free.
+    dims: [usize; MAX_RANK],
+    ndim: usize,
+}
+
+/// Highest rank a band archive header may declare.
+const MAX_RANK: usize = 16;
+
+impl Header {
+    /// Grid extents, slowest first.
+    fn dims(&self) -> &[usize] {
+        &self.dims[..self.ndim]
+    }
+
+    /// Declared element count (bounded by the parse, so it cannot
+    /// overflow).
+    fn len(&self) -> usize {
+        self.dims().iter().product()
+    }
 }
 
 /// Parses a band-archive header. `bytes` is the full archive and `reader`
@@ -189,13 +209,10 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
         return Err(SzError::Corrupt("implausible layer/interval fields".into()));
     }
     let ndim = reader.read_varint()? as usize;
-    if ndim == 0 || ndim > 16 {
+    if ndim == 0 || ndim > MAX_RANK {
         return Err(SzError::Corrupt(format!("implausible rank {ndim}")));
     }
-    // Rank is capped at 16, so the extents fit a stack array — header
-    // parsing stays allocation-free (the Shape built from it lives inside
-    // the output tensor).
-    let mut dims = [0usize; 16];
+    let mut dims = [0usize; MAX_RANK];
     let mut product: u128 = 1;
     for slot in dims.iter_mut().take(ndim) {
         let d = reader.read_varint()? as usize;
@@ -226,7 +243,8 @@ fn parse_header(bytes: &[u8], reader: &mut ByteReader<'_>) -> Result<Header> {
         escape_lz,
         header_crc_ok,
         eb,
-        shape: Shape::new(&dims[..ndim]),
+        dims,
+        ndim,
     })
 }
 
@@ -287,7 +305,7 @@ pub fn inspect(bytes: &[u8]) -> Result<ArchiveInfo> {
 fn info_from(header: &Header, archive_bytes: usize) -> ArchiveInfo {
     ArchiveInfo {
         dtype: if header.type_tag == 0 { "f32" } else { "f64" },
-        dims: header.shape.dims().to_vec(),
+        dims: header.dims().to_vec(),
         error_bound: header.eb,
         layers: header.layers,
         interval_bits: header.interval_bits,
@@ -441,11 +459,11 @@ pub fn inspect_layout(bytes: &[u8]) -> Result<BandLayout> {
 
 /// Reusable decode-side buffers: the staged path's symbol vector, the fused
 /// path's per-group scratch, the DEFLATE inflater with its output buffers,
-/// and a per-band Huffman codec cache keyed on the raw serialized table
-/// span. Owned by [`crate::CodecSession`] (and by `szr-parallel`'s
-/// per-worker sessions through it) so steady-state fused decompression
-/// allocates nothing but the output tensor, post-passed and escape-LZ
-/// bands included.
+/// a per-band Huffman codec cache keyed on the raw serialized table span,
+/// and the last grid's shape. Owned by [`crate::CodecSession`] (and by
+/// `szr-parallel`'s per-worker sessions through it) so steady-state fused
+/// decompression into a caller's buffer allocates nothing, post-passed and
+/// escape-LZ bands included.
 pub(crate) struct DecodeScratch<T: ScalarFloat> {
     /// Staged-path symbol buffer (the whole stream, materialized).
     codes: Vec<u32>,
@@ -466,6 +484,8 @@ pub(crate) struct DecodeScratch<T: ScalarFloat> {
     /// (a session decoding one producer's bands) skip the rebuild and keep
     /// the codec's decode LUT warm.
     cached_codec: Option<HuffmanCodec>,
+    /// Shape of the last grid decoded, reused while the dims repeat.
+    shape: Option<Shape>,
 }
 
 impl<T: ScalarFloat> Default for DecodeScratch<T> {
@@ -479,6 +499,7 @@ impl<T: ScalarFloat> Default for DecodeScratch<T> {
             escape: Vec::new(),
             table_key: Vec::new(),
             cached_codec: None,
+            shape: None,
         }
     }
 }
@@ -506,20 +527,7 @@ pub fn decompress_with_policy<T: ScalarFloat>(
     bytes: &[u8],
     policy: DecodePolicy,
 ) -> Result<Tensor<T>> {
-    let mut reader = ByteReader::new(bytes);
-    let header = parse_header(bytes, &mut reader)?;
-    let mut kernel = ScanKernel::for_shape(header.layers, &header.shape);
-    decompress_parsed(
-        header,
-        reader,
-        bytes.len(),
-        &mut kernel,
-        None,
-        &mut DecodeScratch::default(),
-        false,
-        policy,
-        None,
-    )
+    decompress_fresh(bytes, None, false, policy)
 }
 
 /// The staged decode pipeline behind [`crate::oracle::decompress_staged`]
@@ -530,36 +538,103 @@ pub(crate) fn decompress_staged<T: ScalarFloat>(
     bytes: &[u8],
     codec: Option<&HuffmanCodec>,
 ) -> Result<Tensor<T>> {
+    decompress_fresh(bytes, codec, true, DecodePolicy::Strict)
+}
+
+/// One decode through throwaway state: size the output from the header,
+/// then decode into it.
+fn decompress_fresh<T: ScalarFloat>(
+    bytes: &[u8],
+    codec: Option<&HuffmanCodec>,
+    staged: bool,
+    policy: DecodePolicy,
+) -> Result<Tensor<T>> {
+    let (shape, mut out) = alloc_output(bytes, policy, None)?;
     let mut reader = ByteReader::new(bytes);
     let header = parse_header(bytes, &mut reader)?;
-    let mut kernel = ScanKernel::for_shape(header.layers, &header.shape);
+    let mut kernel = ScanKernel::for_shape(header.layers, &shape);
     decompress_parsed(
-        header,
+        &header,
+        &shape,
         reader,
         bytes.len(),
         &mut kernel,
         codec,
         &mut DecodeScratch::default(),
-        true,
-        DecodePolicy::Strict,
+        staged,
+        policy,
         None,
-    )
+        &mut out,
+    )?;
+    Ok(Tensor::from_vec(shape, out))
 }
 
-/// Decompresses one archive through caller-owned reusable state: a kernel
-/// cache (one per (layer count, stride family) seen, created on demand) and
-/// the decode scratch (fused row buffers + codec cache). Version-2
-/// shared-stream archives decode through `codec`; a missing codec fails
-/// loudly. This is the decode body behind [`crate::CodecSession`] and
-/// `szr-parallel`'s per-worker sessions.
-pub(crate) fn decompress_cached<T: ScalarFloat>(
+/// The checks a decode runs on a parsed header before it reads the payload
+/// or sizes anything from it: the scalar type, the header checksum under a
+/// verifying policy, and the untrusted-input bound on the declared element
+/// count.
+fn check_parsed<T: ScalarFloat>(
+    header: &Header,
+    archive_len: usize,
+    policy: DecodePolicy,
+    sink: Option<&dyn TelemetrySink>,
+) -> Result<()> {
+    if header.type_tag != T::TYPE_TAG {
+        return Err(SzError::WrongType {
+            expected: T::NAME,
+            found: if header.type_tag == 0 { "f32" } else { "f64" },
+        });
+    }
+    if policy.verifies() && header.header_crc_ok == Some(false) {
+        if let Some(sink) = sink.filter(|s| s.enabled()) {
+            sink.counter(Counter::ChecksumFailures, 1);
+        }
+        return Err(SzError::Corrupt("header: checksum mismatch".into()));
+    }
+    check_declared_len(header.len(), archive_len)
+}
+
+/// The shape a decode of `bytes` as `T` produces, read from a header that
+/// passed [`check_parsed`] — the errors a decode would raise before its
+/// payload, without reading the payload.
+pub(crate) fn output_shape<T: ScalarFloat>(
+    bytes: &[u8],
+    policy: DecodePolicy,
+    sink: Option<&dyn TelemetrySink>,
+) -> Result<Shape> {
+    let header = parse_header(bytes, &mut ByteReader::new(bytes))?;
+    check_parsed::<T>(&header, bytes.len(), policy, sink)?;
+    Ok(Shape::new(header.dims()))
+}
+
+/// The output a decode of `bytes` fills: [`output_shape`] and a zeroed
+/// buffer of its element count. The allocating entry points are this plus
+/// a decode into the buffer.
+pub(crate) fn alloc_output<T: ScalarFloat>(
+    bytes: &[u8],
+    policy: DecodePolicy,
+    sink: Option<&dyn TelemetrySink>,
+) -> Result<(Shape, Vec<T>)> {
+    let shape = output_shape::<T>(bytes, policy, sink)?;
+    let out = vec![T::from_f64(0.0); shape.len()];
+    Ok((shape, out))
+}
+
+/// Decompresses one archive into `out` through caller-owned reusable state:
+/// a kernel cache (one per (layer count, stride family) seen, created on
+/// demand) and the decode scratch (fused row buffers, codec cache, last
+/// shape). Version-2 shared-stream archives decode through `codec`; a
+/// missing codec fails loudly. This is the decode body behind
+/// [`crate::CodecSession`] and `szr-parallel`'s per-worker sessions.
+pub(crate) fn decompress_cached_into<T: ScalarFloat>(
     bytes: &[u8],
     codec: Option<&HuffmanCodec>,
     kernels: &mut Vec<ScanKernel>,
     scratch: &mut DecodeScratch<T>,
     policy: DecodePolicy,
     sink: Option<&dyn TelemetrySink>,
-) -> Result<Tensor<T>> {
+    out: &mut [T],
+) -> Result<()> {
     let sink = sink.filter(|s| s.enabled());
     let tele = sink.is_some();
     let mut reader = ByteReader::new(bytes);
@@ -572,8 +647,14 @@ pub(crate) fn decompress_cached<T: ScalarFloat>(
             (bytes.len() - reader.remaining()) as u64,
         );
     }
+    // The shape leaves the scratch for the decode, so the scratch's
+    // buffers stay free to borrow; a repeated grid reuses it.
+    let shape = match scratch.shape.take() {
+        Some(shape) if shape.dims() == header.dims() => shape,
+        _ => Shape::new(header.dims()),
+    };
     let before = kernels.len();
-    let idx = ScanKernel::cache_index(kernels, header.layers, &header.shape);
+    let idx = ScanKernel::cache_index(kernels, header.layers, &shape);
     if let Some(sink) = sink {
         sink.counter(
             if kernels.len() == before {
@@ -584,8 +665,9 @@ pub(crate) fn decompress_cached<T: ScalarFloat>(
             1,
         );
     }
-    decompress_parsed(
-        header,
+    let decoded = decompress_parsed(
+        &header,
+        &shape,
         reader,
         bytes.len(),
         &mut kernels[idx],
@@ -594,14 +676,23 @@ pub(crate) fn decompress_cached<T: ScalarFloat>(
         false,
         policy,
         sink,
-    )
+        out,
+    );
+    scratch.shape = Some(shape);
+    decoded
 }
 
-/// Payload decode shared by every decompress entry point; `reader` is
-/// positioned just past the header, `kernel` matches it, `codec` is the
-/// shared Huffman table (required for version-2 archives, ignored
-/// otherwise), and `scratch` holds the reusable decode buffers (a session
-/// passes a persistent one so repeated decodes reuse every allocation).
+/// Payload decode shared by every decompress entry point: writes the grid
+/// `shape` (the header's) into `recon`, which must hold exactly its element
+/// count. `reader` is positioned just past the header, `kernel` matches
+/// it, `codec` is the shared Huffman table (required for version-2
+/// archives, ignored otherwise), and `scratch` holds the reusable decode
+/// buffers (a session passes a persistent one so repeated decodes reuse
+/// every allocation).
+///
+/// `recon`'s prior contents are never read: the scan writes every point
+/// before any later prediction reads it. On error its contents are
+/// unspecified.
 ///
 /// With `staged` false (the production path) Huffman symbols are pulled
 /// straight into row reconstruction through a [`SymbolDecoder`] — the
@@ -611,7 +702,8 @@ pub(crate) fn decompress_cached<T: ScalarFloat>(
 /// stream decodes into `scratch.codes` first.
 #[allow(clippy::too_many_arguments)]
 fn decompress_parsed<T: ScalarFloat>(
-    header: Header,
+    header: &Header,
+    shape: &Shape,
     mut reader: ByteReader<'_>,
     archive_len: usize,
     kernel: &mut ScanKernel,
@@ -620,7 +712,8 @@ fn decompress_parsed<T: ScalarFloat>(
     staged: bool,
     policy: DecodePolicy,
     sink: Option<&dyn TelemetrySink>,
-) -> Result<Tensor<T>> {
+    recon: &mut [T],
+) -> Result<()> {
     let sink = sink.filter(|s| s.enabled());
     let tele = sink.is_some();
     // One up-front destructure so the escape staging buffer can stay
@@ -635,18 +728,15 @@ fn decompress_parsed<T: ScalarFloat>(
         escape,
         table_key,
         cached_codec,
+        shape: _,
     } = scratch;
-    if header.type_tag != T::TYPE_TAG {
-        return Err(SzError::WrongType {
-            expected: T::NAME,
-            found: if header.type_tag == 0 { "f32" } else { "f64" },
+    check_parsed::<T>(header, archive_len, policy, sink)?;
+    let total = header.len();
+    if recon.len() != total {
+        return Err(SzError::OutputLength {
+            expected: total,
+            found: recon.len(),
         });
-    }
-    if policy.verifies() && header.header_crc_ok == Some(false) {
-        if let Some(sink) = sink {
-            sink.counter(Counter::ChecksumFailures, 1);
-        }
-        return Err(SzError::Corrupt("header: checksum mismatch".into()));
     }
     let post = reader
         .read_u8()
@@ -721,11 +811,6 @@ fn decompress_parsed<T: ScalarFloat>(
         }
     }
 
-    let total = header.shape.len();
-    // Untrusted-input allocation bound: the header's element count must be
-    // plausible against the bytes actually present before the output (or
-    // the staged symbol vector) is sized from it.
-    check_declared_len(total, archive_len)?;
     let eb_q = if header.decorrelate {
         header.eb / 2.0
     } else {
@@ -735,7 +820,6 @@ fn decompress_parsed<T: ScalarFloat>(
     let unpred = UnpredictableCodec::new(header.eb);
     let alphabet = quantizer.alphabet() as u32;
     let unpred_bits = BitReader::new(unpred_block);
-    let mut recon: Vec<T> = vec![T::from_f64(0.0); total];
 
     // Decorrelation threads per-index dither through the point visitor and
     // stays staged; everything else decodes fused unless the caller asked
@@ -800,7 +884,7 @@ fn decompress_parsed<T: ScalarFloat>(
             recon_nanos: 0,
             recon_clock: None,
         };
-        kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
+        kernel.scan_rows(shape, recon, &mut visitor)?;
         if let Some(sink) = sink {
             sink.span(
                 Stage::SymbolDecode,
@@ -810,10 +894,10 @@ fn decompress_parsed<T: ScalarFloat>(
             sink.span(
                 Stage::RowReconstruct,
                 visitor.recon_nanos,
-                std::mem::size_of_val(recon.as_slice()) as u64,
+                std::mem::size_of_val(recon) as u64,
             );
         }
-        return Ok(Tensor::from_vec(header.shape, recon));
+        return Ok(());
     }
 
     if header.shared_stream {
@@ -843,7 +927,7 @@ fn decompress_parsed<T: ScalarFloat>(
         // points decode as zero before the error surfaces (corrupt archives
         // only; valid archives never hit this).
         let mut decode_err: Option<SzError> = None;
-        kernel.scan(&header.shape, &mut recon, |flat, pred| {
+        kernel.scan(shape, recon, |flat, pred| {
             if decode_err.is_some() {
                 return T::from_f64(0.0);
             }
@@ -881,10 +965,10 @@ fn decompress_parsed<T: ScalarFloat>(
             escapes: group_escapes,
             start: 0,
         };
-        kernel.scan_rows(&header.shape, &mut recon, &mut visitor)?;
+        kernel.scan_rows(shape, recon, &mut visitor)?;
     }
 
-    Ok(Tensor::from_vec(header.shape, recon))
+    Ok(())
 }
 
 /// Rejects a scan group holding a code outside the alphabet, naming the
@@ -1159,16 +1243,18 @@ mod tests {
             let data = Tensor::from_fn([rows, 16], |ix| (ix[0] * 2 + ix[1]) as f32 * 0.3);
             let bytes = compress(&data, &config).unwrap();
             let fresh: Tensor<f32> = decompress(&bytes).unwrap();
-            let reused: Tensor<f32> = decompress_cached(
+            let mut reused = vec![0f32; fresh.len()];
+            decompress_cached_into(
                 &bytes,
                 None,
                 &mut kernels,
                 &mut scratch,
                 DecodePolicy::Strict,
                 None,
+                &mut reused,
             )
             .unwrap();
-            assert_eq!(fresh.as_slice(), reused.as_slice(), "rows {rows}");
+            assert_eq!(fresh.as_slice(), &reused[..], "rows {rows}");
         }
         assert_eq!(kernels.len(), 1);
     }
@@ -1179,21 +1265,20 @@ mod tests {
     fn mismatched_kernel_is_rejected() {
         let bytes = sample_archive(); // 16x16, 1 layer
         let mut kernels = vec![ScanKernel::new(1, &[32, 1]), ScanKernel::new(2, &[16, 1])];
-        let decoded: Tensor<f32> = decompress_cached(
+        let mut decoded = vec![0f32; 16 * 16];
+        decompress_cached_into(
             &bytes,
             None,
             &mut kernels,
             &mut DecodeScratch::default(),
             DecodePolicy::Strict,
             None,
+            &mut decoded,
         )
         .unwrap();
-        assert_eq!(
-            decoded.as_slice(),
-            decompress::<f32>(&bytes).unwrap().as_slice()
-        );
+        assert_eq!(&decoded[..], decompress::<f32>(&bytes).unwrap().as_slice());
         assert_eq!(kernels.len(), 3);
-        assert!(kernels[2].layers() == 1 && kernels[2].matches(decoded.shape()));
+        assert!(kernels[2].layers() == 1 && kernels[2].matches(&Shape::new(&[16, 16])));
     }
 }
 

@@ -5,7 +5,7 @@
 /// The codec works in `f64` internally (predictions, interval arithmetic) and
 /// converts back through `from_f64` before error-checking, so the bound is
 /// enforced on the *stored* precision, not the working precision.
-pub trait ScalarFloat: Copy + PartialOrd + 'static {
+pub trait ScalarFloat: Copy + PartialOrd + Into<f64> + 'static {
     /// Total bits in the representation (32 or 64).
     const BITS: u32;
     /// Explicit mantissa bits (23 or 52).

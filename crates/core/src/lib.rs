@@ -65,6 +65,41 @@
 //! }
 //! ```
 //!
+//! ## Decoding into place
+//!
+//! [`CodecSession::decompress_into`] (and
+//! [`CodecSession::decompress_shared_into`] for bands whose Huffman table
+//! lives in their container) decodes straight into a caller's row-major
+//! buffer — the way the paper's decompressor rebuilds every point into one
+//! output array. Its contract:
+//!
+//! * the buffer holds exactly the element count the archive header
+//!   declares, else [`SzError::OutputLength`];
+//! * its prior contents are never read — every point is written before any
+//!   later prediction reads it — so a reused or uninitialized-looking
+//!   buffer needs no clearing;
+//! * the errors are otherwise [`CodecSession::decompress`]'s
+//!   ([`SzError::WrongType`], [`SzError::Corrupt`]), after which the
+//!   buffer holds unspecified values;
+//! * a warm session allocates nothing.
+//!
+//! `decompress` is that call on a freshly allocated buffer, and the
+//! chunked, region, stream and service decodes of the other crates build
+//! their one output the same way, band by band:
+//!
+//! ```
+//! use szr_core::{CodecSession, Config, ErrorBound};
+//! use szr_tensor::Tensor;
+//!
+//! let band = Tensor::from_fn([32, 64], |ix| (ix[0] as f32 * 0.1).sin() + ix[1] as f32);
+//! let mut session = CodecSession::<f32>::new(Config::new(ErrorBound::Absolute(1e-3))).unwrap();
+//! let archive = session.compress(&band).unwrap();
+//! let mut rows = vec![f32::NAN; band.len()];
+//! session.decompress_into(&archive, &mut rows).unwrap();
+//! assert_eq!(rows, session.decompress(&archive).unwrap().as_slice());
+//! assert!(session.decompress_into(&archive, &mut rows[1..]).is_err());
+//! ```
+//!
 //! ## Streaming decode
 //!
 //! Decompression is *fused*: a pull-based Huffman symbol decoder
@@ -73,8 +108,8 @@
 //! time — no band-sized symbol vector is ever materialized, each group's
 //! escapes are decoded before its points are visited (and its symbols
 //! checked against the alphabet where the band's table codes symbols
-//! outside it), and a warm session's only steady-state allocation is the
-//! output tensor itself, DEFLATE-coded bands included.
+//! outside it), and a warm session decoding into a caller's buffer
+//! allocates nothing, DEFLATE-coded bands included.
 //!
 //! The batched passes — the decoder's alphabet and escape counts, the
 //! sampler's predictions and hit test — are plain
@@ -88,8 +123,8 @@
 //! The free functions ([`compress`], [`decompress`], …) build their state
 //! per call. Reusing kernels, buffers and tables across calls goes through
 //! [`CodecSession`] — `compress_slice`, `quantize` / `encode` for staged
-//! cross-band drivers, `decompress` / `decompress_shared` — and nothing
-//! else. The reference paths the fast paths are pinned against (the
+//! cross-band drivers, `decompress_into` / `decompress_shared_into` and
+//! their allocating wrappers — and nothing else. The reference paths the fast paths are pinned against (the
 //! per-point quantizer, the staged decode) live in [`oracle`], which is
 //! for tests and benches and outside the supported API.
 //!
@@ -157,7 +192,7 @@ mod stream;
 mod unpred;
 
 pub use compress::{
-    compress, compress_slice_with_stats, compress_with_stats, escape_lz_trial_ratio, value_range,
+    compress, compress_slice_with_stats, compress_with_stats, escape_lz_trial_ratio,
     CompressionStats, HuffmanTable, QuantizedBand,
 };
 pub use config::{Config, ErrorBound, IntervalMode};
@@ -187,6 +222,14 @@ pub enum SzError {
         expected: &'static str,
         found: &'static str,
     },
+    /// A decode into a caller's buffer was handed a buffer whose length
+    /// is not the archive's declared element count.
+    OutputLength {
+        /// Elements the archive header declares.
+        expected: usize,
+        /// Elements the caller's buffer holds.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for SzError {
@@ -196,6 +239,9 @@ impl std::fmt::Display for SzError {
             SzError::Corrupt(msg) => write!(f, "corrupt archive: {msg}"),
             SzError::WrongType { expected, found } => {
                 write!(f, "archive holds {found} data, requested {expected}")
+            }
+            SzError::OutputLength { expected, found } => {
+                write!(f, "archive holds {expected} values, output buffer {found}")
             }
         }
     }

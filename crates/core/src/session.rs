@@ -49,7 +49,7 @@ use crate::compress::{
     HuffmanTable, QuantBufs, QuantizedBand,
 };
 use crate::config::Config;
-use crate::decompress::{decompress_cached, DecodePolicy, DecodeScratch};
+use crate::decompress::{alloc_output, decompress_cached_into, DecodePolicy, DecodeScratch};
 use crate::float::ScalarFloat;
 use crate::kernel::{RowVisitor, ScanKernel};
 use crate::quant::Quantizer;
@@ -735,8 +735,9 @@ impl<T: ScalarFloat> CodecSession<T> {
     }
 
     /// Decompresses a self-contained archive through the session's cached
-    /// kernels and decode scratch. Version-2 shared-stream bands need
-    /// [`CodecSession::decompress_shared`].
+    /// kernels and decode scratch: sizes the output from the header, then
+    /// [`CodecSession::decompress_into`] it. Version-2 shared-stream bands
+    /// need [`CodecSession::decompress_shared`].
     ///
     /// Decoding is fused (symbols pull straight into row reconstruction;
     /// see [`crate::oracle::decompress_staged`] for the staged oracle), and in
@@ -746,13 +747,36 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// post-passed and escape-LZ bands all live in the session.
     pub fn decompress(&mut self, bytes: &[u8]) -> Result<Tensor<T>> {
         let sink = self.active_sink();
-        decompress_cached(
+        let (shape, mut out) = alloc_output(bytes, self.decode_policy, sink.as_deref())?;
+        self.decompress_into(bytes, &mut out)?;
+        Ok(Tensor::from_vec(shape, out))
+    }
+
+    /// Decompresses a self-contained archive into `out`, the caller's
+    /// row-major buffer for the whole grid.
+    ///
+    /// `out` must hold exactly the element count the archive header
+    /// declares. Its prior contents are never read: every point is written
+    /// before any later prediction reads it, so a reused buffer needs no
+    /// clearing. Once warm — same grid family, same producer table — the
+    /// call allocates nothing.
+    ///
+    /// # Errors
+    /// [`SzError::OutputLength`] when `out` has the wrong length,
+    /// [`SzError::WrongType`] for an archive of the other scalar type, and
+    /// [`SzError::Corrupt`] for malformed, truncated or (under a verifying
+    /// [`DecodePolicy`]) checksum-failing archives. On error `out` holds
+    /// unspecified values.
+    pub fn decompress_into(&mut self, bytes: &[u8], out: &mut [T]) -> Result<()> {
+        let sink = self.active_sink();
+        decompress_cached_into(
             bytes,
             None,
             &mut self.kernels,
             &mut self.decode,
             self.decode_policy,
             sink.as_deref(),
+            out,
         )
     }
 
@@ -761,13 +785,32 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// archives ignore it. Fused like [`CodecSession::decompress`].
     pub fn decompress_shared(&mut self, bytes: &[u8], codec: &HuffmanCodec) -> Result<Tensor<T>> {
         let sink = self.active_sink();
-        decompress_cached(
+        let (shape, mut out) = alloc_output(bytes, self.decode_policy, sink.as_deref())?;
+        self.decompress_shared_into(bytes, codec, &mut out)?;
+        Ok(Tensor::from_vec(shape, out))
+    }
+
+    /// [`CodecSession::decompress_into`] for a band archive whose Huffman
+    /// table may live in its container (see
+    /// [`CodecSession::decompress_shared`]); same contract on `out`.
+    ///
+    /// # Errors
+    /// As [`CodecSession::decompress_into`].
+    pub fn decompress_shared_into(
+        &mut self,
+        bytes: &[u8],
+        codec: &HuffmanCodec,
+        out: &mut [T],
+    ) -> Result<()> {
+        let sink = self.active_sink();
+        decompress_cached_into(
             bytes,
             Some(codec),
             &mut self.kernels,
             &mut self.decode,
             self.decode_policy,
             sink.as_deref(),
+            out,
         )
     }
 }
@@ -1165,6 +1208,85 @@ mod tests {
             .compress_slice_shared_fused(data.as_slice(), data.shape(), &no_escape)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn decompress_into_never_reads_the_buffer_it_fills() {
+        // Specialized 2-D and 3-D kernels, the generic 4-D walker, both
+        // layer counts and the staged decorrelation path: a buffer full of
+        // NaN and a zeroed one decode to the same bits as `decompress`.
+        let eb = ErrorBound::Absolute(1e-3);
+        let grid = wavy(37, 53);
+        let cube = Tensor::from_fn([6, 7, 9], |ix| {
+            (ix[0] * 63 + ix[1] * 9 + ix[2]) as f32 * 0.1
+        });
+        let hyper = Tensor::from_fn([3, 4, 5, 6], |ix| (ix[0] + ix[1] * ix[2] + ix[3]) as f32);
+        let cases = [
+            (&grid, Config::new(eb)),
+            (&grid, Config::new(eb).with_layers(2)),
+            (&grid, Config::new(eb).with_decorrelation()),
+            (&cube, Config::new(eb).with_layers(2)),
+            (&hyper, Config::new(eb)),
+        ];
+        for (data, config) in cases {
+            let mut session = CodecSession::<f32>::new(config).unwrap();
+            let bytes = session.compress(data).unwrap();
+            let want = session.decompress(&bytes).unwrap();
+            for fill in [0.0, f32::NAN] {
+                let mut out = vec![fill; data.len()];
+                session.decompress_into(&bytes, &mut out).unwrap();
+                assert!(
+                    out.iter()
+                        .zip(want.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{config:?}, fill {fill}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decompress_into_a_wrong_length_buffer_is_a_typed_error() {
+        let data = wavy(20, 30);
+        let mut session =
+            CodecSession::<f32>::new(Config::new(ErrorBound::Absolute(1e-3))).unwrap();
+        let bytes = session.compress(&data).unwrap();
+        for len in [0, 599, 601] {
+            let mut out = vec![0f32; len];
+            assert_eq!(
+                session.decompress_into(&bytes, &mut out),
+                Err(SzError::OutputLength {
+                    expected: 600,
+                    found: len
+                })
+            );
+        }
+        // The shared-table twin holds the same contract.
+        let band = session.quantize(data.as_slice(), data.shape()).unwrap();
+        let codec = covering_codec(band.histogram());
+        let (shared, _) = session
+            .compress_slice_shared_fused(data.as_slice(), data.shape(), &codec)
+            .unwrap()
+            .unwrap();
+        let mut short = vec![0f32; 10];
+        assert!(matches!(
+            session.decompress_shared_into(&shared, &codec, &mut short),
+            Err(SzError::OutputLength {
+                expected: 600,
+                found: 10
+            })
+        ));
+        let mut out = vec![0f32; 600];
+        session
+            .decompress_shared_into(&shared, &codec, &mut out)
+            .unwrap();
+        assert_eq!(
+            out,
+            session
+                .decompress_shared(&shared, &codec)
+                .unwrap()
+                .as_slice()
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 
 use crate::config::{Config, ErrorBound};
 use crate::decompress::{
-    check_declared_len, decompress_with_policy, BandDamage, DecodePolicy, SalvageReport,
+    check_declared_len, decompress_with_policy, output_shape, BandDamage, DecodePolicy,
+    SalvageReport,
 };
 use crate::float::ScalarFloat;
 use crate::session::CodecSession;
@@ -231,6 +232,8 @@ pub struct StreamDecompressor<'a, T: ScalarFloat> {
     remaining_bands: u64,
     /// Total rows declared by the stream trailer.
     total_rows: u64,
+    /// Rows of the bands [`Self::next_band`] has already yielded.
+    rows_read: u64,
     policy: DecodePolicy,
     _marker: std::marker::PhantomData<T>,
 }
@@ -293,6 +296,7 @@ impl<'a, T: ScalarFloat> StreamDecompressor<'a, T> {
             inner_dims,
             remaining_bands: bands,
             total_rows,
+            rows_read: 0,
             policy: DecodePolicy::Strict,
             _marker: std::marker::PhantomData,
         })
@@ -349,19 +353,49 @@ impl<'a, T: ScalarFloat> StreamDecompressor<'a, T> {
         if tensor.dims()[1..] != self.inner_dims {
             return Some(Err(SzError::Corrupt("band inner dims disagree".into())));
         }
+        self.rows_read += tensor.dims()[0] as u64;
         Some(Ok(tensor))
     }
 
-    /// Reads every band and concatenates into one tensor.
-    pub fn collect_all(mut self) -> Result<Tensor<T>> {
-        let mut rows = 0usize;
-        let mut data: Vec<T> = Vec::new();
-        while let Some(band) = self.next_band() {
-            let band = band?;
-            rows += band.dims()[0];
-            data.extend_from_slice(band.as_slice());
+    /// Reads every band not yet read into one tensor, sized from the
+    /// trailer's row total less the rows [`Self::next_band`] already
+    /// yielded. One decode-only session decodes each band straight into its
+    /// rows of the output, after the band's header is checked against the
+    /// stream geometry.
+    ///
+    /// # Errors
+    /// As [`Self::next_band`], plus [`SzError::Corrupt`] when no rows are
+    /// left or the bands' rows do not add up to the trailer's total.
+    pub fn collect_all(self) -> Result<Tensor<T>> {
+        let inner: usize = self.inner_dims.iter().product::<usize>().max(1);
+        let total_rows = match self.total_rows.checked_sub(self.rows_read) {
+            Some(rows @ 1..) => rows as usize,
+            _ => return Err(SzError::Corrupt("stream holds no rows left to read".into())),
+        };
+        let mut data = vec![T::from_f64(0.0); total_rows * inner];
+        let mut session = CodecSession::<T>::decoder();
+        session.set_decode_policy(self.policy);
+        let mut row = 0usize;
+        for band in self.band_slices()? {
+            let shape = output_shape::<T>(band, self.policy, None)?;
+            let rows = shape.dims()[0];
+            if shape.dims()[1..] != self.inner_dims {
+                return Err(SzError::Corrupt("band inner dims disagree".into()));
+            }
+            if row + rows > total_rows {
+                return Err(SzError::Corrupt(
+                    "stream bands overrun the trailer's row total".into(),
+                ));
+            }
+            session.decompress_into(band, &mut data[row * inner..(row + rows) * inner])?;
+            row += rows;
         }
-        let mut dims = vec![rows];
+        if row != total_rows {
+            return Err(SzError::Corrupt(
+                "stream bands do not cover the trailer's row total".into(),
+            ));
+        }
+        let mut dims = vec![total_rows];
         dims.extend_from_slice(&self.inner_dims);
         Ok(Tensor::from_vec(&dims[..], data))
     }
@@ -684,6 +718,45 @@ mod tests {
         let bytes = stream.finish().unwrap();
         for cut in [0usize, 3, 8, bytes.len() / 2] {
             assert!(StreamDecompressor::<f32>::new(&bytes[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn collect_all_decodes_in_place_what_band_iteration_yields() {
+        let data = field(40, 32);
+        let config = Config::new(ErrorBound::Absolute(1e-3));
+        let mut stream = StreamCompressor::<f32>::new(&[32], 16, config).unwrap();
+        stream.push(data.as_slice()).unwrap();
+        let bytes = stream.finish().unwrap();
+        let mut bands = StreamDecompressor::<f32>::new(&bytes).unwrap();
+        let mut concatenated = Vec::new();
+        while let Some(band) = bands.next_band() {
+            concatenated.extend_from_slice(band.unwrap().as_slice());
+        }
+        let all = StreamDecompressor::<f32>::new(&bytes)
+            .unwrap()
+            .collect_all()
+            .unwrap();
+        assert_eq!(all.as_slice(), &concatenated[..]);
+
+        // After one band is read, the rest collect on their own.
+        let mut rest = StreamDecompressor::<f32>::new(&bytes).unwrap();
+        let first = rest.next_band().unwrap().unwrap();
+        let rest = rest.collect_all().unwrap();
+        assert_eq!(rest.dims(), &[40 - first.dims()[0], 32]);
+        assert_eq!(rest.as_slice(), &concatenated[first.len()..]);
+
+        // The trailer's row total (40, its last byte) sizes the output:
+        // bands that overrun it or fall short of it are corrupt.
+        for rows in [39u8, 41] {
+            let mut lying = bytes.clone();
+            *lying.last_mut().unwrap() = rows;
+            assert!(matches!(
+                StreamDecompressor::<f32>::new(&lying)
+                    .unwrap()
+                    .collect_all(),
+                Err(SzError::Corrupt(_))
+            ));
         }
     }
 }

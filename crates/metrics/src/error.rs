@@ -2,21 +2,43 @@
 
 use crate::Real;
 
-/// The value range `R_X = x_max − x_min` of a data set.
+/// The value range `R_X = x_max − x_min` of a data set, taken over its
+/// finite values only: an infinite extreme would make the range (and every
+/// metric normalized by it) infinite, so infinities and NaNs are skipped.
+/// A constant or empty set, or one without finite values, has range 0.0
+/// (callers guard before dividing), and a range beyond `f64::MAX`
+/// saturates there. Min and max are exact, so the result does not depend
+/// on the order values are visited in.
 ///
-/// Returns 0.0 for constant or empty data (callers guard before dividing).
-pub fn value_range<T: Real>(data: &[T]) -> f64 {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &x in data {
-        let v = x.to_f64();
-        min = min.min(v);
-        max = max.max(v);
+/// This is the one value range of the workspace: the codec resolves
+/// relative error bounds with it too.
+pub fn value_range<T: Copy + Into<f64>>(data: &[T]) -> f64 {
+    // Independent lanes, so the compares vectorize instead of forming one
+    // serial min chain and one max chain.
+    const LANES: usize = 8;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut fold = |lane: usize, v: T| {
+        let x: f64 = v.into();
+        let finite = x.is_finite();
+        lo[lane] = if finite && x < lo[lane] { x } else { lo[lane] };
+        hi[lane] = if finite && x > hi[lane] { x } else { hi[lane] };
+    };
+    let chunks = data.chunks_exact(LANES);
+    for (lane, &v) in chunks.remainder().iter().enumerate() {
+        fold(lane, v);
     }
+    for chunk in chunks {
+        for (lane, &v) in chunk.iter().enumerate() {
+            fold(lane, v);
+        }
+    }
+    let min = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let max = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
     if min > max {
         0.0
     } else {
-        max - min
+        (max - min).min(f64::MAX)
     }
 }
 
@@ -36,6 +58,11 @@ pub fn max_abs_error<T: Real>(orig: &[T], recon: &[T]) -> f64 {
 ///
 /// Returns 0.0 when the data is constant (any reconstruction of constant data
 /// is judged by absolute error instead).
+///
+/// Non-finite values: `R_X` is the finite [`value_range`]. A point whose
+/// error is NaN (a NaN on either side, or the same infinity on both) is
+/// skipped by the max, so carried-through infinities and NaNs leave the
+/// result to the finite points; an infinite error makes it infinite.
 pub fn max_rel_error<T: Real>(orig: &[T], recon: &[T]) -> f64 {
     let range = value_range(orig);
     if range == 0.0 {
@@ -63,6 +90,11 @@ pub fn rmse<T: Real>(orig: &[T], recon: &[T]) -> f64 {
 }
 
 /// Normalized RMSE (Eq. 2): `rmse / R_X`.
+///
+/// Non-finite values: `R_X` is the finite [`value_range`], but every
+/// point's error enters the sum, so a NaN error (a NaN on either side, or
+/// the same infinity on both) makes the result NaN and an infinite error
+/// makes it infinite.
 pub fn nrmse<T: Real>(orig: &[T], recon: &[T]) -> f64 {
     let range = value_range(orig);
     if range == 0.0 {
@@ -75,6 +107,11 @@ pub fn nrmse<T: Real>(orig: &[T], recon: &[T]) -> f64 {
 /// Peak signal-to-noise ratio in dB (Eq. 3): `20·log10(R_X / rmse)`.
 ///
 /// Returns `f64::INFINITY` for a lossless reconstruction.
+///
+/// Non-finite values: `R_X` is the finite [`value_range`], while the rmse
+/// sums every point's error, so a NaN error (a NaN on either side, or the
+/// same infinity on both) makes the result NaN and an infinite error makes
+/// it `-inf` dB.
 pub fn psnr<T: Real>(orig: &[T], recon: &[T]) -> f64 {
     let range = value_range(orig);
     let e = rmse(orig, recon);
@@ -105,7 +142,9 @@ pub struct ErrorStats {
 }
 
 impl ErrorStats {
-    /// Computes all metrics in a single pass over the pair of arrays.
+    /// Computes all metrics in one pass over the pair of arrays, plus the
+    /// [`value_range`] of `orig`; non-finite values are treated as in
+    /// [`max_rel_error`], [`nrmse`] and [`psnr`].
     ///
     /// # Panics
     /// Panics if lengths differ or the arrays are empty.
@@ -113,16 +152,12 @@ impl ErrorStats {
         assert_eq!(orig.len(), recon.len(), "length mismatch");
         assert!(!orig.is_empty(), "metrics need at least one sample");
         let n = orig.len() as f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
         let mut max_abs = 0.0f64;
         let mut sum_sq = 0.0f64;
         let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
         for (&a, &b) in orig.iter().zip(recon) {
             let x = a.to_f64();
             let y = b.to_f64();
-            min = min.min(x);
-            max = max.max(x);
             let e = x - y;
             max_abs = max_abs.max(e.abs());
             sum_sq += e * e;
@@ -132,7 +167,7 @@ impl ErrorStats {
             syy += y * y;
             sxy += x * y;
         }
-        let range = max - min;
+        let range = value_range(orig);
         let rmse = (sum_sq / n).sqrt();
         let cov = sxy / n - (sx / n) * (sy / n);
         let var_x = (sxx / n - (sx / n) * (sx / n)).max(0.0);
@@ -220,6 +255,34 @@ mod tests {
         assert!((stats.nrmse - nrmse(&orig, &recon)).abs() < 1e-12);
         assert!((stats.psnr - psnr(&orig, &recon)).abs() < 1e-9);
         assert!((stats.range - value_range(&orig)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn value_range_skips_non_finite_values() {
+        assert_eq!(value_range(&[f32::NAN, 2.0, f32::INFINITY, -1.0]), 3.0);
+        assert_eq!(
+            value_range(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]),
+            0.0
+        );
+        assert_eq!(value_range::<f64>(&[]), 0.0);
+        assert_eq!(value_range(&[-f64::MAX, f64::MAX]), f64::MAX);
+        // More values than lanes, extremes in the remainder and the chunks.
+        let mut v: Vec<f64> = (0..37).map(|i| i as f64).collect();
+        v[3] = f64::INFINITY;
+        v[36] = f64::NEG_INFINITY;
+        assert_eq!(value_range(&v), 35.0);
+    }
+
+    #[test]
+    fn carried_infinities_leave_the_relative_error_to_the_finite_points() {
+        let orig = [0.0f64, f64::INFINITY, 100.0, f64::NAN];
+        let recon = [2.0f64, f64::INFINITY, 100.0, f64::NAN];
+        assert!((max_rel_error(&orig, &recon) - 0.02).abs() < 1e-12);
+        assert!(nrmse(&orig, &recon).is_nan());
+        assert!(psnr(&orig, &recon).is_nan());
+        let stats = ErrorStats::compute(&orig, &recon);
+        assert_eq!(stats.range, 100.0);
+        assert_eq!(stats.max_rel, max_rel_error(&orig, &recon));
     }
 
     #[test]

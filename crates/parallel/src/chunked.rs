@@ -559,33 +559,83 @@ fn decode_chunk<T: ScalarFloat>(
     }
 }
 
+/// [`decode_chunk`] into `out`, which holds exactly the band's values.
+fn decode_chunk_into<T: ScalarFloat>(
+    session: &mut CodecSession<T>,
+    chunk: &[u8],
+    codec: Option<&HuffmanCodec>,
+    out: &mut [T],
+) -> Result<()> {
+    match codec {
+        Some(codec) => session.decompress_shared_into(chunk, codec, out),
+        None => session.decompress_into(chunk, out),
+    }
+}
+
+/// A band archive's row extent, read from its own header and checked
+/// against the container shaped `dims` it sits in: the same scalar type
+/// and the container's inner dims. No payload is read.
+fn band_rows<T: ScalarFloat>(chunk: &[u8], dims: &[usize]) -> Result<usize> {
+    let info = szr_core::inspect(chunk)?;
+    if info.dtype != T::NAME {
+        return Err(SzError::WrongType {
+            expected: T::NAME,
+            found: info.dtype,
+        });
+    }
+    if info.dims[1..] != dims[1..] {
+        return corrupt("band inner dimensions disagree");
+    }
+    Ok(info.dims[0])
+}
+
+/// Every band's row extent from its own header ([`band_rows`]), checked to
+/// tile the container's slowest extent exactly — before anything decodes.
+fn band_extents<'c, T: ScalarFloat>(
+    dims: &[usize],
+    chunks: impl IntoIterator<Item = &'c [u8]>,
+) -> Result<Vec<usize>> {
+    let mut extents = Vec::new();
+    let mut covered = 0usize;
+    for chunk in chunks {
+        let rows = band_rows::<T>(chunk, dims)?;
+        if rows > dims[0] - covered {
+            return corrupt("bands overrun the original extent");
+        }
+        covered += rows;
+        extents.push(rows);
+    }
+    if covered != dims[0] {
+        return corrupt("bands do not cover the original extent");
+    }
+    Ok(extents)
+}
+
 impl BandIndex {
-    /// Decodes band `band` of the serialized archive `bytes` through this
-    /// index. The index's row extent placed the band inside the tensor; a
-    /// band that decodes to a different extent would misplace every later
-    /// row, so that is a hard error, not a silent shift.
+    /// Values per slowest-dimension row.
+    pub fn row_elems(&self) -> usize {
+        self.dims[1..].iter().product::<usize>().max(1)
+    }
+
+    /// Decodes band `band` of the serialized archive `bytes` into `out`,
+    /// which holds the index's row extent of it. The band's own header is
+    /// checked first: a band of another extent or inner shape would
+    /// misplace every later row, so that is a hard error, not a silent
+    /// shift.
     #[doc(hidden)]
-    pub fn decode_band<T: ScalarFloat>(
+    pub fn decode_band_into<T: ScalarFloat>(
         &self,
         session: &mut CodecSession<T>,
         bytes: &[u8],
         band: usize,
         codec: Option<&HuffmanCodec>,
-    ) -> Result<Tensor<T>> {
-        let tensor = decode_chunk(session, self.band_slice(bytes, band)?, codec)?;
-        if tensor.dims()[0] != self.entries[band].rows {
-            return corrupt("index: band row extent disagrees with the decoded band");
+        out: &mut [T],
+    ) -> Result<()> {
+        let chunk = self.band_slice(bytes, band)?;
+        if band_rows::<T>(chunk, &self.dims)? != self.entries[band].rows {
+            return corrupt("index: band row extent disagrees with the band's header");
         }
-        Ok(tensor)
-    }
-
-    /// The dims bands `bands` stitch to: the container's inner dims under
-    /// the bands' summed rows.
-    #[doc(hidden)]
-    pub fn stitched_dims(&self, bands: Range<usize>) -> Vec<usize> {
-        let mut dims = self.dims.clone();
-        dims[0] = self.entries[bands].iter().map(|e| e.rows).sum();
-        dims
+        decode_chunk_into(session, chunk, codec, out)
     }
 }
 
@@ -598,53 +648,12 @@ pub fn shared_codec(table: Option<&[u8]>) -> Result<Option<HuffmanCodec>> {
         .map_err(|e| SzError::Corrupt(format!("shared huffman table: {e}")))
 }
 
-/// Stitches decoded bands, in band order, into one tensor shaped `dims`:
-/// the bands must match its inner dims and cover its slowest extent
-/// exactly. `keep` trims the result to that row range (region reads); only
-/// the kept rows are copied.
-#[doc(hidden)]
-pub fn stitch<T: ScalarFloat>(
-    dims: &[usize],
-    bands: impl IntoIterator<Item = Result<Tensor<T>>>,
-    keep: Option<Range<usize>>,
-) -> Result<Tensor<T>> {
-    let row_elems: usize = dims[1..].iter().product::<usize>().max(1);
-    let keep = keep.unwrap_or(0..dims[0]);
-    let mut out: Vec<T> = Vec::with_capacity(keep.len() * row_elems);
-    let mut row = 0usize;
-    for band in bands {
-        let band = band?;
-        if band.dims()[1..] != dims[1..] {
-            return corrupt("band inner dimensions disagree");
-        }
-        let rows = band.dims()[0];
-        if row + rows > dims[0] {
-            return corrupt("bands overrun the original extent");
-        }
-        let (lo, hi) = (row.max(keep.start), (row + rows).min(keep.end));
-        if lo < hi {
-            let kept = (lo - row) * row_elems..(hi - row) * row_elems;
-            out.extend_from_slice(&band.as_slice()[kept]);
-        }
-        row += rows;
-    }
-    if row != dims[0] {
-        return corrupt("bands do not cover the original extent");
-    }
-    if keep.end > dims[0] {
-        return corrupt("index: covering bands hold fewer rows than declared");
-    }
-    let mut out_dims = dims.to_vec();
-    out_dims[0] = keep.len();
-    Ok(Tensor::from_vec(Shape::new(&out_dims), out))
-}
-
 /// Resolves `config`'s bound against the whole tensor's finite value range,
 /// so every band honours one absolute guarantee whatever its local range
 /// (infinities and NaNs are carried exactly, never priced). Returns the
 /// pinned config and its absolute bound.
 fn pin_bound<T: ScalarFloat>(config: &Config, values: &[T]) -> Result<(Config, f64)> {
-    let eb = config.bound.effective(szr_core::value_range(values));
+    let eb = config.bound.effective(szr_metrics::value_range(values));
     let pinned = Config {
         bound: ErrorBound::Absolute(eb),
         ..*config
@@ -988,11 +997,14 @@ impl<'a> BandExecutor<'a> {
         )
     }
 
-    /// Decodes `archive` back into one tensor. Band extents are re-derived
-    /// from each band's own header, so a corrupt archive fails loudly.
-    /// [`DecodePolicy::Verify`] / `Salvage` recompute every band's v3
-    /// section checksums and fail on the first mismatch (section-named
-    /// error); for fill-and-continue use [`BandExecutor::salvage`].
+    /// Decodes `archive` back into one tensor. Band extents are read from
+    /// each band's own header and checked to tile the container before
+    /// anything decodes, so a corrupt archive fails loudly and a damaged
+    /// index never blocks a full decode. Every band decodes straight into
+    /// its rows of the one output. [`DecodePolicy::Verify`] / `Salvage`
+    /// recompute every band's v3 section checksums and fail on the first
+    /// mismatch (section-named error); for fill-and-continue use
+    /// [`BandExecutor::salvage`].
     pub fn decompress<T: ScalarFloat + Send + Sync>(
         &self,
         archive: &ChunkedArchive,
@@ -1000,19 +1012,31 @@ impl<'a> BandExecutor<'a> {
     ) -> Result<Tensor<T>> {
         // Bound the output allocation by the bytes actually present before
         // trusting the container's declared dims.
-        check_declared_len(
-            archive.dims.iter().product(),
-            archive.compressed_bytes() + 1,
-        )?;
+        let total = archive.dims.iter().product();
+        check_declared_len(total, archive.compressed_bytes() + 1)?;
         let codec = shared_codec(archive.shared_table.as_deref())?;
-        let decoded = self.decode_all(archive, policy, codec.as_ref());
-        stitch(&archive.dims, decoded, None)
+        let extents = band_extents::<T>(&archive.dims, archive.chunks.iter().map(Vec::as_slice))?;
+        let row_elems = archive.dims[1..].iter().product::<usize>().max(1);
+        let mut out = vec![T::from_f64(0.0); total];
+        self.decode_rows(
+            policy,
+            &extents,
+            row_elems,
+            0..archive.dims[0],
+            &mut out,
+            |session, band, dst| {
+                decode_chunk_into(session, &archive.chunks[band], codec.as_ref(), dst)
+            },
+        )?;
+        Ok(Tensor::from_vec(Shape::new(&archive.dims), out))
     }
 
     /// Decodes exactly the slowest-dimension rows `rows` of a serialized
     /// archive, byte-identical to that slice of a full decode: only the
     /// bands covering them are decoded, located through the [`BandIndex`]
     /// (or the sequential header walk when the index is absent or damaged).
+    /// Bands inside the range decode in place; the two it cuts decode into
+    /// their own buffer and contribute their kept rows.
     pub fn read<T: ScalarFloat + Send + Sync>(
         &self,
         bytes: &[u8],
@@ -1022,13 +1046,86 @@ impl<'a> BandExecutor<'a> {
         let index = band_index(bytes)?;
         let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
         let codec = shared_codec(index.shared_table_slice(bytes))?;
-        let decoded = self.run(
-            bands.len(),
-            || decoder(policy),
-            |session, slot| index.decode_band(session, bytes, bands.start + slot, codec.as_ref()),
-        );
+        let extents: Vec<usize> = index.entries[bands.clone()]
+            .iter()
+            .map(|e| e.rows)
+            .collect();
         let keep = rows.start - first_row..rows.end - first_row;
-        stitch(&index.stitched_dims(bands), decoded, Some(keep))
+        if keep.end > extents.iter().sum() {
+            return corrupt("index: covering bands hold fewer rows than declared");
+        }
+        let row_elems = index.row_elems();
+        check_declared_len(keep.len() * row_elems, bytes.len())?;
+        let mut out = vec![T::from_f64(0.0); keep.len() * row_elems];
+        self.decode_rows(
+            policy,
+            &extents,
+            row_elems,
+            keep.clone(),
+            &mut out,
+            |session, slot, dst| {
+                index.decode_band_into(session, bytes, bands.start + slot, codec.as_ref(), dst)
+            },
+        )?;
+        let mut dims = index.dims.clone();
+        dims[0] = keep.len();
+        Ok(Tensor::from_vec(Shape::new(&dims), out))
+    }
+
+    /// Decodes bands `0..extents.len()` — band `b` spanning `extents[b]`
+    /// rows of their concatenation — into `out`, which holds rows `keep` of
+    /// that concatenation, through `decode(session, b, band_out)`. `out` is
+    /// split by band with `split_at_mut`, so each worker writes its bands'
+    /// rows directly; a band `keep` cuts (only the first and the last can
+    /// be) decodes into a buffer of its own and copies its kept rows over.
+    /// Returns the first error in band order.
+    fn decode_rows<T: ScalarFloat + Send + Sync>(
+        &self,
+        policy: DecodePolicy,
+        extents: &[usize],
+        row_elems: usize,
+        keep: Range<usize>,
+        out: &mut [T],
+        decode: impl Fn(&mut CodecSession<T>, usize, &mut [T]) -> Result<()> + Sync,
+    ) -> Result<()> {
+        // Per band: its rows in the concatenation and its kept rows' slice
+        // of `out`, taken by whichever worker claims the band.
+        let mut slots: Vec<(Range<usize>, Mutex<&mut [T]>)> = Vec::with_capacity(extents.len());
+        let mut rest = out;
+        let mut row = 0usize;
+        for &rows in extents {
+            let kept = (row + rows)
+                .min(keep.end)
+                .saturating_sub(row.max(keep.start));
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(kept * row_elems);
+            rest = tail;
+            slots.push((row..row + rows, Mutex::new(dst)));
+            row += rows;
+        }
+        debug_assert!(rest.is_empty(), "`out` holds exactly the kept rows");
+        self.run(
+            extents.len(),
+            || decoder(policy),
+            |session, band| {
+                let (rows, slot) = &slots[band];
+                let dst = std::mem::take(
+                    &mut *slot
+                        .lock()
+                        .expect("a band worker panicked holding its slot"),
+                );
+                let (lo, hi) = (rows.start.max(keep.start), rows.end.min(keep.end));
+                if (lo, hi) == (rows.start, rows.end) {
+                    return decode(session, band, dst);
+                }
+                let mut whole = vec![T::from_f64(0.0); rows.len() * row_elems];
+                decode(session, band, &mut whole)?;
+                let kept = (lo - rows.start) * row_elems..(hi - rows.start) * row_elems;
+                dst.copy_from_slice(&whole[kept]);
+                Ok(())
+            },
+        )
+        .into_iter()
+        .collect()
     }
 
     /// Decodes every intact band of a possibly damaged `archive` (verifying

@@ -19,9 +19,10 @@
 //!   `compress_chunked` / `decompress_chunked` / `decompress_chunked_region`
 //!   are one-line wrappers over it. Serialized containers (v2) carry a
 //!   CRC-sealed band index enabling ROI reads that cost O(touched bands),
-//!   never O(archive), and header-only `peek_stat`. The per-band tasks
-//!   (band split, band compress and decode, stitch) are shared with the
-//!   `szr-server` archive service;
+//!   never O(archive), and header-only `peek_stat`. Decodes write every
+//!   band straight into its rows of one output allocation. The per-band
+//!   tasks (band split, band compress, band decode into a caller's rows)
+//!   are shared with the `szr-server` archive service;
 //! * [`scheduler`] — the work-stealing band scheduler behind every chunked
 //!   driver (and the `szr-server` job queues): per-worker deques seeded
 //!   with contiguous band runs, idle workers steal from the most loaded
@@ -41,8 +42,8 @@ mod scheduler;
 
 pub use chunked::{
     band_index, compress_band, compress_chunked, decompress_chunked, decompress_chunked_region,
-    shared_codec, stitch, BandExecutor, BandIndex, BandIndexEntry, BandSplit, ChunkedArchive,
-    ChunkedStat, Strategy,
+    shared_codec, BandExecutor, BandIndex, BandIndexEntry, BandSplit, ChunkedArchive, ChunkedStat,
+    Strategy,
 };
 pub use io_model::{io_breakdown, IoBreakdown, IoModel};
 pub use scaling::{measure_scaling, model_cluster_scaling, ClusterModel, Direction, ScalingPoint};

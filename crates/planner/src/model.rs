@@ -196,8 +196,8 @@ pub(crate) fn psnr_from_bound(range: f64, eb: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use szr_core::value_range;
     use szr_core::{compress, Config, ErrorBound};
+    use szr_metrics::value_range;
 
     fn wavy(rows: usize, cols: usize) -> Tensor<f32> {
         Tensor::from_fn([rows, cols], |ix| {

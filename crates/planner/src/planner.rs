@@ -115,7 +115,7 @@ impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
             // Finite values only, as the compressor resolves a relative
             // bound: an infinity would make every relative bound and the
             // target-ratio ladder unusable.
-            range: szr_core::value_range(values),
+            range: szr_metrics::value_range(values),
             opts,
         }
     }

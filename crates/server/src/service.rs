@@ -12,25 +12,26 @@
 //! service's telemetry sink as `rejected_jobs`).
 //!
 //! The tasks are `szr-parallel`'s own band tasks: compress jobs cut bands
-//! with its [`BandSplit`] and run [`compress_band`] per task, decode jobs
-//! run [`BandIndex::decode_band`] on *serialized* archives (so a region
-//! read seeks straight to the covered bands), and the last task to finish
-//! assembles the job through the same [`stitch`]. Service output is
-//! therefore bit-identical to the chunked drivers by construction.
+//! with its [`BandSplit`] and run [`compress_band`] per task, and decode
+//! jobs run [`BandIndex::decode_band_into`] on *serialized* archives (so a
+//! region read seeks straight to the covered bands). A decode job's output
+//! is allocated once, when the job is admitted; each band task decodes into
+//! a buffer its worker owns and copies the band's kept rows into the job
+//! output. Service output is therefore bit-identical to the chunked drivers
+//! by construction.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use szr_core::{Config, DecodePolicy, ScalarFloat, SzError};
+use szr_core::{check_declared_len, Config, DecodePolicy, ScalarFloat, SzError};
 use szr_huffman::HuffmanCodec;
 use szr_parallel::{
-    band_index, compress_band, shared_codec, stitch, BandIndex, BandSplit, ChunkedArchive,
-    WorkQueues,
+    band_index, compress_band, shared_codec, BandIndex, BandSplit, ChunkedArchive, WorkQueues,
 };
 use szr_telemetry::{Counter, RecordingSink, TelemetrySink};
-use szr_tensor::Tensor;
+use szr_tensor::{Shape, Tensor};
 
 use crate::pool::SessionPool;
 use crate::ServiceError;
@@ -78,29 +79,150 @@ pub struct ServiceStats {
     pub steals: u64,
 }
 
-/// One band-task output, keyed back to its job slot.
-enum TaskOut<T: ScalarFloat> {
-    /// Compressed band archive bytes.
-    Bytes(Vec<u8>),
-    /// Decoded band tensor.
-    Band(Tensor<T>),
-}
+/// One compressed band's pending archive, filled by whichever worker ran
+/// the task.
+type BandSlot = Mutex<Option<Result<Vec<u8>, SzError>>>;
 
 enum JobKind<T: ScalarFloat> {
     Compress {
         data: Arc<Tensor<T>>,
         config: Config,
         split: BandSplit,
+        /// Band archives, by band.
+        chunks: Vec<BandSlot>,
     },
-    Decompress {
+    Decompress(DecodeJob<T>),
+}
+
+/// A full decode or region read: the covering bands of a serialized
+/// archive, decoded into one output.
+struct DecodeJob<T: ScalarFloat> {
+    bytes: Arc<Vec<u8>>,
+    index: BandIndex,
+    codec: Option<Box<HuffmanCodec>>,
+    /// Bands to decode; task `slot` decodes band `bands.start + slot`.
+    bands: Range<usize>,
+    /// Each covering band's first row within the covering bands' rows.
+    starts: Vec<usize>,
+    /// The rows of the covering bands the result keeps.
+    keep: Range<usize>,
+    /// The result's values: reserved at admission and filled band by band,
+    /// each band task copying its kept rows in.
+    out: Mutex<Vec<T>>,
+    /// The first failing band and its error.
+    failed: Mutex<Option<(usize, SzError)>>,
+}
+
+const OUT_POISONED: &str = "a band task panicked while copying into the job output";
+const FAILED_POISONED: &str = "a band task panicked while recording its failure";
+
+impl<T: ScalarFloat> DecodeJob<T> {
+    /// A job decoding bands `bands` of `bytes` and keeping rows `keep` of
+    /// them. The index's extents place every band, so they are checked
+    /// here, before the job is queued: the covering bands must hold the
+    /// kept rows, and the output is bounded by the bytes present.
+    fn new(
         bytes: Arc<Vec<u8>>,
         index: BandIndex,
-        codec: Option<Box<HuffmanCodec>>,
-        /// Bands to decode; task `slot` decodes band `bands.start + slot`.
         bands: Range<usize>,
-        /// Rows of the stitched bands to keep (region reads).
-        keep: Option<Range<usize>>,
-    },
+        keep: Range<usize>,
+    ) -> Result<Self, SzError> {
+        let codec = shared_codec(index.shared_table_slice(&bytes))?.map(Box::new);
+        let starts: Vec<usize> = index.entries[bands.clone()]
+            .iter()
+            .scan(0, |row, entry| {
+                let start = *row;
+                *row += entry.rows;
+                Some(start)
+            })
+            .collect();
+        let covered = starts
+            .last()
+            .map_or(0, |&s| s + index.entries[bands.end - 1].rows);
+        if keep.end > covered {
+            return Err(SzError::Corrupt(
+                "index: covering bands hold fewer rows than declared".into(),
+            ));
+        }
+        check_declared_len(keep.len() * index.row_elems(), bytes.len())?;
+        Ok(DecodeJob {
+            bytes,
+            index,
+            codec,
+            bands,
+            starts,
+            keep,
+            out: Mutex::new(Vec::new()),
+            failed: Mutex::new(None),
+        })
+    }
+
+    /// Reserves the output once the job is admitted, never while its
+    /// submitter is blocked. Nothing is written yet: zeroing memory every
+    /// value of which a band overwrites would be a wasted pass.
+    fn allocate(&self) {
+        *self.out.lock().expect(OUT_POISONED) =
+            Vec::with_capacity(self.keep.len() * self.index.row_elems());
+    }
+
+    /// Decodes band task `slot` into `buf`, a buffer its worker owns, and
+    /// copies the band's kept rows into the job output under its lock.
+    /// `buf`'s prior contents are never read, so it only grows.
+    ///
+    /// Bands mostly land in order and append. One that lands ahead of an
+    /// earlier band first fills the earlier band's rows with zeros, which
+    /// that band overwrites when it lands; the output's length therefore
+    /// always ends on a band.
+    fn run_band(
+        &self,
+        session: &mut szr_core::CodecSession<T>,
+        slot: usize,
+        buf: &mut Vec<T>,
+    ) -> Result<(), SzError> {
+        let band = self.bands.start + slot;
+        let row_elems = self.index.row_elems();
+        let start = self.starts[slot];
+        let rows = self.index.entries[band].rows;
+        if buf.len() < rows * row_elems {
+            buf.resize(rows * row_elems, T::from_f64(0.0));
+        }
+        let whole = &mut buf[..rows * row_elems];
+        self.index
+            .decode_band_into(session, &self.bytes, band, self.codec.as_deref(), whole)?;
+        let (lo, hi) = (
+            start.max(self.keep.start),
+            (start + rows).min(self.keep.end),
+        );
+        let kept = &whole[(lo - start) * row_elems..(hi - start) * row_elems];
+        let at = (lo - self.keep.start) * row_elems;
+        let mut out = self.out.lock().expect(OUT_POISONED);
+        if out.len() <= at {
+            out.resize(at, T::from_f64(0.0));
+            out.extend_from_slice(kept);
+        } else {
+            out[at..at + kept.len()].copy_from_slice(kept);
+        }
+        Ok(())
+    }
+
+    /// Records a band's failure; the lowest band's error is the job's.
+    fn fail(&self, slot: usize, error: SzError) {
+        let mut failed = self.failed.lock().expect(FAILED_POISONED);
+        if failed.as_ref().is_none_or(|&(first, _)| slot < first) {
+            *failed = Some((slot, error));
+        }
+    }
+
+    /// The job's result once every band task has run.
+    fn finish(&self) -> Result<Tensor<T>, SzError> {
+        if let Some((_, error)) = self.failed.lock().expect(FAILED_POISONED).take() {
+            return Err(error);
+        }
+        let mut dims = self.index.dims.clone();
+        dims[0] = self.keep.len();
+        let out = std::mem::take(&mut *self.out.lock().expect(OUT_POISONED));
+        Ok(Tensor::from_vec(Shape::new(&dims), out))
+    }
 }
 
 /// The result channel a handle waits on.
@@ -131,15 +253,13 @@ impl<T: ScalarFloat> JobState<T> {
     }
 }
 
-/// One band's pending result, filled by whichever worker ran the task.
-type TaskSlot<T> = Mutex<Option<Result<TaskOut<T>, SzError>>>;
-
 struct Job<T: ScalarFloat> {
     kind: JobKind<T>,
     policy: DecodePolicy,
     sink: Option<Arc<RecordingSink>>,
+    /// Band tasks the job fans out to.
+    tasks: usize,
     remaining: AtomicUsize,
-    slots: Vec<TaskSlot<T>>,
     state: Arc<JobState<T>>,
 }
 
@@ -296,11 +416,12 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
             cond: Condvar::new(),
         });
         let job = Arc::new(Job {
+            tasks: split.bands(),
             remaining: AtomicUsize::new(split.bands()),
-            slots: (0..split.bands()).map(|_| Mutex::new(None)).collect(),
             kind: JobKind::Compress {
                 data,
                 config,
+                chunks: (0..split.bands()).map(|_| Mutex::new(None)).collect(),
                 split,
             },
             policy: DecodePolicy::Strict,
@@ -322,7 +443,8 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
     ) -> Result<TensorHandle<T>, ServiceError> {
         let index = band_index(&bytes).map_err(ServiceError::Codec)?;
         let bands = 0..index.bands();
-        self.submit_decode(bytes, index, bands, None, policy, sink)
+        let keep = 0..index.dims[0];
+        self.submit_decode(bytes, index, bands, keep, policy, sink)
     }
 
     /// Submits an ROI read of slowest-dimension rows `rows`: only the
@@ -340,7 +462,7 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
         let (bands, first_row) = index
             .bands_covering_rows(rows.clone())
             .map_err(ServiceError::Codec)?;
-        let keep = Some(rows.start - first_row..rows.end - first_row);
+        let keep = rows.start - first_row..rows.end - first_row;
         self.submit_decode(bytes, index, bands, keep, policy, sink)
     }
 
@@ -349,27 +471,19 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
         bytes: Arc<Vec<u8>>,
         index: BandIndex,
         bands: Range<usize>,
-        keep: Option<Range<usize>>,
+        keep: Range<usize>,
         policy: DecodePolicy,
         sink: Option<Arc<RecordingSink>>,
     ) -> Result<TensorHandle<T>, ServiceError> {
-        let codec = shared_codec(index.shared_table_slice(&bytes))
-            .map_err(ServiceError::Codec)?
-            .map(Box::new);
+        let decode = DecodeJob::new(bytes, index, bands, keep).map_err(ServiceError::Codec)?;
         let state = Arc::new(JobState {
             done: Mutex::new(None),
             cond: Condvar::new(),
         });
         let job = Arc::new(Job {
-            remaining: AtomicUsize::new(bands.len()),
-            slots: (0..bands.len()).map(|_| Mutex::new(None)).collect(),
-            kind: JobKind::Decompress {
-                bytes,
-                index,
-                codec,
-                bands,
-                keep,
-            },
+            tasks: decode.bands.len(),
+            remaining: AtomicUsize::new(decode.bands.len()),
+            kind: JobKind::Decompress(decode),
             policy,
             sink,
             state: Arc::clone(&state),
@@ -408,7 +522,10 @@ impl<T: ScalarFloat + Send + Sync + 'static> ArchiveService<T> {
             return Err(ServiceError::ShuttingDown);
         }
         shared.submitted.fetch_add(1, Ordering::Relaxed);
-        let tasks = job.slots.len();
+        if let JobKind::Decompress(decode) = &job.kind {
+            decode.allocate();
+        }
+        let tasks = job.tasks;
         if tasks == 0 {
             // Degenerate empty job: complete it inline, never occupying a
             // slot.
@@ -451,9 +568,12 @@ impl<T: ScalarFloat> Drop for ArchiveService<T> {
 
 fn worker_loop<T: ScalarFloat + Send + Sync>(shared: &Shared<T>) {
     let w = shared.queues.register();
+    // The band buffer decode tasks decode into, reused across every band
+    // this worker runs.
+    let mut band_buf: Vec<T> = Vec::new();
     loop {
         if let Some(task) = shared.queues.pop(w) {
-            run_task(shared, &task);
+            run_task(shared, &task, &mut band_buf);
             continue;
         }
         // Tasks are pushed under the state lock, so re-checking emptiness
@@ -469,49 +589,42 @@ fn worker_loop<T: ScalarFloat + Send + Sync>(shared: &Shared<T>) {
     }
 }
 
-fn run_task<T: ScalarFloat + Send + Sync>(shared: &Shared<T>, task: &Task<T>) {
+fn run_task<T: ScalarFloat + Send + Sync>(
+    shared: &Shared<T>,
+    task: &Task<T>,
+    band_buf: &mut Vec<T>,
+) {
     let job = &task.job;
-    let result = {
+    {
         let mut session = shared.pool.checkout();
         if let Some(sink) = &job.sink {
             session.set_telemetry(Some(Arc::clone(sink) as Arc<dyn TelemetrySink>));
         }
-        let out = match &job.kind {
+        match &job.kind {
             JobKind::Compress {
                 data,
                 config,
                 split,
+                chunks,
             } => {
                 // A session may still be armed by an earlier job's config.
                 if session.config() != Some(config) {
                     session.set_config(*config).expect("validated at submit")
                 }
-                compress_band(&mut session, data.as_slice(), split, task.slot).map(TaskOut::Bytes)
+                let out = compress_band(&mut session, data.as_slice(), split, task.slot);
+                *chunks[task.slot].lock().unwrap() = Some(out);
             }
-            JobKind::Decompress {
-                bytes,
-                index,
-                codec,
-                bands,
-                ..
-            } => {
+            JobKind::Decompress(decode) => {
                 session.set_decode_policy(job.policy);
-                index
-                    .decode_band(
-                        &mut session,
-                        bytes,
-                        bands.start + task.slot,
-                        codec.as_deref(),
-                    )
-                    .map(TaskOut::Band)
+                if let Err(e) = decode.run_band(&mut session, task.slot, band_buf) {
+                    decode.fail(task.slot, e);
+                }
             }
-        };
+        }
         if job.sink.is_some() {
             session.set_telemetry(None);
         }
-        out
-    };
-    *job.slots[task.slot].lock().unwrap() = Some(result);
+    }
     shared.bands_executed.fetch_add(1, Ordering::Relaxed);
     if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
         finalize(shared, job);
@@ -524,21 +637,17 @@ fn run_task<T: ScalarFloat + Send + Sync>(shared: &Shared<T>, task: &Task<T>) {
     }
 }
 
-/// Assembles a job's per-slot outputs into its final result and fulfills
-/// the handle. Called exactly once, by whichever worker finishes the last
-/// task (or inline for empty jobs).
+/// Assembles a job's result and fulfills the handle. Called exactly once,
+/// by whichever worker finishes the last task (or inline for empty jobs).
 fn finalize<T: ScalarFloat>(shared: &Shared<T>, job: &Job<T>) {
-    let outs = job.slots.iter().map(|slot| {
-        slot.lock()
-            .unwrap()
-            .take()
-            .expect("finalize runs after every task stored its slot")
-    });
     let result = match &job.kind {
-        JobKind::Compress { data, .. } => outs
-            .map(|out| match out? {
-                TaskOut::Bytes(bytes) => Ok(bytes),
-                TaskOut::Band(_) => unreachable!("compress tasks emit bytes"),
+        JobKind::Compress { data, chunks, .. } => chunks
+            .iter()
+            .map(|slot| {
+                slot.lock()
+                    .unwrap()
+                    .take()
+                    .expect("finalize runs after every task stored its slot")
             })
             .collect::<Result<_, _>>()
             .map(|chunks| {
@@ -549,17 +658,48 @@ fn finalize<T: ScalarFloat>(shared: &Shared<T>, job: &Job<T>) {
                 };
                 JobOutput::Archive(archive.to_bytes())
             }),
-        JobKind::Decompress {
-            index, bands, keep, ..
-        } => {
-            let bands_out = outs.map(|out| match out? {
-                TaskOut::Band(band) => Ok(band),
-                TaskOut::Bytes(_) => unreachable!("decode tasks emit tensors"),
-            });
-            stitch(&index.stitched_dims(bands.clone()), bands_out, keep.clone())
-                .map(JobOutput::Tensor)
-        }
+        JobKind::Decompress(decode) => decode.finish().map(JobOutput::Tensor),
     };
     shared.completed.fetch_add(1, Ordering::Relaxed);
     job.state.fulfill(result.map_err(ServiceError::Codec));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use szr_core::{CodecSession, ErrorBound};
+    use szr_parallel::{compress_chunked, decompress_chunked};
+
+    /// Bands that land in any order — here last to first, so every band
+    /// but the last lands ahead of an earlier one — fill the job output
+    /// exactly as a full decode's rows.
+    #[test]
+    fn decode_job_bands_land_in_any_order() {
+        let data = Tensor::from_fn([60usize, 24], |ix| {
+            ((ix[0] as f32) * 0.17).sin() * 3.0 + (ix[1] as f32) * 0.01
+        });
+        let archive =
+            compress_chunked(&data, &Config::new(ErrorBound::Absolute(1e-3)), 6, 1).unwrap();
+        let full: Tensor<f32> = decompress_chunked(&archive, 1).unwrap();
+        let bytes = Arc::new(archive.to_bytes());
+        let index = band_index(&bytes).unwrap();
+        let mut session = CodecSession::<f32>::decoder();
+        let mut buf = Vec::new();
+        for rows in [13..47usize, 0..60] {
+            let (bands, first_row) = index.bands_covering_rows(rows.clone()).unwrap();
+            let keep = rows.start - first_row..rows.end - first_row;
+            let job =
+                DecodeJob::new(Arc::clone(&bytes), index.clone(), bands.clone(), keep).unwrap();
+            job.allocate();
+            for slot in (0..bands.len()).rev() {
+                job.run_band(&mut session, slot, &mut buf).unwrap();
+            }
+            let got = job.finish().unwrap();
+            assert_eq!(got.dims(), &[rows.len(), 24]);
+            assert_eq!(
+                got.as_slice(),
+                &full.as_slice()[rows.start * 24..rows.end * 24]
+            );
+        }
+    }
 }

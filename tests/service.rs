@@ -413,6 +413,47 @@ fn band_aligned_region_reads_equal_the_decoded_bands() {
     }
 }
 
+/// Region reads whose edges cut bands — inside one band, across a band
+/// boundary, and over a whole band with both neighbours cut — equal the
+/// same rows of a full decode bit for bit, through the chunked driver and
+/// through the service.
+#[test]
+fn band_cutting_region_reads_equal_the_full_decode_rows() {
+    let svc = service(2, 8);
+    let bytes = Arc::new(
+        compress_chunked(&field(7), &config(), 12, 2)
+            .unwrap()
+            .to_bytes(),
+    );
+    let full: Tensor<f32> =
+        decompress_chunked(&ChunkedArchive::from_bytes(&bytes).unwrap(), 1).unwrap();
+    let index = band_index(&bytes).unwrap();
+    // Band `b` starts at row `8 * b`: 96 rows in 12 bands of 8.
+    assert!(index.entries.iter().all(|e| e.rows == 8));
+    let row = 64;
+    for (rows, touched) in [(10..13usize, 1..2usize), (22..26, 2..4), (45..63, 5..8)] {
+        assert_eq!(index.bands_covering_rows(rows.clone()).unwrap().0, touched);
+        let want = &full.as_slice()[rows.start * row..rows.end * row];
+        let direct: Tensor<f32> =
+            decompress_chunked_region(&bytes, rows.clone(), 2, DecodePolicy::Strict).unwrap();
+        let served = svc
+            .read_region(Arc::clone(&bytes), rows.clone(), DecodePolicy::Strict, None)
+            .unwrap()
+            .wait()
+            .unwrap();
+        for got in [&direct, &served] {
+            assert_eq!(got.dims(), &[rows.len(), row]);
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "rows {rows:?} drifted from the full decode"
+            );
+        }
+    }
+}
+
 /// A compress job under a config other than the pool's re-arms the session
 /// it runs on; the next job under the pool's config must not inherit it.
 #[test]

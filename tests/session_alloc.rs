@@ -242,6 +242,44 @@ fn steady_state_deflate_path_decompress_allocates_only_the_output_tensor() {
 }
 
 #[test]
+fn warm_decompress_into_allocates_nothing() {
+    // Decoding into the caller's buffer leaves nothing to allocate once the
+    // session is warm: the shape, kernel, row scratch, codec cache and
+    // inflater all live in the session — plain, DEFLATE post-passed and
+    // escape-LZ archives alike.
+    const ALPHABET: [f32; 5] = [0.0, 1.0e8, -3.0e7, 7.0e6, -9.0e5];
+    let smooth = Tensor::from_fn([96, 128], |ix| {
+        ((ix[0] as f32) * 0.07).sin() * 12.0 + ((ix[1] as f32) * 0.05).cos() * 3.0
+    });
+    let periodic = Tensor::from_fn([96, 128], |ix| ((ix[0] * 7 + ix[1]) % 16) as f32 * 0.25);
+    let escapes = Tensor::from_fn([96, 128], |ix| ALPHABET[(ix[0] * 128 + ix[1]) % 5]);
+    let config = Config::new(ErrorBound::Absolute(1e-3)).with_interval_bits(8);
+    let cases = [
+        (smooth, config.without_lossless_pass()),
+        (periodic, config),
+        (escapes, config.with_escape_lz()),
+    ];
+    for (data, config) in cases {
+        let mut session = CodecSession::<f32>::new(config).unwrap();
+        let archive = session.compress(&data).unwrap();
+        let mut out = vec![0f32; data.len()];
+        session.decompress_into(&archive, &mut out).unwrap();
+        for call in 2..4 {
+            let (allocs, bytes, ()) =
+                count_allocs(|| session.decompress_into(&archive, &mut out).unwrap());
+            assert_eq!(
+                (allocs, bytes),
+                (0, 0),
+                "call {call}: warm decompress_into allocated"
+            );
+            for (&a, &b) in data.as_slice().iter().zip(&out) {
+                assert!((a as f64 - b as f64).abs() <= 1e-3);
+            }
+        }
+    }
+}
+
+#[test]
 fn steady_state_compress_with_noop_sink_keeps_the_allocation_pin() {
     // A disabled telemetry sink must be free: with a `NoopSink` attached
     // (`enabled() == false`), every instrumentation site skips its clock
