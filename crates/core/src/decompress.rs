@@ -549,15 +549,14 @@ fn decompress_fresh<T: ScalarFloat>(
     staged: bool,
     policy: DecodePolicy,
 ) -> Result<Tensor<T>> {
-    let (shape, mut out) = alloc_output(bytes, policy, None)?;
-    let mut reader = ByteReader::new(bytes);
-    let header = parse_header(bytes, &mut reader)?;
+    let (header, reader) = parse_checked::<T>(bytes, policy, None)?;
+    let shape = Shape::new(header.dims());
+    let mut out = vec![T::from_f64(0.0); shape.len()];
     let mut kernel = ScanKernel::for_shape(header.layers, &shape);
     decompress_parsed(
         &header,
         &shape,
         reader,
-        bytes.len(),
         &mut kernel,
         codec,
         &mut DecodeScratch::default(),
@@ -569,76 +568,18 @@ fn decompress_fresh<T: ScalarFloat>(
     Ok(Tensor::from_vec(shape, out))
 }
 
-/// The checks a decode runs on a parsed header before it reads the payload
-/// or sizes anything from it: the scalar type, the header checksum under a
-/// verifying policy, and the untrusted-input bound on the declared element
-/// count.
-fn check_parsed<T: ScalarFloat>(
-    header: &Header,
-    archive_len: usize,
+/// Parses `bytes`' header and runs the checks a decode makes before it
+/// reads the payload or sizes anything from it: the scalar type, the
+/// header checksum under a verifying policy, and the untrusted-input bound
+/// on the declared element count. Returns the header and the reader just
+/// past it.
+fn parse_checked<'b, T: ScalarFloat>(
+    bytes: &'b [u8],
     policy: DecodePolicy,
     sink: Option<&dyn TelemetrySink>,
-) -> Result<()> {
-    if header.type_tag != T::TYPE_TAG {
-        return Err(SzError::WrongType {
-            expected: T::NAME,
-            found: if header.type_tag == 0 { "f32" } else { "f64" },
-        });
-    }
-    if policy.verifies() && header.header_crc_ok == Some(false) {
-        if let Some(sink) = sink.filter(|s| s.enabled()) {
-            sink.counter(Counter::ChecksumFailures, 1);
-        }
-        return Err(SzError::Corrupt("header: checksum mismatch".into()));
-    }
-    check_declared_len(header.len(), archive_len)
-}
-
-/// The shape a decode of `bytes` as `T` produces, read from a header that
-/// passed [`check_parsed`] — the errors a decode would raise before its
-/// payload, without reading the payload.
-pub(crate) fn output_shape<T: ScalarFloat>(
-    bytes: &[u8],
-    policy: DecodePolicy,
-    sink: Option<&dyn TelemetrySink>,
-) -> Result<Shape> {
-    let header = parse_header(bytes, &mut ByteReader::new(bytes))?;
-    check_parsed::<T>(&header, bytes.len(), policy, sink)?;
-    Ok(Shape::new(header.dims()))
-}
-
-/// The output a decode of `bytes` fills: [`output_shape`] and a zeroed
-/// buffer of its element count. The allocating entry points are this plus
-/// a decode into the buffer.
-pub(crate) fn alloc_output<T: ScalarFloat>(
-    bytes: &[u8],
-    policy: DecodePolicy,
-    sink: Option<&dyn TelemetrySink>,
-) -> Result<(Shape, Vec<T>)> {
-    let shape = output_shape::<T>(bytes, policy, sink)?;
-    let out = vec![T::from_f64(0.0); shape.len()];
-    Ok((shape, out))
-}
-
-/// Decompresses one archive into `out` through caller-owned reusable state:
-/// a kernel cache (one per (layer count, stride family) seen, created on
-/// demand) and the decode scratch (fused row buffers, codec cache, last
-/// shape). Version-2 shared-stream archives decode through `codec`; a
-/// missing codec fails loudly. This is the decode body behind
-/// [`crate::CodecSession`] and `szr-parallel`'s per-worker sessions.
-pub(crate) fn decompress_cached_into<T: ScalarFloat>(
-    bytes: &[u8],
-    codec: Option<&HuffmanCodec>,
-    kernels: &mut Vec<ScanKernel>,
-    scratch: &mut DecodeScratch<T>,
-    policy: DecodePolicy,
-    sink: Option<&dyn TelemetrySink>,
-    out: &mut [T],
-) -> Result<()> {
-    let sink = sink.filter(|s| s.enabled());
-    let tele = sink.is_some();
+) -> Result<(Header, ByteReader<'b>)> {
     let mut reader = ByteReader::new(bytes);
-    let (header, header_nanos) = timed(tele, || parse_header(bytes, &mut reader));
+    let (header, header_nanos) = timed(sink.is_some(), || parse_header(bytes, &mut reader));
     let header = header?;
     if let Some(sink) = sink {
         sink.span(
@@ -647,6 +588,42 @@ pub(crate) fn decompress_cached_into<T: ScalarFloat>(
             (bytes.len() - reader.remaining()) as u64,
         );
     }
+    if header.type_tag != T::TYPE_TAG {
+        return Err(SzError::WrongType {
+            expected: T::NAME,
+            found: if header.type_tag == 0 { "f32" } else { "f64" },
+        });
+    }
+    if policy.verifies() && header.header_crc_ok == Some(false) {
+        if let Some(sink) = sink {
+            sink.counter(Counter::ChecksumFailures, 1);
+        }
+        return Err(SzError::Corrupt("header: checksum mismatch".into()));
+    }
+    check_declared_len(header.len(), bytes.len())?;
+    Ok((header, reader))
+}
+
+/// Decompresses one archive through caller-owned reusable state: a kernel
+/// cache (one per (layer count, stride family) seen, created on demand)
+/// and the decode scratch (fused row buffers, codec cache, last shape).
+/// The header is parsed and checked once; `out` then picks the buffer the
+/// decode fills from the header's dims, and it must hold exactly their
+/// element count. Version-2 shared-stream archives decode through `codec`;
+/// a missing codec fails loudly. This is the decode body behind
+/// [`crate::CodecSession`] and `szr-parallel`'s per-worker sessions.
+pub(crate) fn decompress_cached<T: ScalarFloat, O: AsMut<[T]>>(
+    bytes: &[u8],
+    codec: Option<&HuffmanCodec>,
+    kernels: &mut Vec<ScanKernel>,
+    scratch: &mut DecodeScratch<T>,
+    policy: DecodePolicy,
+    sink: Option<&dyn TelemetrySink>,
+    out: impl FnOnce(&[usize]) -> O,
+) -> Result<O> {
+    let sink = sink.filter(|s| s.enabled());
+    let (header, reader) = parse_checked::<T>(bytes, policy, sink)?;
+    let mut out = out(header.dims());
     // The shape leaves the scratch for the decode, so the scratch's
     // buffers stay free to borrow; a repeated grid reuses it.
     let shape = match scratch.shape.take() {
@@ -669,26 +646,25 @@ pub(crate) fn decompress_cached_into<T: ScalarFloat>(
         &header,
         &shape,
         reader,
-        bytes.len(),
         &mut kernels[idx],
         codec,
         scratch,
         false,
         policy,
         sink,
-        out,
+        out.as_mut(),
     );
     scratch.shape = Some(shape);
-    decoded
+    decoded.map(|()| out)
 }
 
 /// Payload decode shared by every decompress entry point: writes the grid
-/// `shape` (the header's) into `recon`, which must hold exactly its element
-/// count. `reader` is positioned just past the header, `kernel` matches
-/// it, `codec` is the shared Huffman table (required for version-2
-/// archives, ignored otherwise), and `scratch` holds the reusable decode
-/// buffers (a session passes a persistent one so repeated decodes reuse
-/// every allocation).
+/// `shape` (the header's, which passed [`parse_checked`]) into `recon`,
+/// which must hold exactly its element count. `reader` is positioned just
+/// past the header, `kernel` matches it, `codec` is the shared Huffman
+/// table (required for version-2 archives, ignored otherwise), and
+/// `scratch` holds the reusable decode buffers (a session passes a
+/// persistent one so repeated decodes reuse every allocation).
 ///
 /// `recon`'s prior contents are never read: the scan writes every point
 /// before any later prediction reads it. On error its contents are
@@ -705,7 +681,6 @@ fn decompress_parsed<T: ScalarFloat>(
     header: &Header,
     shape: &Shape,
     mut reader: ByteReader<'_>,
-    archive_len: usize,
     kernel: &mut ScanKernel,
     codec: Option<&HuffmanCodec>,
     scratch: &mut DecodeScratch<T>,
@@ -730,7 +705,6 @@ fn decompress_parsed<T: ScalarFloat>(
         cached_codec,
         shape: _,
     } = scratch;
-    check_parsed::<T>(header, archive_len, policy, sink)?;
     let total = header.len();
     if recon.len() != total {
         return Err(SzError::OutputLength {
@@ -1244,14 +1218,14 @@ mod tests {
             let bytes = compress(&data, &config).unwrap();
             let fresh: Tensor<f32> = decompress(&bytes).unwrap();
             let mut reused = vec![0f32; fresh.len()];
-            decompress_cached_into(
+            decompress_cached(
                 &bytes,
                 None,
                 &mut kernels,
                 &mut scratch,
                 DecodePolicy::Strict,
                 None,
-                &mut reused,
+                |_| &mut reused[..],
             )
             .unwrap();
             assert_eq!(fresh.as_slice(), &reused[..], "rows {rows}");
@@ -1265,15 +1239,14 @@ mod tests {
     fn mismatched_kernel_is_rejected() {
         let bytes = sample_archive(); // 16x16, 1 layer
         let mut kernels = vec![ScanKernel::new(1, &[32, 1]), ScanKernel::new(2, &[16, 1])];
-        let mut decoded = vec![0f32; 16 * 16];
-        decompress_cached_into(
+        let decoded = decompress_cached(
             &bytes,
             None,
             &mut kernels,
             &mut DecodeScratch::default(),
             DecodePolicy::Strict,
             None,
-            &mut decoded,
+            |dims| vec![0f32; dims.iter().product()],
         )
         .unwrap();
         assert_eq!(&decoded[..], decompress::<f32>(&bytes).unwrap().as_slice());

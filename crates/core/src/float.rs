@@ -1,11 +1,14 @@
 //! Scalar float abstraction: everything the codec needs from f32/f64.
 
+use szr_metrics::Real;
+
 /// The IEEE-754 scalar types the compressor understands.
 ///
 /// The codec works in `f64` internally (predictions, interval arithmetic) and
 /// converts back through `from_f64` before error-checking, so the bound is
-/// enforced on the *stored* precision, not the working precision.
-pub trait ScalarFloat: Copy + PartialOrd + Into<f64> + 'static {
+/// enforced on the *stored* precision, not the working precision. Widening
+/// to `f64` is [`Real::to_f64`], lossless for both supported types.
+pub trait ScalarFloat: Real + PartialOrd + 'static {
     /// Total bits in the representation (32 or 64).
     const BITS: u32;
     /// Explicit mantissa bits (23 or 52).
@@ -21,8 +24,6 @@ pub trait ScalarFloat: Copy + PartialOrd + Into<f64> + 'static {
     /// Largest finite value, widened to `f64`.
     const MAX: f64;
 
-    /// Widens to `f64` (lossless for both supported types).
-    fn to_f64(self) -> f64;
     /// Narrows from `f64` (rounds for `f32`).
     fn from_f64(v: f64) -> Self;
     /// Raw IEEE-754 bits, widened to `u64`.
@@ -40,10 +41,6 @@ impl ScalarFloat for f32 {
     const NAME: &'static str = "f32";
     const MAX: f64 = f32::MAX as f64;
 
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
     #[inline]
     fn from_f64(v: f64) -> Self {
         v as f32
@@ -67,10 +64,6 @@ impl ScalarFloat for f64 {
     const NAME: &'static str = "f64";
     const MAX: f64 = f64::MAX;
 
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
     #[inline]
     fn from_f64(v: f64) -> Self {
         v

@@ -49,7 +49,7 @@ use crate::compress::{
     HuffmanTable, QuantBufs, QuantizedBand,
 };
 use crate::config::Config;
-use crate::decompress::{alloc_output, decompress_cached_into, DecodePolicy, DecodeScratch};
+use crate::decompress::{decompress_cached, DecodePolicy, DecodeScratch};
 use crate::float::ScalarFloat;
 use crate::kernel::{RowVisitor, ScanKernel};
 use crate::quant::Quantizer;
@@ -746,10 +746,7 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// its decode LUT, and the DEFLATE inflater with its output buffers for
     /// post-passed and escape-LZ bands all live in the session.
     pub fn decompress(&mut self, bytes: &[u8]) -> Result<Tensor<T>> {
-        let sink = self.active_sink();
-        let (shape, mut out) = alloc_output(bytes, self.decode_policy, sink.as_deref())?;
-        self.decompress_into(bytes, &mut out)?;
-        Ok(Tensor::from_vec(shape, out))
+        self.decode_with(bytes, None, |dims| Tensor::full(dims, T::from_f64(0.0)))
     }
 
     /// Decompresses a self-contained archive into `out`, the caller's
@@ -768,26 +765,16 @@ impl<T: ScalarFloat> CodecSession<T> {
     /// [`DecodePolicy`]) checksum-failing archives. On error `out` holds
     /// unspecified values.
     pub fn decompress_into(&mut self, bytes: &[u8], out: &mut [T]) -> Result<()> {
-        let sink = self.active_sink();
-        decompress_cached_into(
-            bytes,
-            None,
-            &mut self.kernels,
-            &mut self.decode,
-            self.decode_policy,
-            sink.as_deref(),
-            out,
-        )
+        self.decode_with(bytes, None, |_| out).map(drop)
     }
 
     /// Decompresses a band archive whose Huffman table may live in its
     /// container: version-2 bands decode through `codec`, self-contained
     /// archives ignore it. Fused like [`CodecSession::decompress`].
     pub fn decompress_shared(&mut self, bytes: &[u8], codec: &HuffmanCodec) -> Result<Tensor<T>> {
-        let sink = self.active_sink();
-        let (shape, mut out) = alloc_output(bytes, self.decode_policy, sink.as_deref())?;
-        self.decompress_shared_into(bytes, codec, &mut out)?;
-        Ok(Tensor::from_vec(shape, out))
+        self.decode_with(bytes, Some(codec), |dims| {
+            Tensor::full(dims, T::from_f64(0.0))
+        })
     }
 
     /// [`CodecSession::decompress_into`] for a band archive whose Huffman
@@ -802,10 +789,22 @@ impl<T: ScalarFloat> CodecSession<T> {
         codec: &HuffmanCodec,
         out: &mut [T],
     ) -> Result<()> {
+        self.decode_with(bytes, Some(codec), |_| out).map(drop)
+    }
+
+    /// The decode behind the four entry points above: the header is parsed
+    /// and checked once, `out` picks the buffer from its dims, and the
+    /// session's kernels and scratch decode into it.
+    fn decode_with<O: AsMut<[T]>>(
+        &mut self,
+        bytes: &[u8],
+        codec: Option<&HuffmanCodec>,
+        out: impl FnOnce(&[usize]) -> O,
+    ) -> Result<O> {
         let sink = self.active_sink();
-        decompress_cached_into(
+        decompress_cached(
             bytes,
-            Some(codec),
+            codec,
             &mut self.kernels,
             &mut self.decode,
             self.decode_policy,

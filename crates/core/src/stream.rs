@@ -16,8 +16,7 @@
 
 use crate::config::{Config, ErrorBound};
 use crate::decompress::{
-    check_declared_len, decompress_with_policy, output_shape, BandDamage, DecodePolicy,
-    SalvageReport,
+    check_declared_len, decompress_with_policy, BandDamage, DecodePolicy, SalvageReport,
 };
 use crate::float::ScalarFloat;
 use crate::session::CodecSession;
@@ -377,9 +376,9 @@ impl<'a, T: ScalarFloat> StreamDecompressor<'a, T> {
         session.set_decode_policy(self.policy);
         let mut row = 0usize;
         for band in self.band_slices()? {
-            let shape = output_shape::<T>(band, self.policy, None)?;
-            let rows = shape.dims()[0];
-            if shape.dims()[1..] != self.inner_dims {
+            let dims = crate::inspect(band)?.dims;
+            let rows = dims[0];
+            if dims[1..] != self.inner_dims {
                 return Err(SzError::Corrupt("band inner dims disagree".into()));
             }
             if row + rows > total_rows {

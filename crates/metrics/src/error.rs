@@ -12,14 +12,14 @@ use crate::Real;
 ///
 /// This is the one value range of the workspace: the codec resolves
 /// relative error bounds with it too.
-pub fn value_range<T: Copy + Into<f64>>(data: &[T]) -> f64 {
+pub fn value_range<T: Real>(data: &[T]) -> f64 {
     // Independent lanes, so the compares vectorize instead of forming one
     // serial min chain and one max chain.
     const LANES: usize = 8;
     let mut lo = [f64::INFINITY; LANES];
     let mut hi = [f64::NEG_INFINITY; LANES];
     let mut fold = |lane: usize, v: T| {
-        let x: f64 = v.into();
+        let x = v.to_f64();
         let finite = x.is_finite();
         lo[lane] = if finite && x < lo[lane] { x } else { lo[lane] };
         hi[lane] = if finite && x > hi[lane] { x } else { hi[lane] };
@@ -35,6 +35,13 @@ pub fn value_range<T: Copy + Into<f64>>(data: &[T]) -> f64 {
     }
     let min = lo.into_iter().fold(f64::INFINITY, f64::min);
     let max = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    finite_range(min, max)
+}
+
+/// The range of finite values whose least and greatest are `min` and
+/// `max` (`min > max` when there were none): 0 without finite values,
+/// saturated at `f64::MAX`.
+fn finite_range(min: f64, max: f64) -> f64 {
     if min > max {
         0.0
     } else {
@@ -142,9 +149,9 @@ pub struct ErrorStats {
 }
 
 impl ErrorStats {
-    /// Computes all metrics in one pass over the pair of arrays, plus the
-    /// [`value_range`] of `orig`; non-finite values are treated as in
-    /// [`max_rel_error`], [`nrmse`] and [`psnr`].
+    /// Computes all metrics in one pass over the pair of arrays, the
+    /// [`value_range`] of `orig` included; non-finite values are treated as
+    /// in [`max_rel_error`], [`nrmse`] and [`psnr`].
     ///
     /// # Panics
     /// Panics if lengths differ or the arrays are empty.
@@ -152,12 +159,17 @@ impl ErrorStats {
         assert_eq!(orig.len(), recon.len(), "length mismatch");
         assert!(!orig.is_empty(), "metrics need at least one sample");
         let n = orig.len() as f64;
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut max_abs = 0.0f64;
         let mut sum_sq = 0.0f64;
         let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
         for (&a, &b) in orig.iter().zip(recon) {
             let x = a.to_f64();
             let y = b.to_f64();
+            if x.is_finite() {
+                min = min.min(x);
+                max = max.max(x);
+            }
             let e = x - y;
             max_abs = max_abs.max(e.abs());
             sum_sq += e * e;
@@ -167,7 +179,7 @@ impl ErrorStats {
             syy += y * y;
             sxy += x * y;
         }
-        let range = value_range(orig);
+        let range = finite_range(min, max);
         let rmse = (sum_sq / n).sqrt();
         let cov = sxy / n - (sx / n) * (sy / n);
         let var_x = (sxx / n - (sx / n) * (sx / n)).max(0.0);

@@ -25,7 +25,7 @@ pub use ratio::{bit_rate, compression_factor};
 pub use timing::{time_it, Throughput};
 
 /// Scalar sample type accepted by the metrics (f32 or f64).
-pub trait Real: Copy + Into<f64> {
+pub trait Real: Copy {
     /// Lossless widening to `f64` for accumulation.
     fn to_f64(self) -> f64;
 }

@@ -63,5 +63,6 @@ proptest! {
         let s = ErrorStats::compute(&orig, &recon);
         prop_assert!((s.max_abs - max_abs_error(&orig, &recon)).abs() <= 1e-12 * (1.0 + s.max_abs));
         prop_assert!((s.rmse - rmse(&orig, &recon)).abs() <= 1e-12 * (1.0 + s.rmse));
+        prop_assert_eq!(s.range, value_range(&orig));
     }
 }

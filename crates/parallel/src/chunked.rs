@@ -2,7 +2,6 @@
 //! and [`BandExecutor`], the one scoped band runner every chunked driver
 //! goes through.
 
-use std::any::Any;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -12,7 +11,6 @@ use szr_core::{
     HuffmanTable, QuantizedBand, Result, SalvageReport, ScalarFloat, SzError,
 };
 use szr_huffman::HuffmanCodec;
-use szr_metrics::Real;
 use szr_planner::plan_band_config_with_estimate;
 use szr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use szr_tensor::{Shape, Tensor};
@@ -375,8 +373,8 @@ impl ChunkedArchive {
             if offset < prev_end + 1 || offset.saturating_add(len) > band_region_len {
                 return corrupt(format!("index: entry {band} offsets are inconsistent"));
             }
-            if rows == 0 {
-                return corrupt(format!("index: entry {band} declares zero rows"));
+            if rows == 0 || rows > header.dims[0] {
+                return corrupt(format!("index: entry {band} declares {rows} rows"));
             }
             prev_end = offset + len;
             rows_total += rows;
@@ -617,11 +615,27 @@ impl BandIndex {
         self.dims[1..].iter().product::<usize>().max(1)
     }
 
+    /// Checks the index's row extents of bands `bands` against each band's
+    /// own header and bytes, before any buffer is sized from them. A band
+    /// of another extent or inner shape would misplace every later row,
+    /// and an extent its bytes cannot back would size a wild allocation,
+    /// so both are hard errors, not a silent shift.
+    #[doc(hidden)]
+    pub fn check_bands<T: ScalarFloat>(&self, bytes: &[u8], bands: Range<usize>) -> Result<()> {
+        for band in bands {
+            let chunk = self.band_slice(bytes, band)?;
+            let rows = self.entries[band].rows;
+            if band_rows::<T>(chunk, &self.dims)? != rows {
+                return corrupt("index: band row extent disagrees with the band's header");
+            }
+            check_declared_len(rows.saturating_mul(self.row_elems()), chunk.len())?;
+        }
+        Ok(())
+    }
+
     /// Decodes band `band` of the serialized archive `bytes` into `out`,
-    /// which holds the index's row extent of it. The band's own header is
-    /// checked first: a band of another extent or inner shape would
-    /// misplace every later row, so that is a hard error, not a silent
-    /// shift.
+    /// which holds the index's row extent of it, checked by
+    /// [`BandIndex::check_bands`].
     #[doc(hidden)]
     pub fn decode_band_into<T: ScalarFloat>(
         &self,
@@ -631,11 +645,7 @@ impl BandIndex {
         codec: Option<&HuffmanCodec>,
         out: &mut [T],
     ) -> Result<()> {
-        let chunk = self.band_slice(bytes, band)?;
-        if band_rows::<T>(chunk, &self.dims)? != self.entries[band].rows {
-            return corrupt("index: band row extent disagrees with the band's header");
-        }
-        decode_chunk_into(session, chunk, codec, out)
+        decode_chunk_into(session, self.band_slice(bytes, band)?, codec, out)
     }
 }
 
@@ -781,20 +791,7 @@ impl<'a> BandExecutor<'a> {
             Strategy::Fused if config.decorrelate => self.shared(values, config, &split),
             Strategy::Fused if split.bands() <= 1 => self.independent(values, config, &split),
             Strategy::Fused => self.fused(values, config, &split),
-            // The planner prices samples through `szr_metrics::Real`, which
-            // both `ScalarFloat` types implement.
-            Strategy::Planned => {
-                let data: &dyn Any = data;
-                if let Some(data) = data.downcast_ref::<Tensor<f32>>() {
-                    self.planned(data.as_slice(), config, &split)
-                } else if let Some(data) = data.downcast_ref::<Tensor<f64>>() {
-                    self.planned(data.as_slice(), config, &split)
-                } else {
-                    Err(SzError::InvalidConfig(
-                        "planned chunking needs f32 or f64 data",
-                    ))
-                }
-            }
+            Strategy::Planned => self.planned(values, config, &split),
         }?;
         Ok(ChunkedArchive {
             dims: split.dims,
@@ -817,7 +814,7 @@ impl<'a> BandExecutor<'a> {
         Ok((chunks.into_iter().collect::<Result<_>>()?, None))
     }
 
-    fn planned<T: ScalarFloat + Real + Send + Sync>(
+    fn planned<T: ScalarFloat + Send + Sync>(
         &self,
         values: &[T],
         config: &Config,
@@ -1045,6 +1042,7 @@ impl<'a> BandExecutor<'a> {
     ) -> Result<Tensor<T>> {
         let index = band_index(bytes)?;
         let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
+        index.check_bands::<T>(bytes, bands.clone())?;
         let codec = shared_codec(index.shared_table_slice(bytes))?;
         let extents: Vec<usize> = index.entries[bands.clone()]
             .iter()

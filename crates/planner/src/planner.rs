@@ -7,7 +7,7 @@ use crate::report::{Candidate, Estimate, Goal, PlanReport, PlannedCodec};
 use crate::{PlanError, Result};
 use std::cell::OnceCell;
 use szr_core::ScalarFloat;
-use szr_metrics::{ErrorStats, Real};
+use szr_metrics::ErrorStats;
 use szr_tensor::{Shape, Tensor};
 
 /// Estimated constant overhead of a non-SZ archive (magic + dims + mode
@@ -86,7 +86,7 @@ pub struct Planner<'a, T: ScalarFloat> {
     opts: PlannerOptions,
 }
 
-impl<'a, T: ScalarFloat + Real> Planner<'a, T> {
+impl<'a, T: ScalarFloat> Planner<'a, T> {
     /// Fits a planner on `data` with default options.
     pub fn new(data: &'a Tensor<T>) -> Self {
         Self::with_options(data, PlannerOptions::default())
@@ -649,7 +649,7 @@ fn build_sample<T: ScalarFloat>(values: &[T], shape: &Shape, max_elems: usize) -
 /// for a slab of a larger tensor, at an already-resolved absolute bound —
 /// the cheap model-only path `szr-parallel`'s planned chunked driver calls
 /// per band (no trial compression, sample capped at 16 Ki values).
-pub fn plan_band_config<T: ScalarFloat + Real>(
+pub fn plan_band_config<T: ScalarFloat>(
     values: &[T],
     shape: &Shape,
     eb_abs: f64,
@@ -661,7 +661,7 @@ pub fn plan_band_config<T: ScalarFloat + Real>(
 /// chosen configuration — the "estimated" side of the planner-drift
 /// telemetry (`szr_telemetry::BandRecord::drift_bits_per_value` compares it
 /// against the band's achieved size).
-pub fn plan_band_config_with_estimate<T: ScalarFloat + Real>(
+pub fn plan_band_config_with_estimate<T: ScalarFloat>(
     values: &[T],
     shape: &Shape,
     eb_abs: f64,
@@ -873,7 +873,7 @@ mod tests {
 
     /// A target ratio over a field holding ±Inf plans against the finite
     /// values' range, and the chosen SZ config meets its own bound.
-    fn target_ratio_plans_over_infinities<T: ScalarFloat + Real>() {
+    fn target_ratio_plans_over_infinities<T: ScalarFloat>() {
         let data = with_infinities::<T>();
         let planner = Planner::with_options(&data, PlannerOptions::default().sz_only());
         assert!(planner.range().is_finite());
@@ -885,7 +885,7 @@ mod tests {
         let bytes = szr_core::compress(&data, &config).unwrap();
         let out: Tensor<T> = szr_core::decompress(&bytes).unwrap();
         for (x, y) in data.as_slice().iter().zip(out.as_slice()) {
-            let (x, y) = (ScalarFloat::to_f64(*x), ScalarFloat::to_f64(*y));
+            let (x, y) = (x.to_f64(), y.to_f64());
             if x.is_finite() {
                 let err = (x - y).abs();
                 assert!(err <= eb, "{} error {err} > {eb}", T::NAME);

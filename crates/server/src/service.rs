@@ -118,15 +118,17 @@ const FAILED_POISONED: &str = "a band task panicked while recording its failure"
 
 impl<T: ScalarFloat> DecodeJob<T> {
     /// A job decoding bands `bands` of `bytes` and keeping rows `keep` of
-    /// them. The index's extents place every band, so they are checked
-    /// here, before the job is queued: the covering bands must hold the
-    /// kept rows, and the output is bounded by the bytes present.
+    /// them. The index's extents place every band and size every band
+    /// task's buffer, so they are checked here, before the job is queued:
+    /// each against its band's header and bytes, the covering bands must
+    /// hold the kept rows, and the output is bounded by the bytes present.
     fn new(
         bytes: Arc<Vec<u8>>,
         index: BandIndex,
         bands: Range<usize>,
         keep: Range<usize>,
     ) -> Result<Self, SzError> {
+        index.check_bands::<T>(&bytes, bands.clone())?;
         let codec = shared_codec(index.shared_table_slice(&bytes))?.map(Box::new);
         let starts: Vec<usize> = index.entries[bands.clone()]
             .iter()

@@ -135,6 +135,12 @@ impl<T: Default + Clone> Tensor<T> {
     }
 }
 
+impl<T> AsMut<[T]> for Tensor<T> {
+    fn as_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+}
+
 impl<T> Index<&[usize]> for Tensor<T> {
     type Output = T;
     #[inline]

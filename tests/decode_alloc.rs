@@ -68,13 +68,20 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 /// share of the per-band bookkeeping.
 const PER_WORKER: u64 = 512 * 1024;
 
+/// How much more a decode may allocate at 64 bands than at 16 of the same
+/// tensor: the extra bands' bookkeeping and decode tables, never their
+/// values.
+const MORE_BANDS: u64 = 256 * 1024;
+
 /// A chunked decode allocates its output once and decodes every band into
-/// it: at 16 and at 64 bands of the same tensor, everything it allocates
-/// besides the output fits a fixed allowance per worker. Building each band
-/// as its own tensor and stitching them would allocate the output twice.
+/// it: at 16 and at 64 bands of a 4 MiB tensor, everything it allocates
+/// besides the output fits a fixed allowance per worker (a quarter of the
+/// output in all), and the 48 extra bands add less than [`MORE_BANDS`].
+/// Building each band as its own tensor and stitching them would allocate
+/// the output twice.
 #[test]
 fn chunked_decode_allocates_the_output_once_at_any_band_count() {
-    let data = Tensor::from_fn([1024usize, 256], |ix| {
+    let data = Tensor::from_fn([1024usize, 1024], |ix| {
         ((ix[0] as f32) * 0.021).sin() * 12.0 + ((ix[1] as f32) * 0.013).cos() * 3.0
     });
     let output = (data.len() * 4) as u64;
@@ -82,6 +89,7 @@ fn chunked_decode_allocates_the_output_once_at_any_band_count() {
     let threads = 2;
     let executor = BandExecutor::new(threads);
     for strategy in [Strategy::Independent, Strategy::Shared] {
+        let mut extra = Vec::new();
         for bands in [16usize, 64] {
             let archive = executor.compress(&data, &config, bands, strategy).unwrap();
             let reference: Tensor<f32> = szr::parallel::decompress_chunked(&archive, 1).unwrap();
@@ -96,6 +104,13 @@ fn chunked_decode_allocates_the_output_once_at_any_band_count() {
                 "{strategy:?} at {bands} bands: {bytes} bytes in {allocs} allocations \
                  for a {output}-byte output"
             );
+            extra.push(bytes - output);
         }
+        assert!(
+            extra[1].saturating_sub(extra[0]) <= MORE_BANDS,
+            "{strategy:?}: {} bytes besides the output at 16 bands, {} at 64",
+            extra[0],
+            extra[1]
+        );
     }
 }

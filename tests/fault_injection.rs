@@ -8,12 +8,14 @@
 //! `(family, mutation, seed)` triple alone.
 
 use proptest::prelude::*;
+use szr_bitstream::ByteWriter;
 use szr_core::{
     compress, compress_pointwise_rel, decompress_pointwise_rel, decompress_with_policy, Config,
     DecodePolicy, ErrorBound, StreamCompressor, StreamDecompressor,
 };
 use szr_datagen::Mutation;
 use szr_parallel::{BandExecutor, ChunkedArchive};
+use szr_server::{ArchiveService, Backpressure, ServiceConfig, ServiceError};
 use szr_tensor::Tensor;
 
 const EB: f64 = 1e-3;
@@ -353,6 +355,95 @@ fn index_damage_degrades_to_the_sequential_walk_or_fails_typed() {
             assert_eq!(got, want, "{}/{seed}: region drifted", mutation.name());
         }
     }
+}
+
+/// Serializes an indexed (v2) chunked container of `bands` shaped `dims`
+/// whose index declares `rows` per band and is sealed with a valid CRC, so
+/// only the row extents can lie.
+fn sealed_container(bands: &[Vec<u8>], dims: &[usize], rows: &[usize]) -> Vec<u8> {
+    let mut out = ByteWriter::with_capacity(64);
+    out.write_bytes(b"SZCK");
+    out.write_u8(2);
+    out.write_u8(0);
+    out.write_varint(dims.len() as u64);
+    for &d in dims {
+        out.write_varint(d as u64);
+    }
+    out.write_varint(bands.len() as u64);
+    let (mut region, mut index) = (ByteWriter::with_capacity(64), ByteWriter::with_capacity(16));
+    for (band, &rows) in bands.iter().zip(rows) {
+        region.write_varint(band.len() as u64);
+        index.write_varint(region.as_bytes().len() as u64);
+        index.write_varint(band.len() as u64);
+        index.write_varint(rows as u64);
+        region.write_bytes(band);
+    }
+    out.write_varint(region.as_bytes().len() as u64);
+    out.write_bytes(region.as_bytes());
+    out.write_bytes(index.as_bytes());
+    out.write_u32(szr_deflate::crc32(index.as_bytes()));
+    out.into_bytes()
+}
+
+/// An index re-sealed over row extents its bands do not have must fail
+/// typed before any buffer is sized from it. Here dims `[2^20, 2^20]` and
+/// index rows `[2^20 - 1, 1]` sit over two 1-row bands: a 1-row read of
+/// the first band would size a 4 TiB buffer from the index alone.
+#[test]
+fn a_resealed_lying_index_fails_typed_before_sizing_a_buffer() {
+    const WIDE: usize = 1 << 20;
+    let config = Config::new(ErrorBound::Absolute(EB));
+    let row = Tensor::from_fn([1, WIDE], |ix| (ix[1] % 7) as f32);
+    let band = compress(&row, &config).unwrap();
+    let bands = [band.clone(), band];
+
+    // The hand-built container is the real format: with honest extents it
+    // is byte-identical to the serializer's.
+    let honest = ChunkedArchive {
+        dims: vec![2, WIDE],
+        chunks: bands.to_vec(),
+        shared_table: None,
+    };
+    assert_eq!(
+        sealed_container(&bands, &[2, WIDE], &[1, 1]),
+        honest.to_bytes()
+    );
+
+    let lying = sealed_container(&bands, &[WIDE, WIDE], &[WIDE - 1, 1]);
+    assert!(ChunkedArchive::peek_index(&lying).is_ok(), "the seal holds");
+    let is_corrupt = |e: &szr_core::SzError| matches!(e, szr_core::SzError::Corrupt(_));
+    let svc = ArchiveService::<f32>::new(ServiceConfig {
+        workers: 1,
+        queue_jobs: 1,
+        backpressure: Backpressure::Block,
+        session_config: config,
+    })
+    .unwrap();
+    let bytes = std::sync::Arc::new(lying);
+    for rows in [0..1, WIDE - 2..WIDE] {
+        let read = BandExecutor::new(1).read::<f32>(&bytes, rows.clone(), DecodePolicy::Strict);
+        assert!(read.as_ref().is_err_and(is_corrupt), "{rows:?}: {read:?}");
+        let served = svc.read_region(
+            std::sync::Arc::clone(&bytes),
+            rows.clone(),
+            DecodePolicy::Strict,
+            None,
+        );
+        assert!(
+            matches!(&served, Err(ServiceError::Codec(e)) if is_corrupt(e)),
+            "service {rows:?}: {:?}",
+            served.err()
+        );
+    }
+    let full = svc.submit_decompress(std::sync::Arc::clone(&bytes), DecodePolicy::Strict, None);
+    assert!(
+        matches!(&full, Err(ServiceError::Codec(e)) if is_corrupt(e)),
+        "{:?}",
+        full.err()
+    );
+    let parsed = ChunkedArchive::from_bytes(&bytes).unwrap();
+    let decoded = BandExecutor::new(1).decompress::<f32>(&parsed, DecodePolicy::Strict);
+    assert!(decoded.as_ref().is_err_and(is_corrupt), "{decoded:?}");
 }
 
 /// Truncation anywhere in a band archive maps to a typed, section-named
