@@ -1,4 +1,13 @@
 //! Subcommand implementations for the `szr` binary.
+//!
+//! Every file a command writes (`--output`, `--report`) goes through one
+//! helper, `Output`: an existing file is rewritten in place and sized to
+//! the result, never truncated to zero first, and a decode that fails after
+//! its output was opened removes that output (`--salvage` keeps its partial
+//! output by design). Chunked decodes (`decompress` of an SZCK container,
+//! `extract`) write each band's rows from the worker that decoded it, at
+//! the rows' offsets in the file; a pipe or device output instead gets an
+//! in-memory decode and one sequential write.
 
 use crate::args::{parse_dims, Args};
 use std::sync::Arc;
@@ -92,19 +101,172 @@ fn read_raw<T: ScalarFloat>(path: &str, dims: &[usize]) -> Result<Tensor<T>, Str
     Ok(Tensor::from_vec(dims, values))
 }
 
-fn write_raw<T: ScalarFloat>(path: &str, data: &Tensor<T>) -> CmdResult {
-    use std::io::Write;
-    let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
-    let mut file = std::fs::File::create(path).map_err(cannot)?;
+/// A file the CLI writes, opened to be rewritten in place: created when
+/// missing, never truncated to zero, and (when it is a regular file) sized
+/// to the bytes it will hold before any is written. Truncating a file to
+/// zero and refilling it is what filesystems read as "replace this file"
+/// (ext4 flushes such a file's new blocks when it closes), so the old
+/// bytes are overwritten instead. An `Output` dropped before
+/// [`Output::finish`] removes the file, so a failed decode leaves no
+/// output behind. Pipes and devices are written as they are and never
+/// removed.
+struct Output<'p> {
+    file: std::fs::File,
+    path: &'p str,
+    regular: bool,
+    finished: bool,
+}
+
+impl<'p> Output<'p> {
+    /// Opens `path` for `len` bytes.
+    fn open(path: &'p str, len: usize) -> Result<Self, String> {
+        let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(cannot)?;
+        let mut out = Output {
+            regular: file.metadata().map_err(cannot)?.is_file(),
+            file,
+            path,
+            finished: false,
+        };
+        if out.regular {
+            if let Err(e) = out.file.set_len(len as u64) {
+                // Not written yet: a file that cannot be sized is left as
+                // it was.
+                out.finished = true;
+                return Err(cannot(e));
+            }
+        }
+        Ok(out)
+    }
+
+    /// The error for a failed write to this output.
+    fn cannot(&self, e: std::io::Error) -> String {
+        format!("cannot write {}: {e}", self.path)
+    }
+
+    /// Writes `bytes` from the current position (the start, for a fresh
+    /// `Output`).
+    fn write_all(&self, bytes: &[u8]) -> CmdResult {
+        use std::io::Write;
+        (&self.file).write_all(bytes).map_err(|e| self.cannot(e))
+    }
+
+    /// Writes `values` little-endian from the current position.
+    fn write_values<T: ScalarFloat>(&self, values: &[T]) -> CmdResult {
+        use std::io::Write;
+        le_chunks(values, |_, bytes| (&self.file).write_all(bytes)).map_err(|e| self.cannot(e))
+    }
+
+    /// Keeps the output.
+    fn finish(mut self) {
+        self.finished = true;
+    }
+}
+
+impl Drop for Output<'_> {
+    fn drop(&mut self) {
+        if !self.finished && self.regular {
+            let _ = std::fs::remove_file(self.path);
+        }
+    }
+}
+
+/// Hands `values` to `write` as little-endian bytes, [`RAW_IO_CHUNK`] at a
+/// time, each chunk with its byte offset into `values`.
+fn le_chunks<T: ScalarFloat>(
+    values: &[T],
+    mut write: impl FnMut(u64, &[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let elem = T::BITS as usize / 8;
-    let mut buf = vec![0u8; RAW_IO_CHUNK];
-    for values in data.as_slice().chunks(RAW_IO_CHUNK / elem) {
+    let mut buf = vec![0u8; RAW_IO_CHUNK.min(values.len() * elem)];
+    let mut at = 0u64;
+    for values in values.chunks(RAW_IO_CHUNK / elem) {
         let chunk = &mut buf[..values.len() * elem];
         for (c, &v) in chunk.chunks_exact_mut(elem).zip(values) {
             c.copy_from_slice(&v.to_bits_u64().to_le_bytes()[..elem]);
         }
-        file.write_all(chunk).map_err(cannot)?;
+        write(at, chunk)?;
+        at += chunk.len() as u64;
     }
+    Ok(())
+}
+
+/// Writes all of `bytes` at byte `offset` of `file`, leaving its cursor
+/// alone on Unix; safe to call from several threads at disjoint offsets.
+#[cfg(unix)]
+fn write_all_at(file: &std::fs::File, bytes: &[u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, bytes, offset)
+}
+
+#[cfg(windows)]
+fn write_all_at(file: &std::fs::File, mut bytes: &[u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !bytes.is_empty() {
+        match file.seek_write(bytes, offset)? {
+            0 => return Err(std::io::ErrorKind::WriteZero.into()),
+            n => {
+                bytes = &bytes[n..];
+                offset += n as u64;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Writes `bytes` to `path` through an [`Output`].
+fn write_file(path: &str, bytes: &[u8]) -> CmdResult {
+    let out = Output::open(path, bytes.len())?;
+    out.write_all(bytes)?;
+    out.finish();
+    Ok(())
+}
+
+/// Writes a tensor to `path` as a raw little-endian file through an
+/// [`Output`].
+fn write_raw<T: ScalarFloat>(path: &str, data: &Tensor<T>) -> CmdResult {
+    let out = Output::open(path, std::mem::size_of_val(data.as_slice()))?;
+    out.write_values(data.as_slice())?;
+    out.finish();
+    Ok(())
+}
+
+/// Runs a chunked decode `plan` into the raw file `path`. On a regular
+/// file, the band workers write every band's rows at their offsets
+/// themselves as soon as the band decodes: no full-size tensor is built and
+/// no serial write follows the decode. Any other output (a pipe, a device)
+/// takes an in-memory decode and one sequential write.
+fn decode_plan_to<T: ScalarFloat + Send + Sync>(
+    executor: &szr_parallel::BandExecutor<'_>,
+    plan: &szr_parallel::BandPlan<'_, T>,
+    path: &str,
+) -> CmdResult {
+    let policy = szr_core::DecodePolicy::Strict;
+    let elem = T::BITS as usize / 8;
+    let out = Output::open(path, plan.len() * elem)?;
+    if out.regular {
+        let row_bytes = (plan.row_elems() * elem) as u64;
+        executor
+            .decode_each(plan, policy, |row, values: &[T]| {
+                let base = row as u64 * row_bytes;
+                le_chunks(values, |at, bytes| {
+                    write_all_at(&out.file, bytes, base + at)
+                })
+                .map_err(|e| -> Box<dyn std::error::Error + Send + Sync> { out.cannot(e).into() })
+            })
+            .map_err(|e| e.to_string())?;
+    } else {
+        let mut values = vec![T::from_f64(0.0); plan.len()];
+        executor
+            .decode_into(plan, policy, &mut values)
+            .map_err(|e| e.to_string())?;
+        out.write_values(&values)?;
+    }
+    out.finish();
     Ok(())
 }
 
@@ -294,7 +456,7 @@ pub fn compress(args: &Args) -> CmdResult {
         "f64" => pack_timed::<f64>(args, input, &dims, opts, sink.as_ref())?,
         other => return Err(format!("unknown --dtype {other:?}")),
     };
-    std::fs::write(output, &archive).map_err(|e| format!("cannot write {output}: {e}"))?;
+    write_file(output, &archive)?;
     eprintln!(
         "{input} -> {output}: {} -> {} bytes (CF {:.2}x) in {:.2}s ({:.1} MB/s)",
         raw_bytes,
@@ -408,9 +570,10 @@ pub fn decompress(args: &Args) -> CmdResult {
         );
         return Ok(());
     }
-    // Chunked containers (SZCK) decode every band in parallel. The v2 band
-    // index is deliberately ignored on this path — the sequential band walk
-    // is authoritative, so a damaged index never blocks a full decode.
+    // Chunked containers (SZCK) decode every band in parallel, straight
+    // into the output file. The v2 band index is deliberately ignored on
+    // this path — the sequential band walk is authoritative, so a damaged
+    // index never blocks a full decode.
     if archive.starts_with(b"SZCK") {
         let container = szr_parallel::ChunkedArchive::from_bytes(&archive)
             .map_err(|e| format!("container: {e}"))?;
@@ -425,22 +588,17 @@ pub fn decompress(args: &Args) -> CmdResult {
             threads,
             sink: sink.as_deref(),
         };
-        let strict = szr_core::DecodePolicy::Strict;
-        let (result, timing) = time_it(raw_bytes, || -> CmdResult {
-            match info.dtype {
-                "f32" => write_raw(
-                    output,
-                    &executor
-                        .decompress::<f32>(&container, strict)
-                        .map_err(|e| e.to_string())?,
-                ),
-                _ => write_raw(
-                    output,
-                    &executor
-                        .decompress::<f64>(&container, strict)
-                        .map_err(|e| e.to_string())?,
-                ),
-            }
+        fn unpack<T: ScalarFloat + Send + Sync>(
+            executor: &szr_parallel::BandExecutor<'_>,
+            container: &szr_parallel::ChunkedArchive,
+            output: &str,
+        ) -> CmdResult {
+            let plan = szr_parallel::BandPlan::<T>::full(container).map_err(|e| e.to_string())?;
+            decode_plan_to(executor, &plan, output)
+        }
+        let (result, timing) = time_it(raw_bytes, || match info.dtype {
+            "f32" => unpack::<f32>(&executor, &container, output),
+            _ => unpack::<f64>(&executor, &container, output),
         });
         result?;
         eprintln!(
@@ -851,23 +1009,22 @@ pub fn extract(args: &Args) -> CmdResult {
     let dtype = szr_core::inspect(first)
         .map_err(|e| format!("band {}: {e}", touched.start))?
         .dtype;
-    let policy = szr_core::DecodePolicy::Strict;
+    fn unpack<T: ScalarFloat + Send + Sync>(
+        bytes: &[u8],
+        index: &szr_parallel::BandIndex,
+        rows: std::ops::Range<usize>,
+        threads: usize,
+        output: &str,
+    ) -> Result<usize, String> {
+        let plan =
+            szr_parallel::BandPlan::<T>::rows(bytes, index, rows).map_err(|e| e.to_string())?;
+        decode_plan_to(&szr_parallel::BandExecutor::new(threads), &plan, output)?;
+        Ok(plan.dims()[0])
+    }
     let t0 = Instant::now();
     let rows = match dtype {
-        "f32" => {
-            let data =
-                szr_parallel::decompress_chunked_region::<f32>(&bytes, start..end, threads, policy)
-                    .map_err(|e| e.to_string())?;
-            write_raw(output, &data)?;
-            data.dims()[0]
-        }
-        _ => {
-            let data =
-                szr_parallel::decompress_chunked_region::<f64>(&bytes, start..end, threads, policy)
-                    .map_err(|e| e.to_string())?;
-            write_raw(output, &data)?;
-            data.dims()[0]
-        }
+        "f32" => unpack::<f32>(&bytes, &index, start..end, threads, output)?,
+        _ => unpack::<f64>(&bytes, &index, start..end, threads, output)?,
     };
     eprintln!(
         "{input} -> {output}: rows {start}..{end} ({rows} rows, {dtype}) via bands {}..{} of {} ({}) in {:.2}s",
@@ -1055,7 +1212,7 @@ fn plan_typed<T: ScalarFloat + szr_metrics::Real>(args: &Args, data: Tensor<T>) 
             let chosen = report.chosen();
             let text = report.to_text();
             if let Some(path) = args.get("report") {
-                std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+                write_file(path, text.as_bytes())?;
             }
             print!("{text}");
             eprintln!(
@@ -1076,7 +1233,7 @@ fn plan_typed<T: ScalarFloat + szr_metrics::Real>(args: &Args, data: Tensor<T>) 
         Err(szr_planner::PlanError::Infeasible(msg)) => {
             let line = format!("infeasible: {msg}\n");
             if let Some(path) = args.get("report") {
-                std::fs::write(path, &line).map_err(|e| format!("cannot write {path}: {e}"))?;
+                write_file(path, line.as_bytes())?;
             }
             print!("{line}");
             Ok(())

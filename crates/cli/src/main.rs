@@ -59,6 +59,12 @@ COMPRESS OPTIONS:
                          parallel and sealed with a random-access band index
   --threads N            worker threads for chunked containers (default 4)
 
+OUTPUT FILES:
+  --output FILE is rewritten in place and sized to the result, never
+  truncated to zero first. A decode that fails removes its output (except
+  under --salvage, which keeps the recovered data). Pipes and devices
+  (e.g. /dev/null) are written as a stream.
+
 DECOMPRESS OPTIONS:
   --salvage[=json]       verify each band's checksums and keep going past
                          damaged bands: intact bands decode exactly, damaged

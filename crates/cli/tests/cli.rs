@@ -500,3 +500,178 @@ fn decompress_reads_stream_archives() {
         .collect();
     assert_eq!(got, want);
 }
+
+/// Runs `cmd`, failing the test with its stderr when it fails.
+fn run_ok(cmd: &mut Command) {
+    let out = cmd.output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// A 40×24×20 f32 field written raw to `name`, compressed to `name.szr`
+/// (as 8 bands of 5 rows with `chunks`); returns (raw path, archive path).
+fn packed_field(name: &str, chunks: Option<&str>) -> (PathBuf, PathBuf) {
+    let raw = tmp(&format!("{name}.bin"));
+    let packed = tmp(&format!("{name}.szr"));
+    let values: Vec<u8> = (0..40 * 24 * 20)
+        .flat_map(|i| {
+            let (z, y, x) = (i / 480, (i / 20) % 24, i % 20);
+            let v = (z as f32 * 0.17).sin() * 5.0 + (y as f32 * 0.11).cos() + x as f32 * 0.03;
+            v.to_le_bytes()
+        })
+        .collect();
+    std::fs::write(&raw, values).unwrap();
+    let mut compress = szr();
+    compress
+        .args(["compress", "--input", raw.to_str().unwrap()])
+        .args(["--dims", "40x24x20", "--abs", "1e-3"])
+        .args(["--output", packed.to_str().unwrap()]);
+    if let Some(chunks) = chunks {
+        compress.args(["--chunks", chunks]);
+    }
+    run_ok(&mut compress);
+    (raw, packed)
+}
+
+/// `szr decompress` of `packed` onto a fresh path: the reference bytes.
+fn decoded(packed: &std::path::Path, name: &str) -> Vec<u8> {
+    let out = tmp(name);
+    let _ = std::fs::remove_file(&out);
+    run_ok(
+        szr()
+            .args(["decompress", "--input", packed.to_str().unwrap()])
+            .args(["--output", out.to_str().unwrap()]),
+    );
+    std::fs::read(&out).unwrap()
+}
+
+/// Region reads through the band index match the same bytes of the full
+/// decode — band-aligned, cutting two bands, and the whole extent — and an
+/// out-of-range region fails without creating its output.
+#[test]
+fn extract_matches_the_full_decode() {
+    let (_, packed) = packed_field("extract", Some("8"));
+    let full = decoded(&packed, "extract_full.bin");
+    let row_bytes = 24 * 20 * 4;
+    assert_eq!(full.len(), 40 * row_bytes);
+    let roi = tmp("extract_roi.bin");
+    for (a, b) in [(10usize, 20usize), (7, 13), (0, 40)] {
+        let _ = std::fs::remove_file(&roi);
+        run_ok(
+            szr()
+                .args(["extract", "--input", packed.to_str().unwrap()])
+                .args(["--region", &format!("{a}:{b}")])
+                .args(["--output", roi.to_str().unwrap(), "--threads", "3"]),
+        );
+        let got = std::fs::read(&roi).unwrap();
+        assert_eq!(got, &full[a * row_bytes..b * row_bytes], "rows {a}..{b}");
+    }
+    let missing = tmp("extract_out_of_range.bin");
+    let _ = std::fs::remove_file(&missing);
+    let out = szr()
+        .args(["extract", "--input", packed.to_str().unwrap()])
+        .args(["--region", "30:41", "--output", missing.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(!missing.exists(), "a failed extract left its output");
+}
+
+/// Every decode over an existing, longer output leaves exactly the decoded
+/// bytes: chunked, single-band and stream archives, and region reads.
+#[test]
+fn outputs_are_rewritten_in_place_over_longer_files() {
+    use szr_core::{Config, ErrorBound, StreamCompressor};
+    let (_, chunked) = packed_field("inplace_chunked", Some("8"));
+    let (_, single) = packed_field("inplace_single", None);
+    let stream = tmp("inplace_stream.szst");
+    let mut compressor =
+        StreamCompressor::<f32>::new(&[48], 16, Config::new(ErrorBound::Absolute(1e-3))).unwrap();
+    let values: Vec<f32> = (0..64 * 48).map(|i| (i as f32 * 0.01).sin()).collect();
+    compressor.push(&values).unwrap();
+    std::fs::write(&stream, compressor.finish().unwrap()).unwrap();
+
+    let stale = vec![0xA5u8; 1 << 20];
+    let out = tmp("inplace_out.bin");
+    for (packed, name) in [
+        (&chunked, "inplace_ref_chunked.bin"),
+        (&single, "inplace_ref_single.bin"),
+        (&stream, "inplace_ref_stream.bin"),
+    ] {
+        let want = decoded(packed, name);
+        std::fs::write(&out, &stale).unwrap();
+        run_ok(
+            szr()
+                .args(["decompress", "--input", packed.to_str().unwrap()])
+                .args(["--output", out.to_str().unwrap()]),
+        );
+        assert_eq!(std::fs::read(&out).unwrap(), want, "{name}");
+    }
+    let full = decoded(&chunked, "inplace_ref_extract.bin");
+    let row_bytes = 24 * 20 * 4;
+    std::fs::write(&out, &stale).unwrap();
+    run_ok(
+        szr()
+            .args(["extract", "--input", chunked.to_str().unwrap()])
+            .args(["--region", "3:17", "--output", out.to_str().unwrap()]),
+    );
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        &full[3 * row_bytes..17 * row_bytes]
+    );
+}
+
+/// A chunked archive whose band headers check out but whose band payload
+/// does not decode fails, and leaves no output: neither a new file nor the
+/// file it was about to overwrite.
+#[test]
+fn failed_chunked_decode_leaves_no_output() {
+    let (_, packed) = packed_field("corrupt_chunked", Some("8"));
+    let bytes = std::fs::read(&packed).unwrap();
+    let mut archive = szr_parallel::ChunkedArchive::from_bytes(&bytes).unwrap();
+    let band = &mut archive.chunks[5];
+    band.truncate(band.len() / 2);
+    let corrupt = tmp("corrupt_chunked_cut.szr");
+    std::fs::write(&corrupt, archive.to_bytes()).unwrap();
+    let out = tmp("corrupt_chunked_out.bin");
+    for existing in [false, true] {
+        let _ = std::fs::remove_file(&out);
+        if existing {
+            std::fs::write(&out, [1u8; 4096]).unwrap();
+        }
+        let run = szr()
+            .args(["decompress", "--input", corrupt.to_str().unwrap()])
+            .args(["--output", out.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(!run.status.success(), "existing output: {existing}");
+        let text = String::from_utf8_lossy(&run.stderr);
+        assert!(text.contains("corrupt archive"), "{text}");
+        assert!(!out.exists(), "existing output: {existing}");
+    }
+}
+
+/// `--output /dev/null` is a device, not a file to size or remove: chunked
+/// and single-band decodes and region reads write to it and succeed.
+#[cfg(unix)]
+#[test]
+fn decompress_to_dev_null_succeeds() {
+    let (_, chunked) = packed_field("devnull_chunked", Some("8"));
+    let (_, single) = packed_field("devnull_single", None);
+    for packed in [&chunked, &single] {
+        run_ok(
+            szr()
+                .args(["decompress", "--input", packed.to_str().unwrap()])
+                .args(["--output", "/dev/null"]),
+        );
+    }
+    run_ok(
+        szr()
+            .args(["extract", "--input", chunked.to_str().unwrap()])
+            .args(["--region", "2:9", "--output", "/dev/null"]),
+    );
+    assert!(std::path::Path::new("/dev/null").exists());
+}

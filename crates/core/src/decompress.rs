@@ -302,6 +302,38 @@ pub fn inspect(bytes: &[u8]) -> Result<ArchiveInfo> {
     Ok(info_from(&header, bytes.len()))
 }
 
+/// A band archive's scalar type and grid, from [`inspect_grid`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BandGrid {
+    dtype: &'static str,
+    dims: [usize; MAX_RANK],
+    ndim: usize,
+}
+
+impl BandGrid {
+    /// `"f32"` or `"f64"`.
+    pub fn dtype(&self) -> &'static str {
+        self.dtype
+    }
+
+    /// Grid dimensions (slowest first).
+    pub fn dims(&self) -> &[usize] {
+        &self.dims[..self.ndim]
+    }
+}
+
+/// The part of [`inspect`] a container needs to place a band — its scalar
+/// type and grid — read from the header without allocating, so checking
+/// every band of a container costs no allocation per band.
+pub fn inspect_grid(bytes: &[u8]) -> Result<BandGrid> {
+    let header = parse_header(bytes, &mut ByteReader::new(bytes))?;
+    Ok(BandGrid {
+        dtype: if header.type_tag == 0 { "f32" } else { "f64" },
+        dims: header.dims,
+        ndim: header.ndim,
+    })
+}
+
 fn info_from(header: &Header, archive_bytes: usize) -> ArchiveInfo {
     ArchiveInfo {
         dtype: if header.type_tag == 0 { "f32" } else { "f64" },
@@ -813,10 +845,12 @@ fn decompress_parsed<T: ScalarFloat>(
                 .map_err(|e| in_section("table", e.into()))?;
             let hit = cached_codec.is_some() && table_key.as_slice() == block.table;
             if !hit {
-                *cached_codec = Some(
-                    szr_huffman::codec_for_block(&block)
-                        .map_err(|e| in_section("table", e.into()))?,
-                );
+                // Rebuilt in the cached codec's buffers; a table that fails
+                // to build leaves no codec behind to hit on.
+                let mut codec = cached_codec.take().unwrap_or_default();
+                szr_huffman::codec_for_block_into(&block, &mut codec)
+                    .map_err(|e| in_section("table", e.into()))?;
+                *cached_codec = Some(codec);
                 table_key.clear();
                 table_key.extend_from_slice(block.table);
             }

@@ -197,8 +197,8 @@ pub use compress::{
 };
 pub use config::{Config, ErrorBound, IntervalMode};
 pub use decompress::{
-    check_declared_len, decompress, decompress_with_policy, inspect, inspect_layout, ArchiveInfo,
-    BandDamage, BandLayout, DecodePolicy, SalvageReport,
+    check_declared_len, decompress, decompress_with_policy, inspect, inspect_grid, inspect_layout,
+    ArchiveInfo, BandDamage, BandGrid, BandLayout, DecodePolicy, SalvageReport,
 };
 pub use float::ScalarFloat;
 pub use kernel::{KernelKind, RowVisitor, ScanKernel};

@@ -35,6 +35,22 @@ pub struct HuffmanCodec {
     lut: std::sync::OnceLock<DecodeLut>,
 }
 
+/// The empty code: no symbol has a codeword. A decoder's codec cache
+/// starts from it and rebuilds it in place ([`HuffmanCodec::rebuild_with`]).
+impl Default for HuffmanCodec {
+    fn default() -> Self {
+        Self {
+            lengths: Vec::new(),
+            codes: Vec::new(),
+            sorted_symbols: Vec::new(),
+            first_code: [0; (MAX_CODE_LEN + 1) as usize],
+            first_index: [0; (MAX_CODE_LEN + 1) as usize],
+            count: [0; (MAX_CODE_LEN + 1) as usize],
+            lut: std::sync::OnceLock::new(),
+        }
+    }
+}
+
 impl HuffmanCodec {
     /// Builds an optimal (length-limited) code from symbol frequencies.
     ///
@@ -50,10 +66,47 @@ impl HuffmanCodec {
     /// Returns `None` if the lengths violate the Kraft inequality or exceed
     /// [`MAX_CODE_LEN`], which indicates a corrupt table.
     pub fn from_lengths(lengths: &[u32]) -> Option<Self> {
+        let mut codec = Self {
+            lengths: lengths.to_vec(),
+            ..Self::default()
+        };
+        codec.derive().then_some(codec)
+    }
+
+    /// [`Self::from_lengths`] into this codec's own buffers: `fill` writes
+    /// the new code lengths into the (cleared) length table, and every
+    /// derived table is rebuilt in place — the decode table too, when one
+    /// was built — so a decoder meeting a new table per band allocates
+    /// only when a table outgrows the earlier ones.
+    ///
+    /// # Errors
+    /// `fill`'s error, or [`Error::Corrupt`] when the lengths are not a
+    /// valid code; the codec is then left empty (it codes no symbol).
+    pub fn rebuild_with(&mut self, fill: impl FnOnce(&mut Vec<u32>) -> Result<()>) -> Result<()> {
+        let lut = self.lut.take();
+        self.lengths.clear();
+        let filled = fill(&mut self.lengths);
+        if filled.is_err() || !self.derive() {
+            self.lengths.clear();
+            self.derive();
+            return filled.and(Err(Error::Corrupt("invalid huffman lengths")));
+        }
+        if let Some(mut lut) = lut {
+            lut.rebuild(&self.lengths, &self.codes);
+            let _ = self.lut.set(lut);
+        }
+        Ok(())
+    }
+
+    /// Derives the canonical codes and decode tables from `self.lengths`,
+    /// reusing their buffers; `false` (tables unspecified) when the lengths
+    /// are not a valid code.
+    fn derive(&mut self) -> bool {
+        let lengths = &self.lengths;
         let mut count = [0u32; (MAX_CODE_LEN + 1) as usize];
         for &len in lengths {
             if len > MAX_CODE_LEN {
-                return None;
+                return false;
             }
             if len > 0 {
                 count[len as usize] += 1;
@@ -65,7 +118,7 @@ impl HuffmanCodec {
             kraft += (count[len as usize] as u128) << (MAX_CODE_LEN - len);
         }
         if kraft > 1u128 << MAX_CODE_LEN {
-            return None;
+            return false;
         }
 
         let mut first_code = [0u64; (MAX_CODE_LEN + 1) as usize];
@@ -80,28 +133,26 @@ impl HuffmanCodec {
             index += count[len];
         }
 
-        let mut sorted_symbols: Vec<u32> = (0..lengths.len() as u32)
-            .filter(|&s| lengths[s as usize] > 0)
-            .collect();
-        sorted_symbols.sort_by_key(|&s| (lengths[s as usize], s));
-
-        let mut codes = vec![0u64; lengths.len()];
-        let mut next = first_code;
-        for &sym in &sorted_symbols {
-            let len = lengths[sym as usize] as usize;
-            codes[sym as usize] = next[len];
-            next[len] += 1;
+        // Symbols in (length, symbol) order: each length's run starts at
+        // its first index and fills in symbol order. The canonical code of
+        // a symbol is its length's first code plus its rank in that run.
+        self.sorted_symbols.clear();
+        self.sorted_symbols.resize(index as usize, 0);
+        self.codes.clear();
+        self.codes.resize(lengths.len(), 0);
+        let mut next = first_index;
+        for (sym, &len) in lengths.iter().enumerate() {
+            if len > 0 {
+                let len = len as usize;
+                self.sorted_symbols[next[len] as usize] = sym as u32;
+                self.codes[sym] = first_code[len] + (next[len] - first_index[len]) as u64;
+                next[len] += 1;
+            }
         }
-
-        Some(Self {
-            lengths: lengths.to_vec(),
-            codes,
-            sorted_symbols,
-            first_code,
-            first_index,
-            count,
-            lut: std::sync::OnceLock::new(),
-        })
+        self.first_code = first_code;
+        self.first_index = first_index;
+        self.count = count;
+        true
     }
 
     /// Code length per symbol (0 = unused).
@@ -554,6 +605,62 @@ mod tests {
         assert!(HuffmanCodec::from_lengths(&[1, 1, 1]).is_none());
         assert!(HuffmanCodec::from_lengths(&[1, 1]).is_some());
         assert!(HuffmanCodec::from_lengths(&[MAX_CODE_LEN + 1]).is_none());
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_from_lengths() {
+        let mut fib = vec![0u64; 80];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in fib.iter_mut() {
+            *f = a;
+            (a, b) = (b, a.saturating_add(b));
+        }
+        let tables: Vec<Vec<u64>> = vec![
+            vec![10, 90],
+            (1..=4000).map(|i| 1 + (i % 97) * (i % 13)).collect(),
+            fib,
+            vec![0, 5, 0],
+            (1..=40).map(|i| i * i).collect(),
+        ];
+        let mut codec = HuffmanCodec::default();
+        for freqs in &tables {
+            let fresh = HuffmanCodec::from_frequencies(freqs);
+            codec
+                .rebuild_with(|lengths| {
+                    lengths.extend_from_slice(fresh.lengths());
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(codec.lengths, fresh.lengths);
+            assert_eq!(codec.codes, fresh.codes);
+            assert_eq!(codec.sorted_symbols, fresh.sorted_symbols);
+            assert_eq!(codec.first_code, fresh.first_code);
+            assert_eq!(codec.first_index, fresh.first_index);
+            assert_eq!(codec.count, fresh.count);
+            // Decoding builds (or, from the second table on, rebuilds) the
+            // decode table.
+            let symbols: Vec<u32> = (0..freqs.len() as u32)
+                .filter(|&s| freqs[s as usize] > 0)
+                .cycle()
+                .take(3 * freqs.len())
+                .collect();
+            let mut w = BitWriter::new();
+            fresh.encode_all(&symbols, &mut w);
+            let bytes = w.into_bytes();
+            let mut out = Vec::new();
+            codec
+                .decode_all_into(&mut BitReader::new(&bytes), symbols.len(), &mut out)
+                .unwrap();
+            assert_eq!(out, symbols);
+        }
+        // A table that is not a code leaves the codec empty.
+        let err = codec.rebuild_with(|lengths| {
+            lengths.extend_from_slice(&[1, 1, 1]);
+            Ok(())
+        });
+        assert!(err.is_err());
+        assert_eq!(codec.used_symbols(), 0);
+        assert!(codec.lengths().is_empty());
     }
 
     #[test]

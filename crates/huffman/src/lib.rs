@@ -34,7 +34,7 @@ pub mod lut;
 mod table;
 
 pub use code::{HuffmanCodec, SymbolDecoder, MAX_CODE_LEN};
-pub use table::{read_lengths, skip_lengths, write_lengths};
+pub use table::{read_lengths, read_lengths_into, skip_lengths, write_lengths};
 
 use szr_bitstream::{BitReader, BitWriter, ByteReader, ByteWriter};
 
@@ -173,10 +173,21 @@ pub fn parse_shared_block(bytes: &[u8]) -> szr_bitstream::Result<SymbolBlock<'_>
 
 /// Rebuilds the codec a self-describing [`SymbolBlock`] was written with.
 pub fn codec_for_block(block: &SymbolBlock<'_>) -> szr_bitstream::Result<HuffmanCodec> {
+    let mut codec = HuffmanCodec::default();
+    codec_for_block_into(block, &mut codec)?;
+    Ok(codec)
+}
+
+/// [`codec_for_block`] into `codec`'s own buffers
+/// ([`HuffmanCodec::rebuild_with`]): a decoder that keeps one codec across
+/// blocks with different tables reuses its allocations. On error `codec`
+/// is left empty.
+pub fn codec_for_block_into(
+    block: &SymbolBlock<'_>,
+    codec: &mut HuffmanCodec,
+) -> szr_bitstream::Result<()> {
     let mut reader = ByteReader::new(block.table);
-    let lengths = read_lengths(&mut reader, block.alphabet)?;
-    HuffmanCodec::from_lengths(&lengths)
-        .ok_or(szr_bitstream::Error::Corrupt("invalid huffman lengths"))
+    codec.rebuild_with(|lengths| read_lengths_into(&mut reader, block.alphabet, lengths))
 }
 
 /// [`decompress_u32`] into a caller-provided buffer, so a long-lived

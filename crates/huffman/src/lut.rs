@@ -200,6 +200,18 @@ impl DecodeLut {
     /// The lengths must describe a Kraft-feasible code (the caller has
     /// already validated them); unreached indices stay [`Lookup::Invalid`].
     pub fn build(lengths: &[u32], codes: &[u64]) -> Self {
+        let mut lut = Self {
+            primary_bits: 0,
+            entries: Vec::new(),
+        };
+        lut.rebuild(lengths, codes);
+        lut
+    }
+
+    /// [`Self::build`] into this table's own entry buffer, so a decoder
+    /// that meets a new table per band allocates only when the table
+    /// outgrows every earlier one.
+    pub fn rebuild(&mut self, lengths: &[u32], codes: &[u64]) {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         // Code-space share of the codes longer than PRIMARY_BITS, in units
         // of 2^-62 (a Kraft-feasible code sums to at most 2^62).
@@ -215,7 +227,9 @@ impl DecodeLut {
             max_len.clamp(1, PRIMARY_BITS)
         };
         let psize = 1usize << primary_bits;
-        let mut entries = vec![0u64; psize];
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.resize(psize, 0);
 
         // Short codes fill their share of the primary table directly.
         for (sym, (&len, &code)) in lengths.iter().zip(codes).enumerate() {
@@ -241,29 +255,32 @@ impl DecodeLut {
             }
         }
 
-        // Long codes group by their primary-width prefix; each group gets an
-        // overflow subtable sized for its deepest member (or a Slow marker
-        // when MAX_SUB_BITS, or the subtable budget, cannot reach it).
-        let mut group_depth: std::collections::BTreeMap<usize, u32> =
-            std::collections::BTreeMap::new();
+        // Long codes group by their primary-width prefix, an index no short
+        // code reaches; each group gets an overflow subtable sized for its
+        // deepest member (or a Slow marker when MAX_SUB_BITS, or the
+        // subtable budget, cannot reach it). The prefix's own entry first
+        // collects the group's depth as a Sub entry without a base…
         for (&len, &code) in lengths.iter().zip(codes) {
             if len <= primary_bits {
                 continue;
             }
             let prefix = (code >> (len - primary_bits)) as usize;
-            let d = group_depth.entry(prefix).or_insert(0);
-            *d = (*d).max(len - primary_bits);
+            let depth = (entries[prefix] >> 16 & 0xFF) as u32;
+            entries[prefix] = other(KIND_SUB, depth.max(len - primary_bits), 0);
         }
-        let mut group_base: std::collections::BTreeMap<usize, (u32, u32)> =
-            std::collections::BTreeMap::new();
-        for (&prefix, &depth) in &group_depth {
+        // …then, in prefix order, gets its subtable's base or Slow.
+        for prefix in 0..psize {
+            let entry = entries[prefix];
+            if codes_len(entry) != 0 || entry >> 8 & 0xFF != KIND_SUB {
+                continue;
+            }
+            let depth = (entry >> 16 & 0xFF) as u32;
             if depth > MAX_SUB_BITS || entries.len() - psize + (1 << depth) > MAX_SUB_ENTRIES {
                 entries[prefix] = SLOW;
             } else {
                 let base = entries.len() as u32;
                 entries.resize(entries.len() + (1usize << depth), 0);
                 entries[prefix] = other(KIND_SUB, depth, base);
-                group_base.insert(prefix, (base, depth));
             }
         }
         for (sym, (&len, &code)) in lengths.iter().zip(codes).enumerate() {
@@ -272,7 +289,7 @@ impl DecodeLut {
             }
             let tail = len - primary_bits;
             let prefix = (code >> tail) as usize;
-            let Some(&(base, depth)) = group_base.get(&prefix) else {
+            let Lookup::Sub { base, bits: depth } = unpack(entries[prefix]) else {
                 continue; // Slow-marked group
             };
             let rel = (code & ((1u64 << tail) - 1)) as usize;
@@ -280,11 +297,7 @@ impl DecodeLut {
             let copies = 1usize << (depth - tail);
             entries[start..start + copies].fill(single(sym as u32, len));
         }
-
-        Self {
-            primary_bits,
-            entries,
-        }
+        self.primary_bits = primary_bits;
     }
 
     /// Primary index width: peek this many bits for [`Self::root`].
@@ -492,6 +505,27 @@ mod tests {
         assert_eq!(lut.primary_bits(), PRIMARY_BITS);
         assert_eq!(lut.root(codes[23] >> (24 - PRIMARY_BITS)), Lookup::Slow);
         assert_eq!(decode_msb(&lut, &[false]), Some((0, 1)));
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_build() {
+        // One table rebuilt through narrow, wide-with-Slow, subtable and
+        // one-symbol codes, in both directions of size.
+        let tables = [
+            (1..=7).chain([7]).collect::<Vec<u32>>(),
+            flat_with_chain(27),
+            (1..=24).collect(),
+            vec![1],
+            flat_with_chain(20),
+        ];
+        let mut lut = DecodeLut::build(&[1], &[0]);
+        for lengths in &tables {
+            let codes = canonical_codes(lengths);
+            lut.rebuild(lengths, &codes);
+            let fresh = DecodeLut::build(lengths, &codes);
+            assert_eq!(lut.primary_bits, fresh.primary_bits);
+            assert_eq!(lut.entries, fresh.entries);
+        }
     }
 
     #[test]

@@ -32,8 +32,19 @@ pub fn write_lengths(out: &mut ByteWriter, lengths: &[u32]) {
 /// `alphabet` is the expected total number of symbols; a mismatch marks the
 /// stream as corrupt.
 pub fn read_lengths(reader: &mut ByteReader<'_>, alphabet: usize) -> Result<Vec<u32>> {
-    let runs = reader.read_varint()?;
     let mut lengths = Vec::with_capacity(alphabet);
+    read_lengths_into(reader, alphabet, &mut lengths)?;
+    Ok(lengths)
+}
+
+/// [`read_lengths`] appended to `lengths`, which the caller passes empty
+/// (its capacity is reused).
+pub fn read_lengths_into(
+    reader: &mut ByteReader<'_>,
+    alphabet: usize,
+    lengths: &mut Vec<u32>,
+) -> Result<()> {
+    let runs = reader.read_varint()?;
     for _ in 0..runs {
         let len = reader.read_varint()?;
         let run = reader.read_varint()? as usize;
@@ -51,7 +62,7 @@ pub fn read_lengths(reader: &mut ByteReader<'_>, alphabet: usize) -> Result<Vec<
     if lengths.len() != alphabet {
         return Err(Error::Corrupt("length table does not cover alphabet"));
     }
-    Ok(lengths)
+    Ok(())
 }
 
 /// Walks past a table written by [`write_lengths`] without materializing it,

@@ -2,6 +2,7 @@
 //! and [`BandExecutor`], the one scoped band runner every chunked driver
 //! goes through.
 
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -574,17 +575,17 @@ fn decode_chunk_into<T: ScalarFloat>(
 /// against the container shaped `dims` it sits in: the same scalar type
 /// and the container's inner dims. No payload is read.
 fn band_rows<T: ScalarFloat>(chunk: &[u8], dims: &[usize]) -> Result<usize> {
-    let info = szr_core::inspect(chunk)?;
-    if info.dtype != T::NAME {
+    let grid = szr_core::inspect_grid(chunk)?;
+    if grid.dtype() != T::NAME {
         return Err(SzError::WrongType {
             expected: T::NAME,
-            found: info.dtype,
+            found: grid.dtype(),
         });
     }
-    if info.dims[1..] != dims[1..] {
+    if grid.dims()[1..] != dims[1..] {
         return corrupt("band inner dimensions disagree");
     }
-    Ok(info.dims[0])
+    Ok(grid.dims()[0])
 }
 
 /// Every band's row extent from its own header ([`band_rows`]), checked to
@@ -593,7 +594,8 @@ fn band_extents<'c, T: ScalarFloat>(
     dims: &[usize],
     chunks: impl IntoIterator<Item = &'c [u8]>,
 ) -> Result<Vec<usize>> {
-    let mut extents = Vec::new();
+    let chunks = chunks.into_iter();
+    let mut extents = Vec::with_capacity(chunks.size_hint().0);
     let mut covered = 0usize;
     for chunk in chunks {
         let rows = band_rows::<T>(chunk, dims)?;
@@ -683,6 +685,100 @@ fn decoder<T: ScalarFloat>(policy: DecodePolicy) -> CodecSession<T> {
     session
 }
 
+/// A chunked decode checked and ready to run on a [`BandExecutor`]: the
+/// band archives to decode, each one's row extent, the rows of their
+/// concatenation to keep, and the container's shared codec. Building one
+/// reads headers (and the band index, for a row range) and allocates
+/// nothing output-sized, so a caller can size or open its output from
+/// [`BandPlan::dims`] before any band decodes.
+pub struct BandPlan<'b, T> {
+    bands: Vec<&'b [u8]>,
+    extents: Vec<usize>,
+    keep: Range<usize>,
+    row_elems: usize,
+    dims: Vec<usize>,
+    codec: Option<HuffmanCodec>,
+    values: PhantomData<fn() -> T>,
+}
+
+impl<'b, T: ScalarFloat> BandPlan<'b, T> {
+    /// Every band of `archive`. Extents are read from each band's own
+    /// header and checked to tile the container, and the container's dims
+    /// are bounded by the bytes present, before anything is sized from
+    /// them; the band index plays no part, so a damaged one never blocks a
+    /// full decode.
+    pub fn full(archive: &'b ChunkedArchive) -> Result<Self> {
+        let dims = &archive.dims;
+        check_declared_len(dims.iter().product(), archive.compressed_bytes() + 1)?;
+        let codec = shared_codec(archive.shared_table.as_deref())?;
+        let bands: Vec<&[u8]> = archive.chunks.iter().map(Vec::as_slice).collect();
+        let extents = band_extents::<T>(dims, bands.iter().copied())?;
+        Ok(BandPlan {
+            bands,
+            extents,
+            keep: 0..dims[0],
+            row_elems: dims[1..].iter().product::<usize>().max(1),
+            dims: dims.clone(),
+            codec,
+            values: PhantomData,
+        })
+    }
+
+    /// Slowest-dimension rows `rows` of the serialized archive `bytes`,
+    /// through its band table `index` ([`band_index`]): only the bands
+    /// covering them, each checked against its own header
+    /// ([`BandIndex::check_bands`]) before the kept rows are sized.
+    pub fn rows(bytes: &'b [u8], index: &BandIndex, rows: Range<usize>) -> Result<Self> {
+        let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
+        index.check_bands::<T>(bytes, bands.clone())?;
+        let codec = shared_codec(index.shared_table_slice(bytes))?;
+        let extents: Vec<usize> = index.entries[bands.clone()]
+            .iter()
+            .map(|e| e.rows)
+            .collect();
+        let keep = rows.start - first_row..rows.end - first_row;
+        if keep.end > extents.iter().sum() {
+            return corrupt("index: covering bands hold fewer rows than declared");
+        }
+        let row_elems = index.row_elems();
+        check_declared_len(keep.len() * row_elems, bytes.len())?;
+        let mut dims = index.dims.clone();
+        dims[0] = keep.len();
+        Ok(BandPlan {
+            bands: bands
+                .map(|band| index.band_slice(bytes, band))
+                .collect::<Result<_>>()?,
+            extents,
+            keep,
+            row_elems,
+            dims,
+            codec,
+            values: PhantomData,
+        })
+    }
+
+    /// Dims of the decoded output (the kept rows, slowest first).
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Values in the decoded output.
+    pub fn len(&self) -> usize {
+        self.keep.len() * self.row_elems
+    }
+
+    /// Whether the decoded output holds no values (never, for a plan
+    /// that built).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Values per slowest-dimension row.
+    pub fn row_elems(&self) -> usize {
+        self.row_elems
+    }
+}
+
 /// How [`BandExecutor::compress`] codes the bands. Archive bytes depend only
 /// on the data, config and band count, never on threads or a sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -729,12 +825,13 @@ impl<'a> BandExecutor<'a> {
     }
 
     /// The scoped band runner: `task` for every band in `0..bands`, on
-    /// workers with one session each, results in band order.
+    /// workers with one session and one band buffer each (reused across
+    /// every band the worker claims), results in band order.
     fn run<T: ScalarFloat, R: Send>(
         &self,
         bands: usize,
         session: impl Fn() -> CodecSession<T> + Sync,
-        task: impl Fn(&mut CodecSession<T>, usize) -> R + Sync,
+        task: impl Fn(&mut CodecSession<T>, &mut Vec<T>, usize) -> R + Sync,
     ) -> Vec<R> {
         let threads = self.threads.clamp(1, bands.max(1));
         let sched = BandScheduler::new(bands, threads);
@@ -743,13 +840,14 @@ impl<'a> BandExecutor<'a> {
             for _ in 0..threads {
                 s.spawn(|| {
                     let mut session = session();
+                    let mut band_buf = Vec::new();
                     let worker_sink = self.sink.map(|_| Arc::new(RecordingSink::new()));
                     if let Some(ws) = &worker_sink {
                         session.set_telemetry(Some(ws.clone() as Arc<dyn TelemetrySink>));
                     }
                     let w = sched.register();
                     while let Some(band) = sched.next(w) {
-                        let out = task(&mut session, band);
+                        let out = task(&mut session, &mut band_buf, band);
                         *slots[band].lock().unwrap() = Some(out);
                     }
                     if let (Some(sink), Some(ws)) = (self.sink, &worker_sink) {
@@ -809,7 +907,7 @@ impl<'a> BandExecutor<'a> {
         let chunks = self.run(
             split.bands(),
             || CodecSession::new(*config).expect("config validated"),
-            |session, band| compress_band(session, values, split, band),
+            |session, _, band| compress_band(session, values, split, band),
         );
         Ok((chunks.into_iter().collect::<Result<_>>()?, None))
     }
@@ -824,7 +922,7 @@ impl<'a> BandExecutor<'a> {
         // Per-band plans may pick different layer counts; the session's
         // kernel cache keys on (layers, stride family), so one session per
         // worker still reuses everything.
-        let chunks = self.run(split.bands(), CodecSession::decoder, |session, band| {
+        let chunks = self.run(split.bands(), CodecSession::decoder, |session, _, band| {
             let (slice, shape) = split.band(values, band);
             let (config, estimate) = plan_band_config_with_estimate(slice, &shape, eb_abs);
             session.set_planned_bits_per_value(Some(estimate));
@@ -845,7 +943,7 @@ impl<'a> BandExecutor<'a> {
         let bands = self.run(
             split.bands(),
             || CodecSession::new(*config).expect("config validated"),
-            |session, band| {
+            |session, _, band| {
                 let (slice, shape) = split.band(values, band);
                 let quantized = session.quantize(slice, &shape)?;
                 // Force the cached histogram here, in parallel, so the
@@ -894,14 +992,18 @@ impl<'a> BandExecutor<'a> {
         let any_shared = bands.len() > 1 && saved_bits >= table_bits(&shared);
 
         // Phase C (parallel): entropy-code each band under its chosen table.
-        let chunks = self.run(bands.len(), CodecSession::<T>::decoder, |session, band| {
-            let table = match saved[band] {
-                Some(_) if any_shared => HuffmanTable::Shared(&shared),
-                _ => HuffmanTable::PerBand,
-            };
-            session.set_next_band_index(band as u64);
-            session.encode(&bands[band], table).0
-        });
+        let chunks = self.run(
+            bands.len(),
+            CodecSession::<T>::decoder,
+            |session, _, band| {
+                let table = match saved[band] {
+                    Some(_) if any_shared => HuffmanTable::Shared(&shared),
+                    _ => HuffmanTable::PerBand,
+                };
+                session.set_next_band_index(band as u64);
+                session.encode(&bands[band], table).0
+            },
+        );
         Ok((
             chunks,
             any_shared.then(|| szr_huffman::serialize_codec(&shared)),
@@ -934,7 +1036,7 @@ impl<'a> BandExecutor<'a> {
             .run(
                 1,
                 || CodecSession::new(pinned).expect("pinned config validated"),
-                |session, _| session.quantize(&sample, &sample_shape),
+                |session, _, _| session.quantize(&sample, &sample_shape),
             )
             .remove(0)?;
         // Smoothed so every in-range code has a codeword; stray out-of-range
@@ -953,7 +1055,7 @@ impl<'a> BandExecutor<'a> {
         let bands = self.run(
             split.bands(),
             || CodecSession::new(worker_config).expect("pinned config validated"),
-            |session, band| {
+            |session, _, band| {
                 let (slice, shape) = split.band(values, band);
                 session.set_next_band_index(band as u64);
                 match session.compress_slice_shared_fused(slice, &shape, &shared)? {
@@ -990,136 +1092,147 @@ impl<'a> BandExecutor<'a> {
         self.run(
             archive.chunks.len(),
             || decoder(policy),
-            |session, band| decode_chunk(session, &archive.chunks[band], codec),
+            |session, _, band| decode_chunk(session, &archive.chunks[band], codec),
         )
     }
 
-    /// Decodes `archive` back into one tensor. Band extents are read from
-    /// each band's own header and checked to tile the container before
-    /// anything decodes, so a corrupt archive fails loudly and a damaged
-    /// index never blocks a full decode. Every band decodes straight into
-    /// its rows of the one output. [`DecodePolicy::Verify`] / `Salvage`
-    /// recompute every band's v3 section checksums and fail on the first
-    /// mismatch (section-named error); for fill-and-continue use
-    /// [`BandExecutor::salvage`].
+    /// Decodes `archive` back into one tensor ([`BandPlan::full`], then
+    /// [`BandExecutor::decode_into`]): band extents come from each band's
+    /// own header, so a damaged index never blocks a full decode, and every
+    /// band decodes straight into its rows of the one output.
+    /// [`DecodePolicy::Verify`] / `Salvage` recompute every band's v3
+    /// section checksums and fail on the first mismatch (section-named
+    /// error); for fill-and-continue use [`BandExecutor::salvage`].
     pub fn decompress<T: ScalarFloat + Send + Sync>(
         &self,
         archive: &ChunkedArchive,
         policy: DecodePolicy,
     ) -> Result<Tensor<T>> {
-        // Bound the output allocation by the bytes actually present before
-        // trusting the container's declared dims.
-        let total = archive.dims.iter().product();
-        check_declared_len(total, archive.compressed_bytes() + 1)?;
-        let codec = shared_codec(archive.shared_table.as_deref())?;
-        let extents = band_extents::<T>(&archive.dims, archive.chunks.iter().map(Vec::as_slice))?;
-        let row_elems = archive.dims[1..].iter().product::<usize>().max(1);
-        let mut out = vec![T::from_f64(0.0); total];
-        self.decode_rows(
-            policy,
-            &extents,
-            row_elems,
-            0..archive.dims[0],
-            &mut out,
-            |session, band, dst| {
-                decode_chunk_into(session, &archive.chunks[band], codec.as_ref(), dst)
-            },
-        )?;
-        Ok(Tensor::from_vec(Shape::new(&archive.dims), out))
+        let plan = BandPlan::full(archive)?;
+        let mut out = vec![T::from_f64(0.0); plan.len()];
+        self.decode_into(&plan, policy, &mut out)?;
+        Ok(Tensor::from_vec(Shape::new(plan.dims()), out))
     }
 
     /// Decodes exactly the slowest-dimension rows `rows` of a serialized
     /// archive, byte-identical to that slice of a full decode: only the
     /// bands covering them are decoded, located through the [`BandIndex`]
     /// (or the sequential header walk when the index is absent or damaged).
-    /// Bands inside the range decode in place; the two it cuts decode into
-    /// their own buffer and contribute their kept rows.
     pub fn read<T: ScalarFloat + Send + Sync>(
         &self,
         bytes: &[u8],
         rows: Range<usize>,
         policy: DecodePolicy,
     ) -> Result<Tensor<T>> {
-        let index = band_index(bytes)?;
-        let (bands, first_row) = index.bands_covering_rows(rows.clone())?;
-        index.check_bands::<T>(bytes, bands.clone())?;
-        let codec = shared_codec(index.shared_table_slice(bytes))?;
-        let extents: Vec<usize> = index.entries[bands.clone()]
-            .iter()
-            .map(|e| e.rows)
-            .collect();
-        let keep = rows.start - first_row..rows.end - first_row;
-        if keep.end > extents.iter().sum() {
-            return corrupt("index: covering bands hold fewer rows than declared");
-        }
-        let row_elems = index.row_elems();
-        check_declared_len(keep.len() * row_elems, bytes.len())?;
-        let mut out = vec![T::from_f64(0.0); keep.len() * row_elems];
-        self.decode_rows(
-            policy,
-            &extents,
-            row_elems,
-            keep.clone(),
-            &mut out,
-            |session, slot, dst| {
-                index.decode_band_into(session, bytes, bands.start + slot, codec.as_ref(), dst)
-            },
-        )?;
-        let mut dims = index.dims.clone();
-        dims[0] = keep.len();
-        Ok(Tensor::from_vec(Shape::new(&dims), out))
+        let plan = BandPlan::rows(bytes, &band_index(bytes)?, rows)?;
+        let mut out = vec![T::from_f64(0.0); plan.len()];
+        self.decode_into(&plan, policy, &mut out)?;
+        Ok(Tensor::from_vec(Shape::new(plan.dims()), out))
     }
 
-    /// Decodes bands `0..extents.len()` — band `b` spanning `extents[b]`
-    /// rows of their concatenation — into `out`, which holds rows `keep` of
-    /// that concatenation, through `decode(session, b, band_out)`. `out` is
-    /// split by band with `split_at_mut`, so each worker writes its bands'
-    /// rows directly; a band `keep` cuts (only the first and the last can
-    /// be) decodes into a buffer of its own and copies its kept rows over.
-    /// Returns the first error in band order.
-    fn decode_rows<T: ScalarFloat + Send + Sync>(
+    /// Decodes `plan` into `out`, which holds exactly its kept values
+    /// ([`BandPlan::len`]). Bands it keeps whole decode straight into their
+    /// rows of `out`; a band the row range cuts (only the first and the
+    /// last can be) decodes into its worker's band buffer, and its kept
+    /// rows are copied over. Returns the first error in band order.
+    pub fn decode_into<T: ScalarFloat + Send + Sync>(
         &self,
+        plan: &BandPlan<'_, T>,
         policy: DecodePolicy,
-        extents: &[usize],
-        row_elems: usize,
-        keep: Range<usize>,
         out: &mut [T],
-        decode: impl Fn(&mut CodecSession<T>, usize, &mut [T]) -> Result<()> + Sync,
     ) -> Result<()> {
-        // Per band: its rows in the concatenation and its kept rows' slice
-        // of `out`, taken by whichever worker claims the band.
-        let mut slots: Vec<(Range<usize>, Mutex<&mut [T]>)> = Vec::with_capacity(extents.len());
+        if out.len() != plan.len() {
+            return Err(SzError::OutputLength {
+                expected: plan.len(),
+                found: out.len(),
+            });
+        }
+        self.decode_plan(plan, policy, out, None::<fn(usize, &[T]) -> Result<()>>)
+    }
+
+    /// Decodes `plan` band by band without an output of its own: each
+    /// worker decodes a band into its band buffer (reused across every band
+    /// it claims) and hands the band's kept rows to `emit(first output row,
+    /// values)` on its own thread, so `emit` must place them by the row it
+    /// is given, not by call order. Returns the first error in band order,
+    /// whether a band failed to decode or `emit` failed.
+    pub fn decode_each<T, E>(
+        &self,
+        plan: &BandPlan<'_, T>,
+        policy: DecodePolicy,
+        emit: impl Fn(usize, &[T]) -> std::result::Result<(), E> + Sync,
+    ) -> std::result::Result<(), E>
+    where
+        T: ScalarFloat + Send + Sync,
+        E: From<SzError> + Send,
+    {
+        self.decode_plan(plan, policy, &mut [], Some(emit))
+    }
+
+    /// The band runner behind [`Self::decode_into`] (`out` holds the kept
+    /// values, no `emit`) and [`Self::decode_each`] (`out` empty, every
+    /// band's kept rows go to `emit`).
+    fn decode_plan<T, E, F>(
+        &self,
+        plan: &BandPlan<'_, T>,
+        policy: DecodePolicy,
+        out: &mut [T],
+        emit: Option<F>,
+    ) -> std::result::Result<(), E>
+    where
+        T: ScalarFloat + Send + Sync,
+        E: From<SzError> + Send,
+        F: Fn(usize, &[T]) -> std::result::Result<(), E> + Sync,
+    {
+        let (keep, row_elems) = (&plan.keep, plan.row_elems);
+        let in_place = emit.is_none();
         let mut rest = out;
+        // Per band: its rows in the concatenation and, decoding in place,
+        // its kept rows' slice of `out`, taken by whichever worker claims
+        // the band.
+        let mut slots: Vec<(Range<usize>, Mutex<&mut [T]>)> =
+            Vec::with_capacity(plan.extents.len());
         let mut row = 0usize;
-        for &rows in extents {
+        for &rows in &plan.extents {
             let kept = (row + rows)
                 .min(keep.end)
                 .saturating_sub(row.max(keep.start));
-            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(kept * row_elems);
+            let len = if in_place { kept * row_elems } else { 0 };
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
             slots.push((row..row + rows, Mutex::new(dst)));
             row += rows;
         }
         debug_assert!(rest.is_empty(), "`out` holds exactly the kept rows");
         self.run(
-            extents.len(),
+            plan.extents.len(),
             || decoder(policy),
-            |session, band| {
+            |session, band_buf, band| {
                 let (rows, slot) = &slots[band];
                 let dst = std::mem::take(
                     &mut *slot
                         .lock()
                         .expect("a band worker panicked holding its slot"),
                 );
+                let (chunk, codec) = (plan.bands[band], plan.codec.as_ref());
                 let (lo, hi) = (rows.start.max(keep.start), rows.end.min(keep.end));
-                if (lo, hi) == (rows.start, rows.end) {
-                    return decode(session, band, dst);
+                if in_place && (lo, hi) == (rows.start, rows.end) {
+                    return Ok(decode_chunk_into(session, chunk, codec, dst)?);
                 }
-                let mut whole = vec![T::from_f64(0.0); rows.len() * row_elems];
-                decode(session, band, &mut whole)?;
-                let kept = (lo - rows.start) * row_elems..(hi - rows.start) * row_elems;
-                dst.copy_from_slice(&whole[kept]);
-                Ok(())
+                let len = rows.len() * row_elems;
+                if band_buf.len() < len {
+                    band_buf.resize(len, T::from_f64(0.0));
+                }
+                let whole = &mut band_buf[..len];
+                decode_chunk_into(session, chunk, codec, whole)?;
+                let kept = &whole[(lo - rows.start) * row_elems..(hi - rows.start) * row_elems];
+                match &emit {
+                    Some(emit) => emit(lo - keep.start, kept),
+                    None => {
+                        dst.copy_from_slice(kept);
+                        Ok(())
+                    }
+                }
             },
         )
         .into_iter()
@@ -1765,6 +1878,88 @@ mod tests {
         }
         assert!(decompress_chunked_region::<f32>(&bytes, 5..5, 1, DecodePolicy::Strict).is_err());
         assert!(decompress_chunked_region::<f32>(&bytes, 90..98, 1, DecodePolicy::Strict).is_err());
+    }
+
+    /// Runs `plan` through [`BandExecutor::decode_each`], placing each
+    /// emitted band by the row it names.
+    fn decode_each_placed(
+        executor: &BandExecutor<'_>,
+        plan: &BandPlan<'_, f32>,
+    ) -> Result<Vec<f32>> {
+        let placed = Mutex::new(vec![f32::NAN; plan.len()]);
+        executor.decode_each(plan, DecodePolicy::Strict, |row, values: &[f32]| {
+            let at = row * plan.row_elems();
+            placed.lock().unwrap()[at..at + values.len()].copy_from_slice(values);
+            Ok::<(), SzError>(())
+        })?;
+        Ok(placed.into_inner().unwrap())
+    }
+
+    #[test]
+    fn streamed_decodes_match_the_in_place_decodes() {
+        let data = field();
+        let config = Config::new(ErrorBound::Absolute(1e-3));
+        for strategy in [Strategy::Independent, Strategy::Shared] {
+            let archive = BandExecutor::new(2)
+                .compress(&data, &config, 8, strategy)
+                .unwrap();
+            let bytes = archive.to_bytes();
+            let full: Tensor<f32> = decompress_chunked(&archive, 2).unwrap();
+            for threads in [1, 3] {
+                let executor = BandExecutor::new(threads);
+                let plan = BandPlan::<f32>::full(&archive).unwrap();
+                assert_eq!(plan.dims(), archive.dims.as_slice());
+                let got = decode_each_placed(&executor, &plan).unwrap();
+                assert_eq!(got, full.as_slice(), "{strategy:?}, {threads} threads");
+                let index = band_index(&bytes).unwrap();
+                for rows in [0..97usize, 5..6, 13..40, 90..97] {
+                    let plan = BandPlan::<f32>::rows(&bytes, &index, rows.clone()).unwrap();
+                    assert_eq!(plan.dims(), &[rows.len(), archive.dims[1]]);
+                    let got = decode_each_placed(&executor, &plan).unwrap();
+                    let row_elems = archive.dims[1];
+                    assert_eq!(
+                        got,
+                        &full.as_slice()[rows.start * row_elems..rows.end * row_elems],
+                        "{strategy:?}, rows {rows:?}"
+                    );
+                    let mut out = vec![0.0f32; plan.len() + 1];
+                    assert!(matches!(
+                        executor.decode_into(&plan, DecodePolicy::Strict, &mut out),
+                        Err(SzError::OutputLength { .. })
+                    ));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_decodes_report_the_first_error_in_band_order() {
+        let data = field();
+        let config = Config::new(ErrorBound::Absolute(1e-3));
+        let mut archive = compress_chunked(&data, &config, 8, 2).unwrap();
+        let plan = BandPlan::<f32>::full(&archive).unwrap();
+        // `emit` failing on every band from the third on: the third's
+        // error wins, whichever worker got there first.
+        let result = BandExecutor::new(3).decode_each(&plan, DecodePolicy::Strict, |row, _| {
+            match row >= plan.extents[..2].iter().sum() {
+                true => Err(SzError::Corrupt(format!("row {row}"))),
+                false => Ok(()),
+            }
+        });
+        let third: usize = plan.extents[..2].iter().sum();
+        assert_eq!(result, Err(SzError::Corrupt(format!("row {third}"))));
+        // A cut payload behind an intact header plans, then fails the
+        // decode; no plan is built for a type the bands do not hold.
+        let band = &mut archive.chunks[5];
+        band.truncate(band.len() / 2);
+        let plan = BandPlan::<f32>::full(&archive).unwrap();
+        let result = BandExecutor::new(2)
+            .decode_each(&plan, DecodePolicy::Strict, |_, _| Ok::<(), SzError>(()));
+        assert!(result.is_err());
+        assert!(matches!(
+            BandPlan::<f64>::full(&compress_chunked(&data, &config, 8, 2).unwrap()),
+            Err(SzError::WrongType { .. })
+        ));
     }
 
     #[test]

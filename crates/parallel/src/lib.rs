@@ -19,8 +19,12 @@
 //!   `compress_chunked` / `decompress_chunked` / `decompress_chunked_region`
 //!   are one-line wrappers over it. Serialized containers (v2) carry a
 //!   CRC-sealed band index enabling ROI reads that cost O(touched bands),
-//!   never O(archive), and header-only `peek_stat`. Decodes write every
-//!   band straight into its rows of one output allocation. The per-band
+//!   never O(archive), and header-only `peek_stat`. A decode is first
+//!   checked into a `BandPlan` (a full decode, or a row range), then run
+//!   either into one output allocation, every band straight into its rows
+//!   (`decode_into`), or band by band through a caller's closure from each
+//!   worker's reused band buffer (`decode_each`), which is how the CLI
+//!   writes bands straight into the output file. The per-band
 //!   tasks (band split, band compress, band decode into a caller's rows)
 //!   are shared with the `szr-server` archive service;
 //! * [`scheduler`] — the work-stealing band scheduler behind every chunked
@@ -42,8 +46,8 @@ mod scheduler;
 
 pub use chunked::{
     band_index, compress_band, compress_chunked, decompress_chunked, decompress_chunked_region,
-    shared_codec, BandExecutor, BandIndex, BandIndexEntry, BandSplit, ChunkedArchive, ChunkedStat,
-    Strategy,
+    shared_codec, BandExecutor, BandIndex, BandIndexEntry, BandPlan, BandSplit, ChunkedArchive,
+    ChunkedStat, Strategy,
 };
 pub use io_model::{io_breakdown, IoBreakdown, IoModel};
 pub use scaling::{measure_scaling, model_cluster_scaling, ClusterModel, Direction, ScalingPoint};
